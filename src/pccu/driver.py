@@ -11,7 +11,8 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .errors import ConfigError, AdmissibilityError, NumericalError
+from .errors import ConfigError, AdmissibilityError, NumericalError, \
+    ReconstructionError
 from .grid import GHOST, Grid, Field, BoundaryCondition, fill_ghosts, \
     init_from_function
 from .reconstruct import interface_values, reconstruct_equilibrium
@@ -175,8 +176,13 @@ def run(config):
 
     def rhs(values):
         work.interior[...] = values
-        tendency, sx, sy = spatial_rhs(work, model, config.bc,
-                                       config.scheme, config.theta, config.eps0)
+        try:
+            tendency, sx, sy = spatial_rhs(work, model, config.bc,
+                                           config.scheme, config.theta,
+                                           config.eps0)
+        except (AdmissibilityError, ReconstructionError) as exc:
+            exc.t = t                   # start of the step being taken
+            raise
         speeds.append((sx, sy))
         return tendency
 

@@ -6,11 +6,21 @@ class ConfigError(ValueError):
 
 
 class AdmissibilityError(ValueError):
-    """A state left the admissible set (negative density/thickness, c^2 <= 0)."""
+    """A state left the admissible set (negative density/thickness, c^2 <= 0).
+
+    t is the time of the step it escaped from, when raised while stepping.
+    """
+
+    t = None
 
 
 class ReconstructionError(RuntimeError):
-    """Equilibrium-variable inversion failed (no positive root / no convergence)."""
+    """Equilibrium-variable inversion failed (no positive root).
+
+    t is the time of the step it escaped from, when raised while stepping.
+    """
+
+    t = None
 
 
 class NumericalError(RuntimeError):

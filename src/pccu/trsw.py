@@ -16,9 +16,10 @@ Reconstruction runs in equilibrium variables
 
 with m the discharge along the sweep and R = -W_momentum, so lake-at-rest
 and geostrophic-type steady states reconstruct exactly.  Recovering h from
-(m, E2, b, R) needs the positive root of psi(h) = m^2/h + b h^2/2 = phi,
-which is found with a safeguarded Newton iteration on the monotone branch
-containing the guess (the cell average of h next to the interface).
+(m, E2, b, R) needs the positive root of psi(h) = m^2/h + b h^2/2 = phi on
+the monotone branch containing the guess (the cell average of h next to
+the interface).  That is a root of a depressed cubic, taken in closed form
+(Viete's trigonometric solution) and polished by one Newton step.
 """
 
 import numpy as np
@@ -26,18 +27,16 @@ import numpy as np
 from .errors import AdmissibilityError, ReconstructionError
 
 H_MIN = 1e-10
-NEWTON_TOL = 1e-12
-NEWTON_MAX_ITER = 50
+RESIDUAL_TOL = 1e-12
 
 
 def invert_momentum_flux(m, phi, b, guess):
-    """Solve m^2/h + b h^2/2 = phi for h > 0, root nearest the guess.
+    """Solve m^2/h + b h^2/2 = phi for h > 0, on the branch of the guess.
 
-    All inputs broadcast to a common shape.  psi has a single minimum at
-    h_crit = (m^2/b)^(1/3); the root is taken on the branch the guess lies
-    on, with a bisection fallback keeping the iteration inside a bracket.
-    Cells with m == 0.0 use the closed form h = sqrt(2 phi / b) directly,
-    so exactly-at-rest data never round-trips through the iteration.
+    All inputs broadcast to a common shape.  Times 2h/b this is the cubic
+    h^3 - a h + 2 m^2/b = 0 with a = 2 phi/b: Viete's formula gives its
+    upper (subcritical) root, deflation the lower one, and one Newton step
+    polishes either.  Cells with m == 0.0 take h = sqrt(2 phi / b).
     """
     m, phi, b, guess = np.broadcast_arrays(
         np.asarray(m, float), np.asarray(phi, float),
@@ -64,44 +63,51 @@ def invert_momentum_flux(m, phi, b, guess):
     bb = b[moving]
     ph = phi[moving]
     m2 = m2_all[moving]
-    h_crit = np.cbrt(m2 / bb)
-    psi_min = m2 / h_crit + 0.5 * bb * h_crit * h_crit
-    if np.any(psi_min > ph):
-        raise ReconstructionError(
-            "no positive thickness root (momentum flux below critical)")
-
-    on_upper = guess[moving] >= h_crit
-    # Bracket [lo, hi] containing the root of the chosen branch.
-    lo = np.where(on_upper, h_crit, np.minimum(m2 / ph, h_crit))
-    hi = np.where(on_upper, np.maximum(guess[moving], np.sqrt(2.0 * ph / bb) + h_crit),
-                  h_crit)
-    hh = np.clip(guess[moving], lo, hi)
+    # h_up = 2 r cos(t), r = sqrt(a/3), cos(3t) = kappa.  kappa^2 is
+    # 27 b m^4 / (8 phi^3), so kappa >= -1 is psi_min <= phi; phi <= 0
+    # gives NaN or -inf, which fails it too.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = 2.0 * ph / bb
+        r = np.sqrt(a / 3.0)
+        kappa = -1.5 * m2 / ph / r
+    short = ~(kappa >= -1.0)
+    if np.any(short):
+        raise ReconstructionError(_below_critical(
+            m[moving][short], ph[short], bb[short], m.size))
+    # cos(t) via tan(t/2): numpy's float64 tan is vectorised, its cos is not
+    # (numpy 2.4 on AVX-512 x86: 67 against 370 us per 23k values).
+    tau = np.tan(np.arccos(kappa) / 6.0) ** 2
+    hh = 2.0 * r * (1.0 - tau) / (1.0 + tau)
+    gg = guess[moving]
+    lower = bb * gg * gg * gg < m2              # guess < h_crit
+    if np.any(lower):
+        # (sqrt(4a - 3 h_up^2) - h_up) / 2 without its cancellation
+        hu = hh[lower]
+        hh[lower] = 4.0 * m2[lower] / bb[lower] / (
+            hu * (hu + np.sqrt(4.0 * a[lower] - 3.0 * hu * hu)))
     res = m2 / hh + 0.5 * bb * hh * hh - ph
-    for _ in range(NEWTON_MAX_ITER):
-        active = np.abs(res) > NEWTON_TOL
-        if not np.any(active):
-            break
-        deriv = bb * hh - m2 / (hh * hh)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = np.where(active, res / np.where(deriv != 0.0, deriv, 1.0), 0.0)
-        trial = hh - step
-        # Where the root got out of the bracket, fall back to bisection.
-        bad = active & ((trial <= lo) | (trial >= hi) | (deriv == 0.0)
-                        | ~np.isfinite(trial))
-        trial = np.where(bad, 0.5 * (lo + hi), trial)
-        hh = np.where(active, trial, hh)
-        res = m2 / hh + 0.5 * bb * hh * hh - ph
-        # psi rises with h on the upper branch, falls on the lower one.
-        above = (res > 0.0) == on_upper
-        hi = np.where(active & above, np.minimum(hi, hh), hi)
-        lo = np.where(active & ~above, np.maximum(lo, hh), lo)
-    else:
-        if np.any(np.abs(res) > NEWTON_TOL):
-            worst = float(np.max(np.abs(res)))
-            raise ReconstructionError(
-                "thickness iteration stalled (residual %.3e)" % worst)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        polished = hh - res / (bb * hh - m2 / (hh * hh))
+        res_polished = m2 / polished + 0.5 * bb * polished * polished - ph
+    # psi' ~ 0 next to the double root makes the step noise there: keep
+    # it only where the residual does not grow.
+    better = np.abs(res_polished) <= np.abs(res)
+    hh = np.where(better, polished, hh)
+    worst = np.max(np.where(better, np.abs(res_polished), np.abs(res)) / ph)
+    if worst > RESIDUAL_TOL:
+        raise ReconstructionError(
+            "thickness root inaccurate (relative residual %.3e)" % worst)
     h[moving] = hh
     return h
+
+
+def _below_critical(m, phi, b, total):
+    """No-root message naming the failed count and the worst cell."""
+    psi_min = 1.5 * np.cbrt(b * m ** 4)
+    k = int(np.argmax(psi_min - phi))
+    return ("no positive thickness root (momentum flux below critical) at %d "
+            "of %d interface values; worst m=%.6g phi=%.6g b=%.6g "
+            "psi_min=%.6g" % (m.size, total, m[k], phi[k], b[k], psi_min[k]))
 
 
 class ThermalShallowWater:
@@ -308,8 +314,12 @@ class ThermalShallowWater:
     def source_half_increments(self, lines, geom):
         """Half-cell integrals of the source terms, from cell averages.
 
-        Topography: -<hb> dZ over each half cell, Z sampled at cell centers
-        and faces.  Coriolis: along x the momentum source is +f(y) h v with
+        Topography: -<hb> dZ over each half cell, with Z sampled at cell
+        centers and each face value the mean of its two center values (the
+        end faces extrapolate linearly).  Then the two half cells next to a
+        face add up to -<hb>_mean dZ across it, which balances the jump of
+        b h^2/2 whenever h + Z and b are constant: the discrete lake at rest
+        is exact.  Coriolis: along x the momentum source is +f(y) h v with
         f constant on the line; along y it is -f(y) h u integrated exactly
         for affine f (midpoint rule per half cell).  Returns (half_left,
         half_right) of shape lines.shape.
@@ -319,22 +329,20 @@ class ThermalShallowWater:
         half_r = np.zeros_like(lines)
         centers = geom.coords
         if self.topography is not None:
-            faces = np.concatenate([centers - 0.5 * geom.dx,
-                                    [centers[-1] + 0.5 * geom.dx]])
             if self.dimension == 1:
                 z_c = self.topography(centers)
-                z_f = self.topography(faces)
             elif geom.direction == "x":
-                y_line = geom.transverse[:, None]
-                z_c = self.topography(centers[None, :], y_line)
-                z_f = self.topography(faces[None, :], y_line)
+                z_c = self.topography(centers[None, :],
+                                      geom.transverse[:, None])
             else:
-                x_line = geom.transverse[:, None]
-                z_c = self.topography(x_line, centers[None, :])
-                z_f = self.topography(x_line, faces[None, :])
+                z_c = self.topography(geom.transverse[:, None],
+                                      centers[None, :])
+            # Half of each center-to-center jump, per face.
+            dz = 0.5 * np.diff(z_c, axis=-1)
+            dz = np.concatenate([dz[..., :1], dz, dz[..., -1:]], axis=-1)
             hb = lines[..., 3]
-            half_l[..., ia] -= hb * (z_c - z_f[..., :-1])
-            half_r[..., ia] -= hb * (z_f[..., 1:] - z_c)
+            half_l[..., ia] -= hb * dz[..., :-1]
+            half_r[..., ia] -= hb * dz[..., 1:]
         if self.f0 != 0.0 or self.beta != 0.0:
             if geom.direction == "x":
                 f_line = self.coriolis(geom.transverse)[:, None]

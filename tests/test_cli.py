@@ -111,3 +111,15 @@ def test_compare_mode_writes_both_schemes_and_norms(tmp_path, capsys):
     snaps = compare["snapshots"]
     assert len(snaps) >= 1
     assert all(len(s["l1"]) == 4 for s in snaps)
+
+
+def test_inversion_failure_names_the_time(tmp_path, capsys):
+    # on this coarse grid ex10 meets an interface with no positive
+    # thickness root near t=1.9; the message must say when
+    code = cli.main(["run", "ex10", "--nx", "40", "--ny", "10",
+                     "--tfinal", "2.5", "--snapshots", "1.0",
+                     "--out", str(tmp_path / "o")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "below critical" in err and "t=" in err
+    assert "psi_min=" in err

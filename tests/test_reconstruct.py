@@ -121,25 +121,26 @@ def test_equilibrium_reconstruction_constant_state():
 
 
 def test_equilibrium_reconstruction_steady_dam_gives_single_valued_breve():
-    # lake-at-rest style data: v=0 and b h^2/2 = 2 on both sides of a jump
-    # (h=2,b=1 left; h=1,b=4 right), flat bottom.  The equilibrium variables
-    # are constant across the jump, so the modified states must coincide
-    # bitwise at every interface.
+    # steady data across a jump (h=2,b=1 left; h=1 right), flat bottom: the
+    # discharge m and m^2/h + b h^2/2 are equal on both sides, at rest (m=0,
+    # b=4 right, level 2) and moving (m=0.5, b=3.75 right, level 2.125).
+    # The equilibrium variables are then constant across the jump, so the
+    # modified states must coincide bitwise at every interface.
     model = ThermalShallowWater(1)
     n = 8
     h = np.where(np.arange(n + 2 * GHOST) < (n + 2 * GHOST) // 2, 2.0, 1.0)
-    b = np.where(h == 2.0, 1.0, 4.0)
-    lines = np.stack([h, 0 * h, 0 * h, h * b], axis=-1)[None]
-    r_center = np.zeros(lines.shape[:2])
-    r_face = np.zeros((1, n + 1))
-    um, up, ubm, ubp = reconstruct_equilibrium(
-        lines, model, "x", 0.1, 1.3, r_center, r_face)
-    assert np.array_equal(ubm, ubp)
-    # and the one-sided states sit on the same equilibrium values
-    k2_minus = um[..., 2] ** 2 / um[..., 0] + 0.5 * um[..., 3] * um[..., 0]
-    k2_plus = up[..., 2] ** 2 / up[..., 0] + 0.5 * up[..., 3] * up[..., 0]
-    assert np.allclose(k2_minus, 2.0, rtol=0, atol=1e-12)
-    assert np.allclose(k2_plus, 2.0, rtol=0, atol=1e-12)
+    for m, b_right, level in ((0.0, 4.0, 2.0), (0.5, 3.75, 2.125)):
+        b = np.where(h == 2.0, 1.0, b_right)
+        lines = np.stack([h, 0 * h, m + 0 * h, h * b], axis=-1)[None]
+        r_center = np.zeros(lines.shape[:2])
+        r_face = np.zeros((1, n + 1))
+        um, up, ubm, ubp = reconstruct_equilibrium(
+            lines, model, "x", 0.1, 1.3, r_center, r_face)
+        assert np.array_equal(ubm, ubp)
+        # and the one-sided states sit on the same equilibrium values
+        for u in (um, up):
+            k2 = u[..., 2] ** 2 / u[..., 0] + 0.5 * u[..., 3] * u[..., 0]
+            assert np.allclose(k2, level, rtol=0, atol=1e-12)
 
 
 def test_equilibrium_reconstruction_round_trips_e_values():

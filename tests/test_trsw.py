@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from pccu.errors import AdmissibilityError
-from pccu.grid import Grid, BoundaryCondition
+from pccu.catalog import TOPOGRAPHIES
+from pccu.grid import Grid, BoundaryCondition, init_from_function
 from pccu.trsw import ThermalShallowWater, invert_momentum_flux
-from pccu.driver import RunConfig, run
+from pccu.driver import RunConfig, run, spatial_rhs
 from conftest import random_trsw_states
 
 
@@ -98,9 +99,9 @@ def _away_from_critical(h, m, b, margin=0.15):
     """Mask of states whose thickness sits clear of the critical point.
 
     At h_crit the two positive roots of m^2/h + b h^2/2 = phi coalesce:
-    root selection is ambiguous there and the residual-based stop maps to
-    an O(sqrt(tol)) thickness error, so the exact round-trip property only
-    holds on the two proper branches."""
+    root selection is ambiguous there and a rounding-level residual maps
+    to an O(sqrt(eps)) thickness error, so the exact round-trip property
+    only holds on the two proper branches."""
     h_crit = np.cbrt(m * m / b)
     return np.abs(h - h_crit) > margin * np.maximum(h, h_crit)
 
@@ -113,10 +114,26 @@ def test_invert_momentum_flux_round_trip(rng):
     keep = _away_from_critical(h, m, b)
     h, b, m = h[keep], b[keep], m[keep]
     assert keep.sum() > 800                 # the filter keeps the bulk
+    # supercritical (lower-branch) states, Froude numbers 1.6 to 1e6
+    h_sup = rng.uniform(0.01, 1.0, n)
+    b_sup = rng.uniform(0.1, 10.0, n)
+    froude = 10.0 ** rng.uniform(np.log10(1.6), 6.0, n)
+    m_sup = rng.choice([-1.0, 1.0], n) * froude * np.sqrt(b_sup * h_sup) * h_sup
+    # deep states, phi up to about 1e5
+    h_deep = rng.uniform(50.0, 100.0, n)
+    b_deep = rng.uniform(5.0, 20.0, n)
+    m_deep = rng.uniform(-2.0, 2.0, n) * h_deep
+    # ex8's near-rest cells: m^2 about 8e-58, phi about 6, b about 3
+    h_rest = rng.uniform(1.9, 2.1, n)
+    b_rest = rng.uniform(2.9, 3.1, n)
+    m_rest = rng.uniform(-1.0, 1.0, n) * 2.8e-29
+    h = np.concatenate([h, h_sup, h_deep, h_rest])
+    b = np.concatenate([b, b_sup, b_deep, b_rest])
+    m = np.concatenate([m, m_sup, m_deep, m_rest])
     phi = m * m / h + 0.5 * b * h * h
     guess = h * rng.uniform(0.95, 1.05, h.size)
     out = invert_momentum_flux(m, phi, b, guess)
-    assert np.abs(out - h).max() <= 1e-12 * max(1.0, h.max())
+    assert np.all(np.abs(out - h) <= 1e-12 * h)
 
 
 def test_equilibrium_map_round_trip(rng):
@@ -168,3 +185,37 @@ def test_uniform_buoyancy_is_preserved(scheme):
     final = report.states[-1]
     b = final[:, 3] / final[:, 0]
     assert np.abs(b - 2.0).max() <= 1e-12
+
+
+# ---- lake at rest over topography -------------------------------------------------
+
+def _lake_tendency(model, grid, level, scheme):
+    """Largest initial tendency of h + Z = level, u = v = 0, b = 1."""
+    def ic(*xy):
+        h = level - model.topography(*xy)
+        return np.stack([h, 0 * h, 0 * h, h], axis=-1)
+    fld = init_from_function(grid, model.d, ic)
+    bc = BoundaryCondition.from_spec("free", grid.dimension)
+    tend, _, _ = spatial_rhs(fld, model, bc, scheme, 1.3, 1e-18)
+    return np.abs(tend).max()
+
+
+@pytest.mark.parametrize("scheme", ["pccu", "lcd"])
+@pytest.mark.parametrize("nx", [100, 200, 400])
+def test_lake_at_rest_over_two_bumps_is_steady(scheme, nx):
+    model = ThermalShallowWater(1, topography=TOPOGRAPHIES["two_bumps_1d"])
+    assert _lake_tendency(model, Grid(-1.0, 1.0, nx), 3.0, scheme) <= 1e-11
+
+
+def _compact_bump(x, y):
+    # zero outside radius 0.4, so the free-boundary ghost cells see flat
+    # bottom and the lake is exact up to the edges
+    r = np.hypot(x - 0.1, y + 0.05)
+    return np.where(r < 0.4, 0.6 * np.cos(0.5 * np.pi * r / 0.4) ** 2, 0.0)
+
+
+@pytest.mark.parametrize("scheme", ["pccu", "lcd"])
+def test_lake_at_rest_over_compact_bump_2d_is_steady(scheme):
+    model = ThermalShallowWater(2, topography=_compact_bump)
+    grid = Grid(-1.0, 1.0, 40, -1.0, 1.0, 30)
+    assert _lake_tendency(model, grid, 2.0, scheme) <= 1e-11
