@@ -13,6 +13,7 @@ from .driver import RunConfig
 from .errors import ConfigError
 from .grid import Grid, BoundaryCondition
 from .multifluid import Multifluid, conservative_state
+from .output import check_outputs
 from .trsw import ThermalShallowWater
 
 
@@ -39,6 +40,41 @@ def _region_mask(where, x, y):
         coord = x if where["axis"] == "x" else y
         return (coord >= where["min"]) & (coord <= where["max"])
     raise ConfigError(f"unknown region kind {where!r}")
+
+
+# keys a region's "where" needs, per kind
+_WHERE_KEYS = {"disk": ("center", "radius"),
+               "annulus": ("center", "r_min", "r_max"),
+               "halfplane": ("axis", "op", "value"),
+               "band": ("axis", "min", "max")}
+
+
+def _check_regions(regions, state_keys):
+    """ConfigError for a region list piecewise_*_ic could not evaluate.
+
+    state_keys names the keys each region state needs; a tuple among them
+    is a choice of one.
+    """
+    if not isinstance(regions, list):
+        raise ConfigError("'regions' must be a list")
+    for i, region in enumerate(regions):
+        state = region.get("state") if isinstance(region, dict) else None
+        if not isinstance(state, dict):
+            raise ConfigError(f"region {i} needs a 'state' object")
+        for key in state_keys:
+            choice = key if isinstance(key, tuple) else (key,)
+            if not any(k in state for k in choice):
+                raise ConfigError(f"region {i} state misses "
+                                  f"{' or '.join(map(repr, choice))}")
+        where = region.get("where")
+        if where is None:
+            continue
+        kind = where.get("kind") if isinstance(where, dict) else None
+        if kind not in _WHERE_KEYS:
+            raise ConfigError(f"unknown region kind {where!r}")
+        for key in _WHERE_KEYS[kind]:
+            if key not in where:
+                raise ConfigError(f"region {i} ({kind}) misses {key!r}")
 
 
 def _masks(regions, x, y):
@@ -332,8 +368,15 @@ def config_from_dict(raw, scheme=None, nx=None, ny=None, theta=None, cfl=None,
         domain = tuple(float(v) for v in raw["domain"])
         base_nx = int(raw["nx"])
         base_t = float(raw["t_final"])
+        theta = theta if theta is not None else float(raw.get("theta", 1.3))
+        cfl = cfl if cfl is not None else float(raw.get("cfl", 0.45))
+        f0 = float(raw.get("f0", 0.0))
+        beta = float(raw.get("beta", 0.0))
+        eps0 = float(raw.get("eps0", 1e-18))
     except KeyError as exc:
         raise ConfigError(f"config file misses required key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad value in config file: {exc}") from exc
     ic_spec = raw.get("ic")
     regions = None
     ic_factory = None
@@ -352,16 +395,13 @@ def config_from_dict(raw, scheme=None, nx=None, ny=None, theta=None, cfl=None,
         dimension=dimension, domain=domain,
         nx=nx or base_nx, ny=ny or raw.get("ny"),
         scheme=scheme or raw.get("scheme", "pccu"),
-        theta=theta if theta is not None else float(raw.get("theta", 1.3)),
-        cfl=cfl if cfl is not None else float(raw.get("cfl", 0.45)),
-        t_final=base_t if t_final is None else t_final,
+        theta=theta, cfl=cfl, t_final=base_t if t_final is None else t_final,
         snapshots=tuple(raw.get("snapshots", ())
                         if snapshots is None else snapshots),
         bc_spec=raw.get("bc", "free"), regions=regions, ic_factory=ic_factory,
         topography=raw.get("topography", "flat"),
-        f0=float(raw.get("f0", 0.0)), beta=float(raw.get("beta", 0.0)),
-        outputs=tuple(raw.get("outputs", ("csv",))), refine=refine,
-        eps0=float(raw.get("eps0", 1e-18)))
+        f0=f0, beta=beta, outputs=tuple(raw.get("outputs", ("csv",))),
+        refine=refine, eps0=eps0)
 
 
 def _build_config(label, model_kind, dimension, domain, nx, ny, scheme, theta,
@@ -370,6 +410,11 @@ def _build_config(label, model_kind, dimension, domain, nx, ny, scheme, theta,
     refine = int(refine)
     if refine < 1:
         raise ConfigError("refine factor must be a positive integer")
+    if dimension not in (1, 2):
+        raise ConfigError(f"dimension must be 1 or 2, got {dimension}")
+    if len(domain) != 2 * dimension:
+        raise ConfigError(f"a {dimension}-D domain needs {2 * dimension} "
+                          f"bounds, got {len(domain)}")
     nx = int(nx) * refine
     if dimension == 2:
         if ny is None:
@@ -391,6 +436,7 @@ def _build_config(label, model_kind, dimension, domain, nx, ny, scheme, theta,
         if ic_factory is not None:
             ic = ic_factory()
         elif regions:
+            _check_regions(regions, ("rho", "p", "gamma"))
             ic = piecewise_multifluid_ic(regions, dimension)
         else:
             raise ConfigError("no initial data given")
@@ -400,12 +446,14 @@ def _build_config(label, model_kind, dimension, domain, nx, ny, scheme, theta,
         if ic_factory is not None:
             ic = ic_factory()
         elif regions:
+            _check_regions(regions, (("h", "surface"), "b"))
             ic = piecewise_trsw_ic(regions, topography=topo)
         else:
             raise ConfigError("no initial data given")
     else:
         raise ConfigError(f"unknown model {model_kind!r}")
 
+    check_outputs(outputs, grid)
     bc = BoundaryCondition.from_spec(bc_spec, dimension)
     echo = {
         "label": label, "model": model_kind, "dimension": dimension,

@@ -131,6 +131,8 @@ def main(argv=None):
             detail.append(f"t={exc.t:g}")
         if getattr(exc, "stage", None) is not None:
             detail.append(f"stage {exc.stage}")
+        if getattr(exc, "where", None) is not None:
+            detail.append(f"cell ({', '.join(map(str, exc.where))})")
         suffix = f" ({', '.join(detail)})" if detail else ""
         print(f"numerical failure: {exc}{suffix}", file=sys.stderr)
         return 3

@@ -87,12 +87,6 @@ class Field:
     def copy(self):
         return Field(self.grid, self.d, self.data.copy())
 
-    def like(self, interior_values):
-        """New field on the same grid with the given interior (ghosts unset)."""
-        out = Field(self.grid, self.d)
-        out.interior[...] = interior_values
-        return out
-
 
 class BoundaryCondition:
     """Per-side boundary kinds: 'free' | 'solid_wall' | 'periodic'."""
@@ -166,12 +160,12 @@ def fill_ghosts(field, bc, model):
         raise ConfigError(f"field has {field.d} components, model expects {model.d}")
     if grid.dimension == 1:
         _fill_axis(field.data, grid.nx, bc.left, bc.right,
-                   model.wall_normal_index("x"))
+                   model.momentum_index("x"))
         return field
     # x-sides act along axis 1: operate on the transposed view
     xview = np.swapaxes(field.data, 0, 1)
-    _fill_axis(xview, grid.nx, bc.left, bc.right, model.wall_normal_index("x"))
-    _fill_axis(field.data, grid.ny, bc.bottom, bc.top, model.wall_normal_index("y"))
+    _fill_axis(xview, grid.nx, bc.left, bc.right, model.momentum_index("x"))
+    _fill_axis(field.data, grid.ny, bc.bottom, bc.top, model.momentum_index("y"))
     return field
 
 

@@ -53,7 +53,6 @@ def conservative_state(rho, u, v, p, gamma, pi_inf, dimension):
 class Multifluid:
     """Model hooks for the finite-volume driver (1-D or 2-D)."""
 
-    kind = "multifluid"
     reconstruction = "conservative"
 
     def __init__(self, dimension):
@@ -65,14 +64,13 @@ class Multifluid:
         self.ig = self.d - 2          # G slot
         self.ip = self.d - 1          # P slot
 
-    def sweep_directions(self):
-        return ("x",) if self.dimension == 1 else ("x", "y")
-
     def momentum_index(self, direction):
         return 1 if direction == "x" else 2
 
-    def wall_normal_index(self, direction):
-        return self.momentum_index(direction)
+    def _indices(self, direction):
+        """(momentum slot along the sweep, slot across it or None in 1-D)."""
+        ia = self.momentum_index(direction)
+        return ia, None if self.dimension == 1 else 3 - ia
 
     # ---- thermodynamics -------------------------------------------------
 
@@ -168,8 +166,9 @@ class Multifluid:
         out[..., self.ip] = -u_mid * (state_b[..., self.ip] - state_a[..., self.ip])
         return out
 
-    def _hatted(self, avg_left, avg_right):
-        """Arithmetic means of the per-cell primitive values."""
+    def _hatted(self, avg_left, avg_right, direction):
+        """Means of the per-cell primitive values, velocities along the
+        sweep and across it: (w, t, p, gamma, c); t is zero in 1-D."""
         prim_l = self.primitives(avg_left)
         prim_r = self.primitives(avg_right)
         rho, u, v, p, gamma, pi_inf = (0.5 * (a + b)
@@ -178,159 +177,106 @@ class Multifluid:
         if np.any(csq <= 0.0) or not np.all(np.isfinite(csq)):
             raise AdmissibilityError(
                 "characteristic decomposition needs p + pi_inf > 0")
-        return u, v, p, gamma, np.sqrt(csq)
+        w, t = (u, v) if direction == "x" else (v, u)
+        return w, t, p, gamma, np.sqrt(csq)
 
     def lcd_matrices(self, avg_left, avg_right, direction):
         """Eigenvector matrices (R, R^-1) and eigenvalues at the face.
 
         Inputs are the cell averages adjacent to each interface; shapes
         (..., d).  Returns (R, Rinv, lam) with matrix shapes (..., d, d).
+        Columns of R: the w - c wave, the contact, in 2-D the shear wave,
+        the G and P material waves, the w + c wave (w the velocity along
+        the sweep).  1-D is 2-D with v = 0 and the shear slot left out.
         """
-        if direction == "y":
-            swap = self._swap_momenta
-            r_mat, r_inv, lam = self._lcd_x(swap(avg_left), swap(avg_right))
-            r_mat = r_mat[..., [0, 2, 1, 3, 4, 5], :]
-            r_inv = r_inv[..., :, [0, 2, 1, 3, 4, 5]]
-            return r_mat, r_inv, lam
-        return self._lcd_x(avg_left, avg_right)
-
-    def _swap_momenta(self, state):
-        return state[..., [0, 2, 1, 3, 4, 5]]
-
-    def _lcd_x(self, avg_left, avg_right):
-        u, v, p, gamma, c = self._hatted(avg_left, avg_right)
+        w, t, p, gamma, c = self._hatted(avg_left, avg_right, direction)
+        ia, it = self._indices(direction)
+        ie, ig, ip = self.ie, self.ig, self.ip
+        # characteristic slots: shear (2-D only), G and P materials, w + c
+        ks, kg, kp, kr = 2, self.d - 3, self.d - 2, self.d - 1
         g = gamma - 1.0
-        shape = u.shape + (self.d, self.d)
-        r_mat = np.zeros(shape)
-        r_inv = np.zeros(shape)
+        # one buffer for both: glibc's adaptive mmap threshold then settles
+        # above the per-stage temporaries, which stop costing page faults
+        r_mat, r_inv = np.zeros((2,) + w.shape + (self.d, self.d))
         c2 = c * c
         inv2c2 = 0.5 / c2
-        if self.dimension == 1:
-            enth = c2 / g + 0.5 * u * u
-            r_mat[..., 0, 0] = 1.0
-            r_mat[..., 0, 1] = 1.0
-            r_mat[..., 0, 4] = 1.0
-            r_mat[..., 1, 0] = u - c
-            r_mat[..., 1, 1] = u
-            r_mat[..., 1, 4] = u + c
-            r_mat[..., 2, 0] = enth - u * c
-            r_mat[..., 2, 1] = 0.5 * u * u
-            r_mat[..., 2, 2] = p
-            r_mat[..., 2, 4] = enth + u * c
-            r_mat[..., 3, 2] = 1.0
-            r_mat[..., 3, 3] = -1.0
-            r_mat[..., 4, 3] = p
+        kin = 0.5 * (w * w + t * t)
+        enth = c2 / g + kin
+        r_mat[..., 0, 0] = 1.0
+        r_mat[..., 0, 1] = 1.0
+        r_mat[..., 0, kr] = 1.0
+        r_mat[..., ia, 0] = w - c
+        r_mat[..., ia, 1] = w
+        r_mat[..., ia, kr] = w + c
+        r_mat[..., ie, 0] = enth - w * c
+        r_mat[..., ie, 1] = kin
+        r_mat[..., ie, kg] = p
+        r_mat[..., ie, kr] = enth + w * c
+        r_mat[..., ig, kg] = 1.0
+        r_mat[..., ig, kp] = 1.0
+        r_mat[..., ip, kp] = -p
 
-            r_inv[..., 0, 0] = (0.5 * g * u * u + u * c) * inv2c2
-            r_inv[..., 0, 1] = (-c - g * u) * inv2c2
-            r_inv[..., 0, 2] = g * inv2c2
-            r_inv[..., 0, 3] = -g * p * inv2c2
-            r_inv[..., 0, 4] = -g * inv2c2
-            r_inv[..., 1, 0] = (2.0 * c2 - g * u * u) * inv2c2
-            r_inv[..., 1, 1] = 2.0 * g * u * inv2c2
-            r_inv[..., 1, 2] = -2.0 * g * inv2c2
-            r_inv[..., 1, 3] = 2.0 * g * p * inv2c2
-            r_inv[..., 1, 4] = 2.0 * g * inv2c2
-            r_inv[..., 2, 3] = 1.0
-            r_inv[..., 2, 4] = 1.0 / p
-            r_inv[..., 3, 4] = 1.0 / p
-            r_inv[..., 4, 0] = (0.5 * g * u * u - u * c) * inv2c2
-            r_inv[..., 4, 1] = (c - g * u) * inv2c2
-            r_inv[..., 4, 2] = g * inv2c2
-            r_inv[..., 4, 3] = -g * p * inv2c2
-            r_inv[..., 4, 4] = -g * inv2c2
-        else:
-            kin = 0.5 * (u * u + v * v)
-            enth = c2 / g + kin
-            r_mat[..., 0, 0] = 1.0
-            r_mat[..., 0, 1] = 1.0
-            r_mat[..., 0, 5] = 1.0
-            r_mat[..., 1, 0] = u - c
-            r_mat[..., 1, 1] = u
-            r_mat[..., 1, 5] = u + c
-            r_mat[..., 2, 0] = v
-            r_mat[..., 2, 1] = v
-            r_mat[..., 2, 2] = 1.0
-            r_mat[..., 2, 5] = v
-            r_mat[..., 3, 0] = enth - u * c
-            r_mat[..., 3, 1] = kin
-            r_mat[..., 3, 2] = v
-            r_mat[..., 3, 3] = p
-            r_mat[..., 3, 5] = enth + u * c
-            r_mat[..., 4, 3] = 1.0
-            r_mat[..., 4, 4] = 1.0
-            r_mat[..., 5, 4] = -p
+        r_inv[..., 0, 0] = (g * kin + w * c) * inv2c2
+        r_inv[..., 0, ia] = (-c - g * w) * inv2c2
+        r_inv[..., 0, ie] = g * inv2c2
+        r_inv[..., 0, ig] = -g * p * inv2c2
+        r_inv[..., 0, ip] = -g * inv2c2
+        r_inv[..., 1, 0] = (2.0 * c2 - 2.0 * g * kin) * inv2c2
+        r_inv[..., 1, ia] = 2.0 * g * w * inv2c2
+        r_inv[..., 1, ie] = -2.0 * g * inv2c2
+        r_inv[..., 1, ig] = 2.0 * g * p * inv2c2
+        r_inv[..., 1, ip] = 2.0 * g * inv2c2
+        r_inv[..., kg, ig] = 1.0
+        r_inv[..., kg, ip] = 1.0 / p
+        r_inv[..., kp, ip] = -1.0 / p
+        r_inv[..., kr, 0] = (g * kin - w * c) * inv2c2
+        r_inv[..., kr, ia] = (c - g * w) * inv2c2
+        r_inv[..., kr, ie] = g * inv2c2
+        r_inv[..., kr, ig] = -g * p * inv2c2
+        r_inv[..., kr, ip] = -g * inv2c2
+        if it is not None:
+            r_mat[..., it, 0] = t
+            r_mat[..., it, 1] = t
+            r_mat[..., it, ks] = 1.0
+            r_mat[..., it, kr] = t
+            r_mat[..., ie, ks] = t
+            r_inv[..., 0, it] = -g * t * inv2c2
+            r_inv[..., 1, it] = 2.0 * g * t * inv2c2
+            r_inv[..., ks, 0] = -t
+            r_inv[..., ks, it] = 1.0
+            r_inv[..., kr, it] = -g * t * inv2c2
 
-            r_inv[..., 0, 0] = (g * kin + u * c) * inv2c2
-            r_inv[..., 0, 1] = (-c - g * u) * inv2c2
-            r_inv[..., 0, 2] = -g * v * inv2c2
-            r_inv[..., 0, 3] = g * inv2c2
-            r_inv[..., 0, 4] = -g * p * inv2c2
-            r_inv[..., 0, 5] = -g * inv2c2
-            r_inv[..., 1, 0] = (2.0 * c2 - 2.0 * g * kin) * inv2c2
-            r_inv[..., 1, 1] = 2.0 * g * u * inv2c2
-            r_inv[..., 1, 2] = 2.0 * g * v * inv2c2
-            r_inv[..., 1, 3] = -2.0 * g * inv2c2
-            r_inv[..., 1, 4] = 2.0 * g * p * inv2c2
-            r_inv[..., 1, 5] = 2.0 * g * inv2c2
-            r_inv[..., 2, 0] = -v
-            r_inv[..., 2, 2] = 1.0
-            r_inv[..., 3, 4] = 1.0
-            r_inv[..., 3, 5] = 1.0 / p
-            r_inv[..., 4, 5] = -1.0 / p
-            r_inv[..., 5, 0] = (g * kin - u * c) * inv2c2
-            r_inv[..., 5, 1] = (c - g * u) * inv2c2
-            r_inv[..., 5, 2] = -g * v * inv2c2
-            r_inv[..., 5, 3] = g * inv2c2
-            r_inv[..., 5, 4] = -g * p * inv2c2
-            r_inv[..., 5, 5] = -g * inv2c2
-
-        mids = [u] * (self.d - 2)
-        lam = np.stack([u - c] + mids + [u + c], axis=-1)
+        mids = [w] * (self.d - 2)
+        lam = np.stack([w - c] + mids + [w + c], axis=-1)
         return r_mat, r_inv, lam
 
     def quasilinear_matrix(self, state, direction):
         """Full Jacobian-plus-B matrix A of the quasilinear form."""
-        if direction == "y":
-            swapped = self.quasilinear_matrix(self._swap_momenta(state), "x")
-            swapped = swapped[..., [0, 2, 1, 3, 4, 5], :]
-            return swapped[..., :, [0, 2, 1, 3, 4, 5]]
         rho, u, v, p, gamma, pi_inf = self.primitives(state)
+        w, t = (u, v) if direction == "x" else (v, u)
+        ia, it = self._indices(direction)
+        ie, ig, ip = self.ie, self.ig, self.ip
         c2 = gamma * (p + pi_inf) / rho
         mat = np.zeros(state.shape[:-1] + (self.d, self.d))
         g1 = gamma - 1.0
-        if self.dimension == 1:
-            mat[..., 0, 1] = 1.0
-            mat[..., 1, 0] = 0.5 * (gamma - 3.0) * u * u
-            mat[..., 1, 1] = (3.0 - gamma) * u
-            mat[..., 1, 2] = g1
-            mat[..., 1, 3] = -g1 * p
-            mat[..., 1, 4] = -g1
-            mat[..., 2, 0] = -u * c2 / g1 + (0.5 * gamma - 1.0) * u ** 3
-            mat[..., 2, 1] = c2 / g1 + (1.5 - gamma) * u * u
-            mat[..., 2, 2] = gamma * u
-            mat[..., 2, 3] = -g1 * p * u
-            mat[..., 2, 4] = -g1 * u
-            mat[..., 3, 3] = u
-            mat[..., 4, 4] = u
-        else:
-            q2 = u * u + v * v
-            mat[..., 0, 1] = 1.0
-            mat[..., 1, 0] = 0.5 * (gamma - 3.0) * u * u + 0.5 * g1 * v * v
-            mat[..., 1, 1] = (3.0 - gamma) * u
-            mat[..., 1, 2] = -g1 * v
-            mat[..., 1, 3] = g1
-            mat[..., 1, 4] = -g1 * p
-            mat[..., 1, 5] = -g1
-            mat[..., 2, 0] = -u * v
-            mat[..., 2, 1] = v
-            mat[..., 2, 2] = u
-            mat[..., 3, 0] = -u * c2 / g1 + (0.5 * gamma - 1.0) * u * q2
-            mat[..., 3, 1] = c2 / g1 + (1.5 - gamma) * u * u + 0.5 * v * v
-            mat[..., 3, 2] = -g1 * u * v
-            mat[..., 3, 3] = gamma * u
-            mat[..., 3, 4] = -g1 * p * u
-            mat[..., 3, 5] = -g1 * u
-            mat[..., 4, 4] = u
-            mat[..., 5, 5] = u
+        q2 = w * w + t * t
+        mat[..., 0, ia] = 1.0
+        mat[..., ia, 0] = 0.5 * (gamma - 3.0) * w * w + 0.5 * g1 * t * t
+        mat[..., ia, ia] = (3.0 - gamma) * w
+        mat[..., ia, ie] = g1
+        mat[..., ia, ig] = -g1 * p
+        mat[..., ia, ip] = -g1
+        mat[..., ie, 0] = -w * c2 / g1 + (0.5 * gamma - 1.0) * w * q2
+        mat[..., ie, ia] = c2 / g1 + (1.5 - gamma) * w * w + 0.5 * t * t
+        mat[..., ie, ie] = gamma * w
+        mat[..., ie, ig] = -g1 * p * w
+        mat[..., ie, ip] = -g1 * w
+        mat[..., ig, ig] = w
+        mat[..., ip, ip] = w
+        if it is not None:
+            mat[..., ia, it] = -g1 * t
+            mat[..., it, 0] = -w * t
+            mat[..., it, ia] = t
+            mat[..., it, it] = w
+            mat[..., ie, it] = -g1 * w * t
         return mat

@@ -12,6 +12,23 @@ import numpy as np
 from .errors import ConfigError
 
 
+# product name -> grid dimension it needs (None: any)
+PRODUCTS = {"csv": None, "schlieren": 2, "slice_diag": 2, "slice_y0": 2}
+
+
+def check_outputs(outputs, grid):
+    """ConfigError for a product that is unknown or does not fit the grid."""
+    for name in outputs:
+        if name not in PRODUCTS:
+            raise ConfigError(f"unknown output {name!r} "
+                              f"(available: {', '.join(sorted(PRODUCTS))})")
+        need = PRODUCTS[name]
+        if need is not None and grid.dimension != need:
+            raise ConfigError(f"output {name!r} needs a {need}-D grid")
+        if name == "slice_diag" and grid.nx != grid.ny:
+            raise ConfigError("diagonal slice needs a square 2-D grid")
+
+
 def _write_table(path, header, columns):
     table = np.column_stack(columns)
     with open(path, "wb") as fh:

@@ -58,11 +58,14 @@ def ssprk3_step(u, dt, rhs, rhs0=None, stage_check=None, admissible=None):
 
 
 def finite_stage_check(t):
-    """Stage check raising NumericalError on the first non-finite value."""
+    """Stage check raising NumericalError on the first non-finite value.
+
+    The error's where is that value's cell: its index over the cell axes.
+    """
     def check(candidate, stage):
         if not np.all(np.isfinite(candidate)):
-            bad = np.argwhere(~np.isfinite(candidate))
+            *cell, comp = np.argwhere(~np.isfinite(candidate))[0].tolist()
             raise NumericalError(
-                "non-finite state (first at index %s)" % (bad[0].tolist(),),
-                t=t, stage=stage)
+                "non-finite state (component %d of cell %s)"
+                % (comp, tuple(cell)), t=t, stage=stage, where=tuple(cell))
     return check

@@ -113,7 +113,6 @@ def _below_critical(m, phi, b, total):
 class ThermalShallowWater:
     """Model hooks for the finite-volume driver (1-D or 2-D)."""
 
-    kind = "trsw"
     reconstruction = "equilibrium"
     d = 4
 
@@ -125,9 +124,6 @@ class ThermalShallowWater:
         self.f0 = float(f0)
         self.beta = float(beta)
 
-    def sweep_directions(self):
-        return ("x",) if self.dimension == 1 else ("x", "y")
-
     def _indices(self, direction):
         """(along-sweep discharge slot, transverse discharge slot)."""
         if self.dimension == 1 or direction == "y":
@@ -135,9 +131,6 @@ class ThermalShallowWater:
         return 1, 2
 
     def momentum_index(self, direction):
-        return self._indices(direction)[0]
-
-    def wall_normal_index(self, direction):
         return self._indices(direction)[0]
 
     def coriolis(self, y):
@@ -184,103 +177,76 @@ class ThermalShallowWater:
         s = np.sqrt(hb)                     # sqrt(h b) from the hb slot
         return np.stack([w - s, w, w, w + s], axis=-1)
 
-    def _hatted(self, avg_left, avg_right):
+    def _hatted(self, avg_left, avg_right, ia, it):
+        """Means of the per-cell (h, w, t, b), with w the velocity along
+        the sweep (slot ia) and t the one across it (slot it)."""
         def prim(avg):
             h = avg[..., 0]
-            return h, avg[..., 1] / h, avg[..., 2] / h, avg[..., 3] / h
-        hl, ul, vl, bl = prim(avg_left)
-        hr, ur, vr, br = prim(avg_right)
+            return h, avg[..., ia] / h, avg[..., it] / h, avg[..., 3] / h
+        hl, wl, tl, bl = prim(avg_left)
+        hr, wr, tr, br = prim(avg_right)
         h = 0.5 * (hl + hr)
-        u = 0.5 * (ul + ur)
-        v = 0.5 * (vl + vr)
+        w = 0.5 * (wl + wr)
+        t = 0.5 * (tl + tr)
         b = 0.5 * (bl + br)
         if np.any(b <= 0.0) or np.any(h <= 0.0):
             raise AdmissibilityError(
                 "characteristic decomposition needs h > 0 and b > 0")
-        return h, u, v, b
+        return h, w, t, b
 
     def lcd_matrices(self, avg_left, avg_right, direction):
-        h, u, v, b = self._hatted(avg_left, avg_right)
+        """(R, R^-1, lam) at the face; columns of R: the (w - s) wave, the
+        buoyancy and shear materials, the (w + s) wave."""
+        ia, it = self._indices(direction)
+        h, w, t, b = self._hatted(avg_left, avg_right, ia, it)
         s = np.sqrt(b * h)
         kap = np.sqrt(b / h)
-        shape = h.shape + (4, 4)
-        r_mat = np.zeros(shape)
-        r_inv = np.zeros(shape)
+        # one buffer for both, as in Multifluid.lcd_matrices
+        r_mat, r_inv = np.zeros((2,) + h.shape + (4, 4))
         inv_b = 1.0 / b
-        zonal = self.dimension == 2 and direction == "x"
-        wa, wt = (u, v) if zonal else (v, u)
-        # Columns: (w - s) wave, two materials, (w + s) wave.
         r_mat[..., 0, 0] = inv_b
         r_mat[..., 0, 1] = -inv_b
         r_mat[..., 0, 3] = inv_b
+        r_mat[..., ia, 0] = (w - s) * inv_b
+        r_mat[..., ia, 1] = -w * inv_b
+        r_mat[..., ia, 3] = (w + s) * inv_b
+        r_mat[..., it, 0] = t * inv_b
+        r_mat[..., it, 2] = 1.0
+        r_mat[..., it, 3] = t * inv_b
         r_mat[..., 3, 0] = 1.0
         r_mat[..., 3, 1] = 1.0
         r_mat[..., 3, 3] = 1.0
+        r_inv[..., 0, 0] = 0.25 * (b + 2.0 * w * kap)
+        r_inv[..., 0, ia] = -0.5 * kap
+        r_inv[..., 0, 3] = 0.25
         r_inv[..., 1, 0] = -0.5 * b
         r_inv[..., 1, 3] = 0.5
-        if zonal:
-            r_mat[..., 1, 0] = (u - s) * inv_b
-            r_mat[..., 1, 1] = -u * inv_b
-            r_mat[..., 1, 3] = (u + s) * inv_b
-            r_mat[..., 2, 0] = v * inv_b
-            r_mat[..., 2, 2] = 1.0
-            r_mat[..., 2, 3] = v * inv_b
-            r_inv[..., 0, 0] = 0.25 * (b + 2.0 * u * kap)
-            r_inv[..., 0, 1] = -0.5 * kap
-            r_inv[..., 0, 3] = 0.25
-            r_inv[..., 2, 0] = -0.5 * v
-            r_inv[..., 2, 2] = 1.0
-            r_inv[..., 2, 3] = -0.5 * v * inv_b
-            r_inv[..., 3, 0] = 0.25 * (b - 2.0 * u * kap)
-            r_inv[..., 3, 1] = 0.5 * kap
-            r_inv[..., 3, 3] = 0.25
-        else:
-            r_mat[..., 1, 0] = u * inv_b
-            r_mat[..., 1, 2] = 1.0
-            r_mat[..., 1, 3] = u * inv_b
-            r_mat[..., 2, 0] = (v - s) * inv_b
-            r_mat[..., 2, 1] = -v * inv_b
-            r_mat[..., 2, 3] = (v + s) * inv_b
-            r_inv[..., 0, 0] = 0.25 * (b + 2.0 * v * kap)
-            r_inv[..., 0, 2] = -0.5 * kap
-            r_inv[..., 0, 3] = 0.25
-            r_inv[..., 2, 0] = -0.5 * u
-            r_inv[..., 2, 1] = 1.0
-            r_inv[..., 2, 3] = -0.5 * u * inv_b
-            r_inv[..., 3, 0] = 0.25 * (b - 2.0 * v * kap)
-            r_inv[..., 3, 2] = 0.5 * kap
-            r_inv[..., 3, 3] = 0.25
-        lam = np.stack([wa - s, wa, wa, wa + s], axis=-1)
+        r_inv[..., 2, 0] = -0.5 * t
+        r_inv[..., 2, it] = 1.0
+        r_inv[..., 2, 3] = -0.5 * t * inv_b
+        r_inv[..., 3, 0] = 0.25 * (b - 2.0 * w * kap)
+        r_inv[..., 3, ia] = 0.5 * kap
+        r_inv[..., 3, 3] = 0.25
+        lam = np.stack([w - s, w, w, w + s], axis=-1)
         return r_mat, r_inv, lam
 
     def quasilinear_matrix(self, state, direction):
+        ia, it = self._indices(direction)
         h = state[..., 0]
-        u = state[..., 1] / h
-        v = state[..., 2] / h
+        w = state[..., ia] / h
+        t = state[..., it] / h
         b = state[..., 3] / h
         mat = np.zeros(state.shape[:-1] + (4, 4))
-        if self.dimension == 2 and direction == "x":
-            mat[..., 0, 1] = 1.0
-            mat[..., 1, 0] = 0.5 * b * h - u * u
-            mat[..., 1, 1] = 2.0 * u
-            mat[..., 1, 3] = 0.5 * h
-            mat[..., 2, 0] = -u * v
-            mat[..., 2, 1] = v
-            mat[..., 2, 2] = u
-            mat[..., 3, 0] = -b * u
-            mat[..., 3, 1] = b
-            mat[..., 3, 3] = u
-        else:
-            mat[..., 0, 2] = 1.0
-            mat[..., 1, 0] = -u * v
-            mat[..., 1, 1] = v
-            mat[..., 1, 2] = u
-            mat[..., 2, 0] = 0.5 * b * h - v * v
-            mat[..., 2, 2] = 2.0 * v
-            mat[..., 2, 3] = 0.5 * h
-            mat[..., 3, 0] = -b * v
-            mat[..., 3, 2] = b
-            mat[..., 3, 3] = v
+        mat[..., 0, ia] = 1.0
+        mat[..., ia, 0] = 0.5 * b * h - w * w
+        mat[..., ia, ia] = 2.0 * w
+        mat[..., ia, 3] = 0.5 * h
+        mat[..., it, 0] = -w * t
+        mat[..., it, ia] = t
+        mat[..., it, it] = w
+        mat[..., 3, 0] = -b * w
+        mat[..., 3, ia] = b
+        mat[..., 3, 3] = w
         return mat
 
     # ---- equilibrium reconstruction hooks --------------------------------

@@ -15,18 +15,11 @@ class ScalarAdvection:
     reduce to exact upwinding.
     """
 
-    kind = "scalar"
     reconstruction = "conservative"
     d = 1
     dimension = 1
 
-    def sweep_directions(self):
-        return ("x",)
-
     def momentum_index(self, direction):
-        return 0
-
-    def wall_normal_index(self, direction):
         return 0
 
     def admissible(self, state):

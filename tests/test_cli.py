@@ -32,7 +32,8 @@ def test_bad_snapshots_value_exits_2(capsys):
 
 def test_numerical_failure_exits_3(monkeypatch, capsys, tmp_path):
     def blow_up(config):
-        raise NumericalError("state went non-finite", t=0.125, stage=2)
+        raise NumericalError("state went non-finite", t=0.125, stage=2,
+                             where=(3, 4))
 
     monkeypatch.setattr(cli, "run", blow_up)
     code = cli.main(["run", "ex6", "--tfinal", "0.01",
@@ -40,7 +41,7 @@ def test_numerical_failure_exits_3(monkeypatch, capsys, tmp_path):
     assert code == 3
     err = capsys.readouterr().err
     assert "numerical failure" in err
-    assert "t=0.125" in err and "stage 2" in err
+    assert "t=0.125" in err and "stage 2" in err and "cell (3, 4)" in err
 
 
 def test_run_example_writes_outputs(tmp_path, capsys):
@@ -123,3 +124,41 @@ def test_inversion_failure_names_the_time(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "below critical" in err and "t=" in err
     assert "psi_min=" in err
+
+
+_TINY_DAM = {
+    "model": "trsw", "dimension": 1, "domain": [-1.0, 1.0], "nx": 40,
+    "t_final": 0.01,
+    "ic": {"regions": [
+        {"where": {"kind": "halfplane", "axis": "x", "op": "<",
+                   "value": 0.0},
+         "state": {"h": 2.0, "b": 1.0}},
+        {"state": {"h": 1.0, "b": 4.0}},
+    ]},
+}
+
+
+def _without_b(config):
+    del config["ic"]["regions"][1]["state"]["b"]
+
+
+@pytest.mark.parametrize("spoil", [
+    _without_b,
+    lambda config: config.update(outputs=["schlieren"]),
+    lambda config: config.update(dimension="x"),
+    lambda config: config.update(outputs=["csv", "vtk"]),
+], ids=["region_without_b", "schlieren_in_1d", "dimension_x",
+        "unknown_output"])
+def test_malformed_config_exits_2_before_running(spoil, monkeypatch,
+                                                 tmp_path, capsys):
+    config = json.loads(json.dumps(_TINY_DAM))
+    spoil(config)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config))
+
+    def must_not_run(config):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(cli, "run", must_not_run)
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "configuration error:" in capsys.readouterr().err

@@ -103,7 +103,7 @@ def test_periodic_ghosts_wrap(mf1):
 def test_solid_wall_mirrors_and_negates_normal_momentum(mf1):
     vals = np.abs(np.random.default_rng(7).normal(size=(6, 5))) + 1.0
     f = _filled(vals, BoundaryCondition("solid_wall", "solid_wall"), mf1)
-    iw = mf1.wall_normal_index("x")
+    iw = mf1.momentum_index("x")
     flip = np.ones(5)
     flip[iw] = -1.0
     # ghost layer g-1-k mirrors interior cell k with the momentum negated

@@ -140,3 +140,19 @@ def test_eigen_identities_against_quasilinear_matrix(rng, dimension,
     eye = np.einsum('...ij,...jk->...ik', r_mat, r_inv)
     ident = np.eye(model.d)
     assert np.abs(eye - ident).max() <= 1e-11
+
+
+def test_1d_eigensystem_is_the_2d_one_without_shear(rng, mf1, mf2):
+    left = random_multifluid_states(rng, 300, 1)[None]
+    right = random_multifluid_states(rng, 300, 1)[None]
+    # the same states in 2-D with v = 0
+    embed = lambda s: np.insert(s, 2, 0.0, axis=-1)
+    drop = lambda mat: np.delete(np.delete(mat, 2, axis=-1), 2, axis=-2)
+    r1, r1_inv, lam1 = mf1.lcd_matrices(left, right, "x")
+    r2, r2_inv, lam2 = mf2.lcd_matrices(embed(left), embed(right), "x")
+    assert np.array_equal(r1, drop(r2))
+    assert np.array_equal(r1_inv, drop(r2_inv))
+    assert np.array_equal(lam1, np.delete(lam2, 2, axis=-1))
+    a1 = mf1.quasilinear_matrix(left, "x")
+    a2 = mf2.quasilinear_matrix(embed(left), "x")
+    assert np.array_equal(a1, drop(a2))

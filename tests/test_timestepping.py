@@ -74,9 +74,19 @@ def test_rhs0_reuse_matches_fresh_evaluation():
 
 
 def test_finite_stage_check_raises_with_stage_index():
-    u = np.array([1.0])
-    blow_up = lambda v: np.full_like(v, np.inf)
+    u = np.ones((4, 3))
+
+    def blow_up(v):
+        k = np.zeros_like(v)
+        k[2, 1] = np.inf
+        return k
+
     with pytest.raises(NumericalError) as info:
         ssprk3_step(u, 0.1, blow_up, stage_check=finite_stage_check(t=0.25))
     assert info.value.stage == 1
     assert info.value.t == 0.25
+    assert info.value.where == (2,)         # the cell, not the component
+    with pytest.raises(NumericalError) as info:
+        ssprk3_step(u.reshape(2, 2, 3), 0.1, lambda v: np.full_like(v, np.nan),
+                    stage_check=finite_stage_check(t=0.25))
+    assert info.value.where == (0, 0)

@@ -66,9 +66,12 @@ def test_coriolis_affine():
     assert np.array_equal(model.coriolis(y), [1.5, 2.0, 4.0])
 
 
-@pytest.mark.parametrize("direction", ["x", "y"])
-def test_eigen_identities_against_quasilinear_matrix(rng, direction):
-    model = ThermalShallowWater(2)
+@pytest.mark.parametrize("dimension,direction",
+                         [(2, "x"), (2, "y"), (1, "x")],
+                         ids=["x", "y", "1d"])
+def test_eigen_identities_against_quasilinear_matrix(rng, dimension,
+                                                     direction):
+    model = ThermalShallowWater(dimension)
     left = random_trsw_states(rng, 300)[None]
     right = random_trsw_states(rng, 300)[None]
     r_mat, r_inv, lam = model.lcd_matrices(left, right, direction)
