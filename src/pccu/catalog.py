@@ -33,9 +33,7 @@ def _region_mask(where, x, y):
         coord = x if where["axis"] == "x" else y
         if where["op"] == "<":
             return coord < where["value"]
-        if where["op"] == ">":
-            return coord > where["value"]
-        raise ConfigError(f"halfplane op must be '<' or '>', got {where['op']!r}")
+        return coord > where["value"]
     if kind == "band":
         coord = x if where["axis"] == "x" else y
         return (coord >= where["min"]) & (coord <= where["max"])
@@ -49,11 +47,16 @@ _WHERE_KEYS = {"disk": ("center", "radius"),
                "band": ("axis", "min", "max")}
 
 
-def _check_regions(regions, state_keys):
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_regions(regions, state_keys, dimension):
     """ConfigError for a region list piecewise_*_ic could not evaluate.
 
     state_keys names the keys each region state needs; a tuple among them
-    is a choice of one.
+    is a choice of one.  State values and the sizes in "where" must be
+    numbers, a center a pair of them and an axis one of the grid's.
     """
     if not isinstance(regions, list):
         raise ConfigError("'regions' must be a list")
@@ -66,8 +69,14 @@ def _check_regions(regions, state_keys):
             if not any(k in state for k in choice):
                 raise ConfigError(f"region {i} state misses "
                                   f"{' or '.join(map(repr, choice))}")
+        for key, value in state.items():
+            if not _is_number(value):
+                raise ConfigError(f"region {i} state {key!r} is not a "
+                                  f"number: {value!r}")
         where = region.get("where")
         if where is None:
+            if i < len(regions) - 1:
+                raise ConfigError("only the last region may omit 'where'")
             continue
         kind = where.get("kind") if isinstance(where, dict) else None
         if kind not in _WHERE_KEYS:
@@ -75,38 +84,38 @@ def _check_regions(regions, state_keys):
         for key in _WHERE_KEYS[kind]:
             if key not in where:
                 raise ConfigError(f"region {i} ({kind}) misses {key!r}")
+            value = where[key]
+            ok = {"axis": value in ("x", "y")[:dimension],
+                  "op": value in ("<", ">"),
+                  "center": isinstance(value, (list, tuple))
+                  and len(value) == 2 and all(map(_is_number, value)),
+                  }.get(key, _is_number(value))
+            if not ok:
+                raise ConfigError(f"region {i} ({kind}) has a bad {key!r}: "
+                                  f"{value!r}")
 
 
-def _masks(regions, x, y):
-    shape = x.shape
-    masks = []
-    for i, region in enumerate(regions):
-        last = i == len(regions) - 1
-        if "where" not in region:
-            if not last:
-                raise ConfigError("only the last region may omit 'where'")
-            masks.append(np.ones(shape, dtype=bool))
-        else:
-            masks.append(np.broadcast_to(_region_mask(region["where"], x, y),
-                                         shape))
-    return masks
+def _piecewise_ic(regions, region_state):
+    """IC callable taking at each point the state of the first region that
+    holds it; region_state(state, x, y) gives a region's (..., d) state."""
+    def ic(x, y=None):
+        masks = [np.broadcast_to(_region_mask(r["where"], x, y), x.shape)
+                 if "where" in r else np.ones(x.shape, dtype=bool)
+                 for r in regions]
+        states = [region_state(r["state"], x, y) for r in regions]
+        out = np.empty(x.shape + states[0].shape[-1:])
+        for c in range(out.shape[-1]):
+            out[..., c] = np.select(masks, [np.broadcast_to(s[..., c], x.shape)
+                                            for s in states])
+        return out
+    return ic
 
 
 def piecewise_multifluid_ic(regions, dimension):
     """IC callable from ordered (where, primitive-state) regions."""
-    def ic(x, y=None):
-        masks = _masks(regions, x, y)
-        states = [conservative_state(
-            r["state"]["rho"], r["state"].get("u", 0.0),
-            r["state"].get("v", 0.0), r["state"]["p"],
-            r["state"]["gamma"], r["state"].get("pi_inf", 0.0), dimension)
-            for r in regions]
-        d = states[0].shape[-1]
-        out = np.empty(x.shape + (d,))
-        for c in range(d):
-            out[..., c] = np.select(masks, [s[..., c] for s in states])
-        return out
-    return ic
+    return _piecewise_ic(regions, lambda st, x, y: conservative_state(
+        st["rho"], st.get("u", 0.0), st.get("v", 0.0), st["p"], st["gamma"],
+        st.get("pi_inf", 0.0), dimension))
 
 
 def piecewise_trsw_ic(regions, topography=None):
@@ -115,28 +124,16 @@ def piecewise_trsw_ic(regions, topography=None):
     A region given as {"surface": w} sets h = w - Z so initial data can sit
     on a constant water surface over nonflat topography.
     """
-    def ic(x, y=None):
-        z = 0.0
-        if topography is not None:
-            z = topography(x) if y is None else topography(x, y)
-        masks = _masks(regions, x, y)
-        comps = []
-        for region in regions:
-            st = region["state"]
-            if "surface" in st:
-                h = st["surface"] - z
-            else:
-                h = np.broadcast_to(np.asarray(st["h"], float), x.shape)
-            u = st.get("u", 0.0)
-            v = st.get("v", 0.0)
-            b = st["b"]
-            comps.append([h, h * u, h * v, h * b])
-        out = np.empty(x.shape + (4,))
-        for c in range(4):
-            out[..., c] = np.select(masks, [np.broadcast_to(s[c], x.shape)
-                                            for s in comps])
-        return out
-    return ic
+    def region_state(st, x, y):
+        if "surface" in st:
+            z = 0.0 if topography is None else (
+                topography(x) if y is None else topography(x, y))
+            h = st["surface"] - z
+        else:
+            h = float(st["h"])
+        u, v, b = st.get("u", 0.0), st.get("v", 0.0), st["b"]
+        return np.stack(np.broadcast_arrays(h, h * u, h * v, h * b), axis=-1)
+    return _piecewise_ic(regions, region_state)
 
 
 # ---- topography and rotation ------------------------------------------------
@@ -367,7 +364,12 @@ def config_from_dict(raw, scheme=None, nx=None, ny=None, theta=None, cfl=None,
         dimension = int(raw["dimension"])
         domain = tuple(float(v) for v in raw["domain"])
         base_nx = int(raw["nx"])
+        base_ny = None if raw.get("ny") is None else int(raw["ny"])
         base_t = float(raw["t_final"])
+        base_snapshots = raw.get("snapshots", [])
+        if not isinstance(base_snapshots, list):
+            raise TypeError("'snapshots' must be a list of times")
+        base_snapshots = tuple(float(v) for v in base_snapshots)
         theta = theta if theta is not None else float(raw.get("theta", 1.3))
         cfl = cfl if cfl is not None else float(raw.get("cfl", 0.45))
         f0 = float(raw.get("f0", 0.0))
@@ -393,11 +395,10 @@ def config_from_dict(raw, scheme=None, nx=None, ny=None, theta=None, cfl=None,
     return _build_config(
         label=str(raw.get("label", "custom")), model_kind=model_kind,
         dimension=dimension, domain=domain,
-        nx=nx or base_nx, ny=ny or raw.get("ny"),
+        nx=nx or base_nx, ny=ny or base_ny,
         scheme=scheme or raw.get("scheme", "pccu"),
         theta=theta, cfl=cfl, t_final=base_t if t_final is None else t_final,
-        snapshots=tuple(raw.get("snapshots", ())
-                        if snapshots is None else snapshots),
+        snapshots=base_snapshots if snapshots is None else tuple(snapshots),
         bc_spec=raw.get("bc", "free"), regions=regions, ic_factory=ic_factory,
         topography=raw.get("topography", "flat"),
         f0=f0, beta=beta, outputs=tuple(raw.get("outputs", ("csv",))),
@@ -436,7 +437,7 @@ def _build_config(label, model_kind, dimension, domain, nx, ny, scheme, theta,
         if ic_factory is not None:
             ic = ic_factory()
         elif regions:
-            _check_regions(regions, ("rho", "p", "gamma"))
+            _check_regions(regions, ("rho", "p", "gamma"), dimension)
             ic = piecewise_multifluid_ic(regions, dimension)
         else:
             raise ConfigError("no initial data given")
@@ -446,7 +447,7 @@ def _build_config(label, model_kind, dimension, domain, nx, ny, scheme, theta,
         if ic_factory is not None:
             ic = ic_factory()
         elif regions:
-            _check_regions(regions, (("h", "surface"), "b"))
+            _check_regions(regions, (("h", "surface"), "b"), dimension)
             ic = piecewise_trsw_ic(regions, topography=topo)
         else:
             raise ConfigError("no initial data given")

@@ -6,6 +6,8 @@ transposed (nx, ny + 2g, d), so both reuse the same 1-D kernel.  Interface
 f = 0..n of a line sits between padded cells f+1 and f+2.
 """
 
+import ctypes
+import functools
 import time
 from dataclasses import dataclass, field as dataclass_field
 
@@ -23,6 +25,8 @@ from .globalflux import interleave_cell_halves, interleave_jumps_cells
 from .timestepping import cfl_dt, ssprk3_step, finite_stage_check
 
 SCHEMES = ("pccu", "lcd")
+
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3     # glibc's malloc.h
 
 
 @dataclass
@@ -81,10 +85,10 @@ def _sweep(model, lines, geom, scheme, theta, eps0, robust=None, stats=None):
     lam_lo, lam_hi, a_lo, a_hi = local_speeds(lam[0], lam[1])
     du = ub_plus - ub_minus
     if scheme == "lcd":
-        r_mat, r_inv, _ = model.lcd_matrices(
+        face = model.lcd_matrices(
             lines[:, g - 1:-g, :], lines[:, g:-g + 1, :], direction)
         p, m, q = split_weights(lam_lo, lam_hi, a_lo, a_hi, eps0)
-        flux = characteristic_flux(r_mat, r_inv, p, m, q, k_minus, k_plus, du)
+        flux = characteristic_flux(model, face, p, m, q, k_minus, k_plus, du)
         if robust is not None:
             flux[robust] = central_upwind_flux(
                 a_lo[robust], a_hi[robust], k_minus[robust], k_plus[robust],
@@ -194,12 +198,30 @@ class RunReport:
     stage_recomputes: int = 0       # lcd stage tendencies redone
 
 
+@functools.cache
+def fix_malloc_thresholds():
+    """Pin glibc's mmap threshold at 32 MiB and its trim threshold at
+    64 MiB, once per process.  glibc's adaptive thresholds made the
+    per-stage temporaries fault in fresh pages or not depending on the
+    process's allocation history (see the README).  A no-op where the C
+    library has no mallopt."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(M_TRIM_THRESHOLD, 64 << 20)
+
+
 def run(config):
     """Advance the configured problem to t_final.
 
     Returns a RunReport whose states list holds interior snapshots at the
     requested times plus the final time (always last).
     """
+    fix_malloc_thresholds()
     config.validate()
     model, grid = config.model, config.grid
     fld = init_from_function(grid, model.d, config.ic)

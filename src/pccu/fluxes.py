@@ -32,21 +32,17 @@ def split_weights(lam_lo, lam_hi, a_lo, a_hi, eps0):
     gap = lam_hi - lam_lo
     field_ok = gap > eps0
     safe_gap = np.where(field_ok, gap, 1.0)
-    p_f = lam_hi / safe_gap
-    m_f = -lam_lo / safe_gap
-    q_f = lam_hi * lam_lo / safe_gap
-
+    # the fallback weights belong to the face, not the field: form them
+    # once per face and let np.where broadcast them over the fields
     agap = a_hi - a_lo
     glob_ok = agap > eps0
-    safe_agap = np.where(glob_ok, agap, 1.0)[..., None]
-    p_g = np.broadcast_to((a_hi[..., None]) / safe_agap, gap.shape)
-    m_g = np.broadcast_to((-a_lo[..., None]) / safe_agap, gap.shape)
-    q_g = np.broadcast_to((a_hi * a_lo)[..., None] / safe_agap, gap.shape)
-
-    glob = glob_ok[..., None] & ~field_ok
-    p = np.where(field_ok, p_f, np.where(glob, p_g, 0.5))
-    m = np.where(field_ok, m_f, np.where(glob, m_g, 0.5))
-    q = np.where(field_ok, q_f, np.where(glob, q_g, 0.0))
+    safe_agap = np.where(glob_ok, agap, 1.0)
+    p_g = np.where(glob_ok, a_hi / safe_agap, 0.5)[..., None]
+    m_g = np.where(glob_ok, -a_lo / safe_agap, 0.5)[..., None]
+    q_g = np.where(glob_ok, a_hi * a_lo / safe_agap, 0.0)[..., None]
+    p = np.where(field_ok, lam_hi / safe_gap, p_g)
+    m = np.where(field_ok, -lam_lo / safe_gap, m_g)
+    q = np.where(field_ok, lam_hi * lam_lo / safe_gap, q_g)
     return p, m, q
 
 
@@ -66,16 +62,15 @@ def extremal_weights(a_lo, a_hi, d, eps0):
     return p, m, q
 
 
-def characteristic_flux(r_mat, r_inv, p, m, q, k_minus, k_plus, du):
+def characteristic_flux(model, face, p, m, q, k_minus, k_plus, du):
     """Assemble the interface flux in characteristic variables.
 
     flux = R [ P * (R^-1 K^-) + M * (R^-1 K^+) + Q * (R^-1 (U_breve^+ - U_breve^-)) ]
-    with the weights applied fieldwise.
+    with the weights applied fieldwise; R^-1 and R are the model's
+    to_char and from_char projections with the face data `face`.
     """
-    cm = np.einsum('...ij,...j->...i', r_inv, k_minus)
-    cp = np.einsum('...ij,...j->...i', r_inv, k_plus)
-    cj = np.einsum('...ij,...j->...i', r_inv, du)
-    return np.einsum('...ij,...j->...i', r_mat, p * cm + m * cp + q * cj)
+    ch = model.to_char(face, np.stack([k_minus, k_plus, du]))
+    return model.from_char(face, p * ch[0] + m * ch[1] + q * ch[2])
 
 
 def central_upwind_flux(a_lo, a_hi, k_minus, k_plus, du, eps0):

@@ -110,7 +110,9 @@ class BoundaryCondition:
             return spec
         if isinstance(spec, str):
             spec = {"left": spec, "right": spec, "bottom": spec, "top": spec}
-        spec = dict(spec)
+        if not isinstance(spec, dict):
+            raise ConfigError(f"bc must be a kind or a per-side object, "
+                              f"got {spec!r}")
         if dimension == 1:
             return cls(left=spec.get("left", "free"), right=spec.get("right", "free"))
         return cls(left=spec.get("left", "free"), right=spec.get("right", "free"),

@@ -166,9 +166,14 @@ class Multifluid:
         out[..., self.ip] = -u_mid * (state_b[..., self.ip] - state_a[..., self.ip])
         return out
 
-    def _hatted(self, avg_left, avg_right, direction):
-        """Means of the per-cell primitive values, velocities along the
-        sweep and across it: (w, t, p, gamma, c); t is zero in 1-D."""
+    def lcd_matrices(self, avg_left, avg_right, direction):
+        """Face data (ia, it, w, t, p, gamma - 1, c) of to_char/from_char.
+
+        Inputs are the cell averages adjacent to each interface; shapes
+        (..., d).  The data are the means of the two cells' primitive
+        values, with w the velocity along the sweep (momentum slot ia) and
+        t the one across it (slot it; t is zero and it None in 1-D).
+        """
         prim_l = self.primitives(avg_left)
         prim_r = self.primitives(avg_right)
         rho, u, v, p, gamma, pi_inf = (0.5 * (a + b)
@@ -178,77 +183,57 @@ class Multifluid:
             raise AdmissibilityError(
                 "characteristic decomposition needs p + pi_inf > 0")
         w, t = (u, v) if direction == "x" else (v, u)
-        return w, t, p, gamma, np.sqrt(csq)
+        return self._indices(direction) + (w, t, p, gamma - 1.0,
+                                           np.sqrt(csq))
 
-    def lcd_matrices(self, avg_left, avg_right, direction):
-        """Eigenvector matrices (R, R^-1) and eigenvalues at the face.
+    def to_char(self, face, vec):
+        """R^-1 vec over the last axis: the amplitudes of the w - c wave,
+        the contact, in 2-D the shear wave, the G and P material waves and
+        the w + c wave, in that order (1-D has no shear slot).
 
-        Inputs are the cell averages adjacent to each interface; shapes
-        (..., d).  Returns (R, Rinv, lam) with matrix shapes (..., d, d).
-        Columns of R: the w - c wave, the contact, in 2-D the shear wave,
-        the G and P material waves, the w + c wave (w the velocity along
-        the sweep).  1-D is 2-D with v = 0 and the shear slot left out.
+        The acoustic pair is (X +- Y) / (2 c^2) with
+        X = (gamma - 1)(kin V0 - w Va - t Vt + Ve - p VG - VP) and
+        Y = c (w V0 - Va); the contact is V0 - X / c^2.
         """
-        w, t, p, gamma, c = self._hatted(avg_left, avg_right, direction)
-        ia, it = self._indices(direction)
-        ie, ig, ip = self.ie, self.ig, self.ip
-        # characteristic slots: shear (2-D only), G and P materials, w + c
-        ks, kg, kp, kr = 2, self.d - 3, self.d - 2, self.d - 1
-        g = gamma - 1.0
-        # one buffer for both: glibc's adaptive mmap threshold then settles
-        # above the per-stage temporaries, which stop costing page faults
-        r_mat, r_inv = np.zeros((2,) + w.shape + (self.d, self.d))
-        c2 = c * c
-        inv2c2 = 0.5 / c2
-        kin = 0.5 * (w * w + t * t)
-        enth = c2 / g + kin
-        r_mat[..., 0, 0] = 1.0
-        r_mat[..., 0, 1] = 1.0
-        r_mat[..., 0, kr] = 1.0
-        r_mat[..., ia, 0] = w - c
-        r_mat[..., ia, 1] = w
-        r_mat[..., ia, kr] = w + c
-        r_mat[..., ie, 0] = enth - w * c
-        r_mat[..., ie, 1] = kin
-        r_mat[..., ie, kg] = p
-        r_mat[..., ie, kr] = enth + w * c
-        r_mat[..., ig, kg] = 1.0
-        r_mat[..., ig, kp] = 1.0
-        r_mat[..., ip, kp] = -p
-
-        r_inv[..., 0, 0] = (g * kin + w * c) * inv2c2
-        r_inv[..., 0, ia] = (-c - g * w) * inv2c2
-        r_inv[..., 0, ie] = g * inv2c2
-        r_inv[..., 0, ig] = -g * p * inv2c2
-        r_inv[..., 0, ip] = -g * inv2c2
-        r_inv[..., 1, 0] = (2.0 * c2 - 2.0 * g * kin) * inv2c2
-        r_inv[..., 1, ia] = 2.0 * g * w * inv2c2
-        r_inv[..., 1, ie] = -2.0 * g * inv2c2
-        r_inv[..., 1, ig] = 2.0 * g * p * inv2c2
-        r_inv[..., 1, ip] = 2.0 * g * inv2c2
-        r_inv[..., kg, ig] = 1.0
-        r_inv[..., kg, ip] = 1.0 / p
-        r_inv[..., kp, ip] = -1.0 / p
-        r_inv[..., kr, 0] = (g * kin - w * c) * inv2c2
-        r_inv[..., kr, ia] = (c - g * w) * inv2c2
-        r_inv[..., kr, ie] = g * inv2c2
-        r_inv[..., kr, ig] = -g * p * inv2c2
-        r_inv[..., kr, ip] = -g * inv2c2
+        ia, it, w, t, p, g, c = face
+        v0, va = vec[..., 0], vec[..., ia]
+        vg, vp = vec[..., self.ig], vec[..., self.ip]
+        inner = 0.5 * (w * w + t * t) * v0 - w * va + vec[..., self.ie] \
+            - p * vg - vp
         if it is not None:
-            r_mat[..., it, 0] = t
-            r_mat[..., it, 1] = t
-            r_mat[..., it, ks] = 1.0
-            r_mat[..., it, kr] = t
-            r_mat[..., ie, ks] = t
-            r_inv[..., 0, it] = -g * t * inv2c2
-            r_inv[..., 1, it] = 2.0 * g * t * inv2c2
-            r_inv[..., ks, 0] = -t
-            r_inv[..., ks, it] = 1.0
-            r_inv[..., kr, it] = -g * t * inv2c2
+            inner -= t * vec[..., it]
+        x = 0.5 * g / (c * c) * inner
+        y = 0.5 / c * (w * v0 - va)
+        ratio = vp / p
+        out = np.empty_like(vec)
+        out[..., 0] = x + y
+        out[..., 1] = v0 - 2.0 * x
+        if it is not None:
+            out[..., 2] = vec[..., it] - t * v0
+        out[..., -3] = vg + ratio
+        out[..., -2] = -ratio
+        out[..., -1] = x - y
+        return out
 
-        mids = [w] * (self.d - 2)
-        lam = np.stack([w - c] + mids + [w + c], axis=-1)
-        return r_mat, r_inv, lam
+    def from_char(self, face, ch):
+        """R ch over the last axis, for amplitudes ordered as to_char's."""
+        ia, it, w, t, p, g, c = face
+        kin = 0.5 * (w * w + t * t)
+        left, contact, right = ch[..., 0], ch[..., 1], ch[..., -1]
+        mat_g, mat_p = ch[..., -3], ch[..., -2]
+        mass = left + contact + right
+        swing = c * (right - left)
+        out = np.empty_like(ch)
+        out[..., 0] = mass
+        out[..., ia] = w * mass + swing
+        out[..., self.ie] = (c * c / g + kin) * (left + right) + w * swing \
+            + kin * contact + p * mat_g
+        if it is not None:
+            out[..., it] = t * mass + ch[..., 2]
+            out[..., self.ie] += t * ch[..., 2]
+        out[..., self.ig] = mat_g + mat_p
+        out[..., self.ip] = -p * mat_p
+        return out
 
     def quasilinear_matrix(self, state, direction):
         """Full Jacobian-plus-B matrix A of the quasilinear form."""

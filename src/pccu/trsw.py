@@ -177,58 +177,51 @@ class ThermalShallowWater:
         s = np.sqrt(hb)                     # sqrt(h b) from the hb slot
         return np.stack([w - s, w, w, w + s], axis=-1)
 
-    def _hatted(self, avg_left, avg_right, ia, it):
-        """Means of the per-cell (h, w, t, b), with w the velocity along
-        the sweep (slot ia) and t the one across it (slot it)."""
+    def lcd_matrices(self, avg_left, avg_right, direction):
+        """Face data (ia, it, h, w, t, b) of to_char/from_char: the means
+        of the two adjacent cells' h, w, t and b, with w the velocity
+        along the sweep (slot ia) and t the one across it (slot it)."""
+        ia, it = self._indices(direction)
+
         def prim(avg):
             h = avg[..., 0]
             return h, avg[..., ia] / h, avg[..., it] / h, avg[..., 3] / h
         hl, wl, tl, bl = prim(avg_left)
         hr, wr, tr, br = prim(avg_right)
         h = 0.5 * (hl + hr)
-        w = 0.5 * (wl + wr)
-        t = 0.5 * (tl + tr)
         b = 0.5 * (bl + br)
         if np.any(b <= 0.0) or np.any(h <= 0.0):
             raise AdmissibilityError(
                 "characteristic decomposition needs h > 0 and b > 0")
-        return h, w, t, b
+        return ia, it, h, 0.5 * (wl + wr), 0.5 * (tl + tr), b
 
-    def lcd_matrices(self, avg_left, avg_right, direction):
-        """(R, R^-1, lam) at the face; columns of R: the (w - s) wave, the
-        buoyancy and shear materials, the (w + s) wave."""
-        ia, it = self._indices(direction)
-        h, w, t, b = self._hatted(avg_left, avg_right, ia, it)
-        s = np.sqrt(b * h)
-        kap = np.sqrt(b / h)
-        # one buffer for both, as in Multifluid.lcd_matrices
-        r_mat, r_inv = np.zeros((2,) + h.shape + (4, 4))
+    def to_char(self, face, vec):
+        """R^-1 vec over the last axis: the amplitudes of the (w - s) wave,
+        the buoyancy and shear materials and the (w + s) wave, in that
+        order, with s = sqrt(b h)."""
+        ia, it, h, w, t, b = face
+        v0, va, vt, v3 = vec[..., 0], vec[..., ia], vec[..., it], vec[..., 3]
+        mean = 0.25 * (b * v0 + v3)
+        swing = 0.5 * np.sqrt(b / h) * (w * v0 - va)
+        out = np.empty_like(vec)
+        out[..., 0] = mean + swing
+        out[..., 1] = 0.5 * (v3 - b * v0)
+        out[..., 2] = vt - 0.5 * t * (v0 + v3 / b)
+        out[..., 3] = mean - swing
+        return out
+
+    def from_char(self, face, ch):
+        """R ch over the last axis, for amplitudes ordered as to_char's."""
+        ia, it, h, w, t, b = face
+        left, buoy, shear, right = np.moveaxis(ch, -1, 0)
+        mass = left - buoy + right
         inv_b = 1.0 / b
-        r_mat[..., 0, 0] = inv_b
-        r_mat[..., 0, 1] = -inv_b
-        r_mat[..., 0, 3] = inv_b
-        r_mat[..., ia, 0] = (w - s) * inv_b
-        r_mat[..., ia, 1] = -w * inv_b
-        r_mat[..., ia, 3] = (w + s) * inv_b
-        r_mat[..., it, 0] = t * inv_b
-        r_mat[..., it, 2] = 1.0
-        r_mat[..., it, 3] = t * inv_b
-        r_mat[..., 3, 0] = 1.0
-        r_mat[..., 3, 1] = 1.0
-        r_mat[..., 3, 3] = 1.0
-        r_inv[..., 0, 0] = 0.25 * (b + 2.0 * w * kap)
-        r_inv[..., 0, ia] = -0.5 * kap
-        r_inv[..., 0, 3] = 0.25
-        r_inv[..., 1, 0] = -0.5 * b
-        r_inv[..., 1, 3] = 0.5
-        r_inv[..., 2, 0] = -0.5 * t
-        r_inv[..., 2, it] = 1.0
-        r_inv[..., 2, 3] = -0.5 * t * inv_b
-        r_inv[..., 3, 0] = 0.25 * (b - 2.0 * w * kap)
-        r_inv[..., 3, ia] = 0.5 * kap
-        r_inv[..., 3, 3] = 0.25
-        lam = np.stack([w - s, w, w, w + s], axis=-1)
-        return r_mat, r_inv, lam
+        out = np.empty_like(ch)
+        out[..., 0] = mass * inv_b
+        out[..., ia] = (w * mass + np.sqrt(b * h) * (right - left)) * inv_b
+        out[..., it] = t * (left + right) * inv_b + shear
+        out[..., 3] = left + buoy + right
+        return out
 
     def quasilinear_matrix(self, state, direction):
         ia, it = self._indices(direction)

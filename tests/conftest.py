@@ -39,9 +39,24 @@ class ScalarAdvection:
         return np.zeros_like(state_a)
 
     def lcd_matrices(self, avg_left, avg_right, direction):
-        shape = avg_left.shape[:-1]
-        r = np.ones(shape + (1, 1))
-        return r, r.copy(), np.ones(shape + (1,))
+        return None
+
+    def to_char(self, face, vec):
+        return vec.copy()
+
+    def from_char(self, face, ch):
+        return ch.copy()
+
+
+def dense_eigensystem(model, left, right, direction):
+    """(R, R^-1) at each face, from the projections applied to identity
+    columns: column j of R is from_char(e_j), of R^-1 to_char(e_j)."""
+    face = model.lcd_matrices(left, right, direction)
+    eye = np.eye(model.d).reshape((model.d,) + (1,) * (left.ndim - 1)
+                                  + (model.d,))
+    columns = np.broadcast_to(eye, (model.d,) + left.shape)
+    return (np.moveaxis(model.from_char(face, columns), 0, -1),
+            np.moveaxis(model.to_char(face, columns), 0, -1))
 
 
 @pytest.fixture

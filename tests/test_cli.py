@@ -142,13 +142,27 @@ def _without_b(config):
     del config["ic"]["regions"][1]["state"]["b"]
 
 
+def _text_b(config):
+    config["ic"]["regions"][1]["state"]["b"] = "x"
+
+
+def _halfplane_axis_z(config):
+    config["ic"]["regions"][0]["where"]["axis"] = "z"
+
+
 @pytest.mark.parametrize("spoil", [
     _without_b,
     lambda config: config.update(outputs=["schlieren"]),
     lambda config: config.update(dimension="x"),
     lambda config: config.update(outputs=["csv", "vtk"]),
+    _text_b,
+    lambda config: config.update(ny="x"),
+    lambda config: config.update(snapshots="abc"),
+    lambda config: config.update(bc=5),
+    _halfplane_axis_z,
 ], ids=["region_without_b", "schlieren_in_1d", "dimension_x",
-        "unknown_output"])
+        "unknown_output", "text_b", "ny_x", "snapshots_abc", "bc_5",
+        "halfplane_axis_z"])
 def test_malformed_config_exits_2_before_running(spoil, monkeypatch,
                                                  tmp_path, capsys):
     config = json.loads(json.dumps(_TINY_DAM))

@@ -1,6 +1,8 @@
 """Semi-discrete operator and the run loop."""
 
+import ctypes
 import json
+import resource
 
 import numpy as np
 import pytest
@@ -187,6 +189,22 @@ def test_run_is_deterministic():
         config = make_config("ex7", nx=50, t_final=0.02, snapshots=())
         finals.append(run(config).states[-1])
     assert np.array_equal(finals[0], finals[1])
+
+
+@pytest.mark.skipif(not hasattr(ctypes.CDLL(None), "mallopt"),
+                    reason="the C library has no mallopt")
+def test_repeated_run_reuses_memory_without_page_faults():
+    # with fixed malloc thresholds the second run's temporaries come from
+    # the heap the first one left; glibc's adaptive ones cost ~120K faults
+    def faults():
+        config = make_config("ex4", scheme="lcd", nx=192, ny=48,
+                             t_final=0.03, snapshots=())
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        run(config)
+        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+    faults()
+    assert faults() < 2000
 
 
 def test_run_rejects_inadmissible_initial_data():

@@ -138,45 +138,57 @@ def test_characteristic_assembly_reduces_to_central_upwind(rng, mf1):
     # with every field forced to the extremal speeds, the eigenvector
     # conjugation cancels and the assembly equals the classical formula
     left, right = _random_interfaces(rng, mf1, 1000)
-    r_mat, r_inv, _ = mf1.lcd_matrices(left, right, "x")
+    face = mf1.lcd_matrices(left, right, "x")
     lam = mf1.eigenvalues(np.stack([left, right]), "x")
     _, _, a_lo, a_hi = local_speeds(lam[0], lam[1])
     k_minus = mf1.flux(left, "x") + rng.normal(size=left.shape)
     k_plus = mf1.flux(right, "x") + rng.normal(size=left.shape)
     du = right - left
     p, m, q = extremal_weights(a_lo, a_hi, mf1.d, EPS0)
-    via_lcd = characteristic_flux(r_mat, r_inv, p, m, q, k_minus, k_plus, du)
+    via_lcd = characteristic_flux(mf1, face, p, m, q, k_minus, k_plus, du)
     classic = central_upwind_flux(a_lo, a_hi, k_minus, k_plus, du, EPS0)
     scale = np.abs(classic).max()
     assert np.abs(via_lcd - classic).max() <= 1e-12 * max(scale, 1.0)
 
 
+class _Scaled:
+    """A model whose eigenvector columns are rescaled by `dscale`."""
+
+    def __init__(self, model, dscale):
+        self.model, self.dscale = model, dscale
+
+    def to_char(self, face, vec):
+        return self.model.to_char(face, vec) / self.dscale
+
+    def from_char(self, face, ch):
+        return self.model.from_char(face, ch * self.dscale)
+
+
 def test_assembly_invariant_under_eigenvector_scaling(rng, mf1):
     left, right = _random_interfaces(rng, mf1, 200)
-    r_mat, r_inv, _ = mf1.lcd_matrices(left, right, "x")
+    face = mf1.lcd_matrices(left, right, "x")
     lam = mf1.eigenvalues(np.stack([left, right]), "x")
     lam_lo, lam_hi, a_lo, a_hi = local_speeds(lam[0], lam[1])
     p, m, q = split_weights(lam_lo, lam_hi, a_lo, a_hi, EPS0)
     k_minus, k_plus = mf1.flux(left, "x"), mf1.flux(right, "x")
     du = right - left
-    base = characteristic_flux(r_mat, r_inv, p, m, q, k_minus, k_plus, du)
+    base = characteristic_flux(mf1, face, p, m, q, k_minus, k_plus, du)
     # rescale the eigenvector columns by random positive factors
-    dscale = rng.uniform(0.2, 5.0, size=r_mat.shape[:-1])
-    r2 = r_mat * dscale[..., None, :]
-    r2_inv = r_inv / dscale[..., :, None]
-    scaled = characteristic_flux(r2, r2_inv, p, m, q, k_minus, k_plus, du)
+    dscale = rng.uniform(0.2, 5.0, size=left.shape)
+    scaled = characteristic_flux(_Scaled(mf1, dscale), face, p, m, q,
+                                 k_minus, k_plus, du)
     assert np.abs(scaled - base).max() <= 1e-11 * max(np.abs(base).max(), 1.0)
 
 
 def test_assembly_consistency_at_equal_states(rng, mf1):
     states = random_multifluid_states(rng, 1000, 1)[None]
     flux = mf1.flux(states, "x")
-    r_mat, r_inv, _ = mf1.lcd_matrices(states, states, "x")
+    face = mf1.lcd_matrices(states, states, "x")
     lam = mf1.eigenvalues(np.stack([states, states]), "x")
     lam_lo, lam_hi, a_lo, a_hi = local_speeds(lam[0], lam[1])
     du = np.zeros_like(states)
     p, m, q = split_weights(lam_lo, lam_hi, a_lo, a_hi, EPS0)
-    assembled = characteristic_flux(r_mat, r_inv, p, m, q, flux, flux, du)
+    assembled = characteristic_flux(mf1, face, p, m, q, flux, flux, du)
     classic = central_upwind_flux(a_lo, a_hi, flux, flux, du, EPS0)
     scale = np.abs(flux).max()
     assert np.abs(assembled - flux).max() <= 1e-12 * scale
@@ -187,13 +199,13 @@ def test_assembly_passes_through_steady_flux(rng, mf1):
     # equal one-sided global fluxes and equal breve states: the interface
     # flux must be that shared value regardless of the weights
     left, right = _random_interfaces(rng, mf1, 100)
-    r_mat, r_inv, _ = mf1.lcd_matrices(left, right, "x")
+    face = mf1.lcd_matrices(left, right, "x")
     lam = mf1.eigenvalues(np.stack([left, right]), "x")
     lam_lo, lam_hi, a_lo, a_hi = local_speeds(lam[0], lam[1])
     p, m, q = split_weights(lam_lo, lam_hi, a_lo, a_hi, EPS0)
     k_hat = rng.normal(size=left.shape)
     du = np.zeros_like(left)
-    assembled = characteristic_flux(r_mat, r_inv, p, m, q, k_hat, k_hat, du)
+    assembled = characteristic_flux(mf1, face, p, m, q, k_hat, k_hat, du)
     assert np.abs(assembled - k_hat).max() <= 1e-12 * np.abs(k_hat).max()
 
 

@@ -178,10 +178,10 @@ def test_flux_shift_equivariance_makes_anchor_immaterial(rng, mf1):
     assert np.allclose(shifted - base, c, rtol=0,
                        atol=1e-12 * np.abs(base).max())
 
-    r_mat, r_inv, _ = mf1.lcd_matrices(left, right, "x")
+    face = mf1.lcd_matrices(left, right, "x")
     p, m, q = split_weights(lam_lo, lam_hi, a_lo, a_hi, 1e-18)
-    base = characteristic_flux(r_mat, r_inv, p, m, q, k_minus, k_plus, du)
-    shifted = characteristic_flux(r_mat, r_inv, p, m, q, k_minus + c,
+    base = characteristic_flux(mf1, face, p, m, q, k_minus, k_plus, du)
+    shifted = characteristic_flux(mf1, face, p, m, q, k_minus + c,
                                   k_plus + c, du)
     assert np.allclose(shifted - base, c, rtol=0,
                        atol=1e-11 * max(np.abs(base).max(), 1.0))
