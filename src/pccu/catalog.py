@@ -21,19 +21,19 @@ from .trsw import ThermalShallowWater
 
 def _region_mask(where, x, y):
     kind = where["kind"]
-    if kind == "disk":
+    if kind in ("disk", "annulus"):
         cx, cy = where["center"]
         rr = (x - cx) ** 2 + ((y - cy) ** 2 if y is not None else 0.0)
-        return rr < where["radius"] ** 2
-    if kind == "annulus":
-        cx, cy = where["center"]
-        rr = (x - cx) ** 2 + ((y - cy) ** 2 if y is not None else 0.0)
+        if kind == "disk":
+            return rr < where["radius"] ** 2
         return (where["r_min"] ** 2 < rr) & (rr < where["r_max"] ** 2)
     if kind == "halfplane":
         coord = x if where["axis"] == "x" else y
         if where["op"] == "<":
             return coord < where["value"]
-        return coord > where["value"]
+        if where["op"] == ">":
+            return coord > where["value"]
+        raise ConfigError(f"halfplane op must be '<' or '>', got {where['op']!r}")
     if kind == "band":
         coord = x if where["axis"] == "x" else y
         return (coord >= where["min"]) & (coord <= where["max"])
@@ -75,8 +75,6 @@ def _check_regions(regions, state_keys, dimension):
                                   f"number: {value!r}")
         where = region.get("where")
         if where is None:
-            if i < len(regions) - 1:
-                raise ConfigError("only the last region may omit 'where'")
             continue
         kind = where.get("kind") if isinstance(where, dict) else None
         if kind not in _WHERE_KEYS:
@@ -98,6 +96,9 @@ def _check_regions(regions, state_keys, dimension):
 def _piecewise_ic(regions, region_state):
     """IC callable taking at each point the state of the first region that
     holds it; region_state(state, x, y) gives a region's (..., d) state."""
+    if any("where" not in r for r in regions[:-1]):
+        raise ConfigError("only the last region may omit 'where'")
+
     def ic(x, y=None):
         masks = [np.broadcast_to(_region_mask(r["where"], x, y), x.shape)
                  if "where" in r else np.ones(x.shape, dtype=bool)

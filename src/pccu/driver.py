@@ -26,8 +26,6 @@ from .timestepping import cfl_dt, ssprk3_step, finite_stage_check
 
 SCHEMES = ("pccu", "lcd")
 
-M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3     # glibc's malloc.h
-
 
 @dataclass
 class LineGeometry:
@@ -200,19 +198,15 @@ class RunReport:
 
 @functools.cache
 def fix_malloc_thresholds():
-    """Pin glibc's mmap threshold at 32 MiB and its trim threshold at
-    64 MiB, once per process.  glibc's adaptive thresholds made the
-    per-stage temporaries fault in fresh pages or not depending on the
-    process's allocation history (see the README).  A no-op where the C
-    library has no mallopt."""
+    """Fix glibc's adaptive mmap and trim thresholds, under which the
+    temporaries faulted in fresh pages depending on allocation history
+    (see the README); a no-op where the C library has no mallopt."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (AttributeError, OSError, TypeError):
         return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    mallopt(M_MMAP_THRESHOLD, 32 << 20)
-    mallopt(M_TRIM_THRESHOLD, 64 << 20)
+    mallopt(-3, 32 << 20)           # M_MMAP_THRESHOLD in glibc's malloc.h
+    mallopt(-1, 64 << 20)           # M_TRIM_THRESHOLD
 
 
 def run(config):
@@ -220,6 +214,8 @@ def run(config):
 
     Returns a RunReport whose states list holds interior snapshots at the
     requested times plus the final time (always last).
+    The first call fixes glibc's malloc thresholds for the whole process
+    (fix_malloc_thresholds): up to 64 MiB of freed heap may stay resident.
     """
     fix_malloc_thresholds()
     config.validate()
@@ -258,10 +254,7 @@ def run(config):
         return tendency
 
     cur = fld.interior.copy()
-    t = 0.0
-    steps = 0
-    dts = []
-    speed_max = 0.0
+    t, steps, dts, speed_max = 0.0, 0, [], 0.0
     t_start = time.perf_counter()
     for target in events:
         while t < target:

@@ -5,19 +5,21 @@ class ConfigError(ValueError):
     """Invalid run configuration (bad mesh, unknown ids, inconsistent BCs...)."""
 
 
-class AdmissibilityError(ValueError):
-    """A state left the admissible set (negative density/thickness, c^2 <= 0).
-
-    t is the time of the step it escaped from, when raised while stepping;
-    stage and where (the cell index) are set when an RK stage candidate
-    could not be brought back into the set.
-    """
+class _Located:
+    """Mixin: t, the RK stage and where (the cell index) locate a failure."""
 
     def __init__(self, message, t=None, stage=None, where=None):
         super().__init__(message)
-        self.t = t
-        self.stage = stage
-        self.where = where
+        self.t, self.stage, self.where = t, stage, where
+
+
+class AdmissibilityError(_Located, ValueError):
+    """A state left the admissible set (negative density/thickness, c^2 <= 0).
+
+    t is the time of the step it escaped from, when raised while stepping;
+    stage and where are set when an RK stage candidate could not be
+    brought back into the set.
+    """
 
 
 class ReconstructionError(RuntimeError):
@@ -29,15 +31,6 @@ class ReconstructionError(RuntimeError):
     t = None
 
 
-class NumericalError(RuntimeError):
-    """Non-finite values appeared during time stepping.
-
-    Carries enough provenance to locate the blow-up: time, RK stage and the
-    first offending cell.
-    """
-
-    def __init__(self, message, t=None, stage=None, where=None):
-        super().__init__(message)
-        self.t = t
-        self.stage = stage
-        self.where = where
+class NumericalError(_Located, RuntimeError):
+    """Non-finite values appeared during time stepping, located by time,
+    RK stage and the first offending cell."""

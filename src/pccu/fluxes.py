@@ -62,6 +62,29 @@ def extremal_weights(a_lo, a_hi, d, eps0):
     return p, m, q
 
 
+def apply_rows(rows, vec):
+    """Sparse matrix times vector over the last axis of `vec`.
+
+    rows[i] maps slot j to the coefficient of vec[..., j] in out[..., i]
+    (None for 1).  A row sums its even-j and its odd-j terms separately,
+    then adds the two, as np.einsum does over a contiguous dense matrix:
+    lcd at rest keeps the dense R and R^-1's exact zeros only in that
+    order, and round-off there flips split_weights.
+    """
+    comps = np.ascontiguousarray(np.moveaxis(vec, -1, 0))
+    out = np.empty(vec.shape[:-1] + (len(rows),))
+    for i, row in enumerate(rows):
+        lanes = [None, None]
+        for j in sorted(row):
+            term = comps[j] if row[j] is None else row[j] * comps[j]
+            lane = lanes[j % 2]
+            lanes[j % 2] = term if lane is None else lane + term
+        even, odd = lanes
+        out[..., i] = odd if even is None else (
+            even if odd is None else even + odd)
+    return out
+
+
 def characteristic_flux(model, face, p, m, q, k_minus, k_plus, du):
     """Assemble the interface flux in characteristic variables.
 

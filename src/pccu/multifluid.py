@@ -16,6 +16,7 @@ likewise for P.  Everything else is a plain Euler flux.
 import numpy as np
 
 from .errors import AdmissibilityError
+from .fluxes import apply_rows
 
 RHO_MIN = 1e-12
 
@@ -167,17 +168,11 @@ class Multifluid:
         return out
 
     def lcd_matrices(self, avg_left, avg_right, direction):
-        """Face data (ia, it, w, t, p, gamma - 1, c) of to_char/from_char.
-
-        Inputs are the cell averages adjacent to each interface; shapes
-        (..., d).  The data are the means of the two cells' primitive
-        values, with w the velocity along the sweep (momentum slot ia) and
-        t the one across it (slot it; t is zero and it None in 1-D).
-        """
-        prim_l = self.primitives(avg_left)
-        prim_r = self.primitives(avg_right)
-        rho, u, v, p, gamma, pi_inf = (0.5 * (a + b)
-                                       for a, b in zip(prim_l, prim_r))
+        """Face data (ia, it, w, t, p, gamma - 1, c) of to_char/from_char:
+        means of the two adjacent cells' primitives, w the velocity along
+        the sweep (slot ia), t across it (slot it; None in 1-D)."""
+        rho, u, v, p, gamma, pi_inf = (0.5 * (a + b) for a, b in zip(
+            self.primitives(avg_left), self.primitives(avg_right)))
         csq = gamma * (p + pi_inf) / rho
         if np.any(csq <= 0.0) or not np.all(np.isfinite(csq)):
             raise AdmissibilityError(
@@ -191,49 +186,49 @@ class Multifluid:
         the contact, in 2-D the shear wave, the G and P material waves and
         the w + c wave, in that order (1-D has no shear slot).
 
-        The acoustic pair is (X +- Y) / (2 c^2) with
-        X = (gamma - 1)(kin V0 - w Va - t Vt + Ve - p VG - VP) and
-        Y = c (w V0 - Va); the contact is V0 - X / c^2.
+        The acoustic pair is (X +- Y) / (2 c^2), X = (gamma - 1)(kin V0 -
+        w Va - t Vt + Ve - p VG - VP), Y = c (w V0 - Va); the contact is
+        V0 - X / c^2.  The rows hold these expanded into R^-1's entries.
         """
         ia, it, w, t, p, g, c = face
-        v0, va = vec[..., 0], vec[..., ia]
-        vg, vp = vec[..., self.ig], vec[..., self.ip]
-        inner = 0.5 * (w * w + t * t) * v0 - w * va + vec[..., self.ie] \
-            - p * vg - vp
+        ie, ig, ip = self.ie, self.ig, self.ip
+        c2 = c * c
+        inv2c2 = 0.5 / c2
+        kin = 0.5 * (w * w + t * t)
+        gi = g * inv2c2
+        gp = g * p * inv2c2
+        left = {0: (g * kin + w * c) * inv2c2, ia: (-c - g * w) * inv2c2,
+                ie: gi, ig: -gp, ip: -gi}
+        right = {**left, 0: (g * kin - w * c) * inv2c2,
+                 ia: (c - g * w) * inv2c2}
+        contact = {0: (2.0 * c2 - 2.0 * g * kin) * inv2c2,
+                   ia: 2.0 * g * w * inv2c2, ie: -2.0 * gi, ig: 2.0 * gp,
+                   ip: 2.0 * gi}
+        shear = []
         if it is not None:
-            inner -= t * vec[..., it]
-        x = 0.5 * g / (c * c) * inner
-        y = 0.5 / c * (w * v0 - va)
-        ratio = vp / p
-        out = np.empty_like(vec)
-        out[..., 0] = x + y
-        out[..., 1] = v0 - 2.0 * x
-        if it is not None:
-            out[..., 2] = vec[..., it] - t * v0
-        out[..., -3] = vg + ratio
-        out[..., -2] = -ratio
-        out[..., -1] = x - y
-        return out
+            gt = g * t * inv2c2
+            left[it] = right[it] = -gt
+            contact[it] = 2.0 * gt
+            shear = [{0: -t, it: None}]
+        materials = [{ig: None, ip: 1.0 / p}, {ip: -1.0 / p}]
+        return apply_rows([left, contact] + shear + materials + [right], vec)
 
     def from_char(self, face, ch):
         """R ch over the last axis, for amplitudes ordered as to_char's."""
         ia, it, w, t, p, g, c = face
+        kr, kg, kp = self.d - 1, self.d - 3, self.d - 2
         kin = 0.5 * (w * w + t * t)
-        left, contact, right = ch[..., 0], ch[..., 1], ch[..., -1]
-        mat_g, mat_p = ch[..., -3], ch[..., -2]
-        mass = left + contact + right
-        swing = c * (right - left)
-        out = np.empty_like(ch)
-        out[..., 0] = mass
-        out[..., ia] = w * mass + swing
-        out[..., self.ie] = (c * c / g + kin) * (left + right) + w * swing \
-            + kin * contact + p * mat_g
+        enth = c * c / g + kin
+        rows = [None] * self.d
+        rows[0] = {0: None, 1: None, kr: None}
+        rows[ia] = {0: w - c, 1: w, kr: w + c}
+        rows[self.ie] = {0: enth - w * c, 1: kin, kg: p, kr: enth + w * c}
+        rows[self.ig] = {kg: None, kp: None}
+        rows[self.ip] = {kp: -p}
         if it is not None:
-            out[..., it] = t * mass + ch[..., 2]
-            out[..., self.ie] += t * ch[..., 2]
-        out[..., self.ig] = mat_g + mat_p
-        out[..., self.ip] = -p * mat_p
-        return out
+            rows[it] = {0: t, 1: t, 2: None, kr: t}
+            rows[self.ie][2] = t
+        return apply_rows(rows, ch)
 
     def quasilinear_matrix(self, state, direction):
         """Full Jacobian-plus-B matrix A of the quasilinear form."""

@@ -25,6 +25,7 @@ the interface).  That is a root of a depressed cubic, taken in closed form
 import numpy as np
 
 from .errors import AdmissibilityError, ReconstructionError
+from .fluxes import apply_rows
 
 H_MIN = 1e-10
 RESIDUAL_TOL = 1e-12
@@ -186,42 +187,37 @@ class ThermalShallowWater:
         def prim(avg):
             h = avg[..., 0]
             return h, avg[..., ia] / h, avg[..., it] / h, avg[..., 3] / h
-        hl, wl, tl, bl = prim(avg_left)
-        hr, wr, tr, br = prim(avg_right)
-        h = 0.5 * (hl + hr)
-        b = 0.5 * (bl + br)
+        h, w, t, b = (0.5 * (lv + rv) for lv, rv in zip(prim(avg_left),
+                                                         prim(avg_right)))
         if np.any(b <= 0.0) or np.any(h <= 0.0):
             raise AdmissibilityError(
                 "characteristic decomposition needs h > 0 and b > 0")
-        return ia, it, h, 0.5 * (wl + wr), 0.5 * (tl + tr), b
+        return ia, it, h, w, t, b
 
     def to_char(self, face, vec):
         """R^-1 vec over the last axis: the amplitudes of the (w - s) wave,
         the buoyancy and shear materials and the (w + s) wave, in that
         order, with s = sqrt(b h)."""
         ia, it, h, w, t, b = face
-        v0, va, vt, v3 = vec[..., 0], vec[..., ia], vec[..., it], vec[..., 3]
-        mean = 0.25 * (b * v0 + v3)
-        swing = 0.5 * np.sqrt(b / h) * (w * v0 - va)
-        out = np.empty_like(vec)
-        out[..., 0] = mean + swing
-        out[..., 1] = 0.5 * (v3 - b * v0)
-        out[..., 2] = vt - 0.5 * t * (v0 + v3 / b)
-        out[..., 3] = mean - swing
-        return out
+        kap = np.sqrt(b / h)
+        inv_b = 1.0 / b
+        rows = [{0: 0.25 * (b + 2.0 * w * kap), ia: -0.5 * kap, 3: 0.25},
+                {0: -0.5 * b, 3: 0.5},
+                {0: -0.5 * t, it: None, 3: -0.5 * t * inv_b},
+                {0: 0.25 * (b - 2.0 * w * kap), ia: 0.5 * kap, 3: 0.25}]
+        return apply_rows(rows, vec)
 
     def from_char(self, face, ch):
         """R ch over the last axis, for amplitudes ordered as to_char's."""
         ia, it, h, w, t, b = face
-        left, buoy, shear, right = np.moveaxis(ch, -1, 0)
-        mass = left - buoy + right
+        s = np.sqrt(b * h)
         inv_b = 1.0 / b
-        out = np.empty_like(ch)
-        out[..., 0] = mass * inv_b
-        out[..., ia] = (w * mass + np.sqrt(b * h) * (right - left)) * inv_b
-        out[..., it] = t * (left + right) * inv_b + shear
-        out[..., 3] = left + buoy + right
-        return out
+        rows = [None] * 4
+        rows[0] = {0: inv_b, 1: -inv_b, 3: inv_b}
+        rows[ia] = {0: (w - s) * inv_b, 1: -w * inv_b, 3: (w + s) * inv_b}
+        rows[it] = {0: t * inv_b, 2: None, 3: t * inv_b}
+        rows[3] = {0: None, 1: None, 3: None}
+        return apply_rows(rows, ch)
 
     def quasilinear_matrix(self, state, direction):
         ia, it = self._indices(direction)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import pccu.cli as cli
-from pccu.errors import NumericalError
+from pccu.catalog import piecewise_multifluid_ic, piecewise_trsw_ic
+from pccu.errors import ConfigError, NumericalError
 
 
 def test_list_names_all_examples(capsys):
@@ -176,3 +177,22 @@ def test_malformed_config_exits_2_before_running(spoil, monkeypatch,
     monkeypatch.setattr(cli, "run", must_not_run)
     assert cli.main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
     assert "configuration error:" in capsys.readouterr().err
+
+
+_GAS = {"rho": 1.0, "p": 1.0, "gamma": 1.4}
+_LAYER = {"h": 1.0, "b": 1.0}
+
+
+@pytest.mark.parametrize("build, state", [
+    (lambda regions: piecewise_multifluid_ic(regions, 1), _GAS),
+    (lambda regions: piecewise_trsw_ic(regions), _LAYER),
+], ids=["multifluid", "trsw"])
+def test_piecewise_ic_called_directly_rejects_bad_regions(build, state):
+    half = {"kind": "halfplane", "axis": "x", "op": ">=", "value": 0.0}
+    ic = build([{"where": half, "state": state}, {"state": state}])
+    with pytest.raises(ConfigError, match="op"):
+        ic(np.linspace(-1.0, 1.0, 5))
+    half["op"] = "<"
+    with pytest.raises(ConfigError, match="only the last region"):
+        build([{"where": half, "state": state}, {"state": state},
+               {"where": half, "state": state}])

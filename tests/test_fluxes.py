@@ -8,7 +8,8 @@ from pccu.fluxes import local_speeds, split_weights, extremal_weights, \
     characteristic_flux, central_upwind_flux
 from pccu.multifluid import Multifluid, conservative_state
 from pccu.trsw import ThermalShallowWater
-from conftest import random_multifluid_states
+from conftest import dense_eigensystem, random_multifluid_states, \
+    random_trsw_states
 
 EPS0 = 1e-18
 
@@ -207,6 +208,41 @@ def test_assembly_passes_through_steady_flux(rng, mf1):
     du = np.zeros_like(left)
     assembled = characteristic_flux(mf1, face, p, m, q, k_hat, k_hat, du)
     assert np.abs(assembled - k_hat).max() <= 1e-12 * np.abs(k_hat).max()
+
+
+@pytest.mark.parametrize("case", ["mf-1d", "mf-2d-x", "mf-2d-y",
+                                  "trsw-x", "trsw-y"])
+def test_projections_round_like_the_dense_product(rng, case):
+    # to_char/from_char sum each row as np.einsum sums the dense product,
+    # so lcd keeps the dense eigensystem's rounding, and with it the exact
+    # zeros of fluid at rest that split_weights tells apart from noise
+    kind, *rest = case.split("-")
+    direction = rest[-1] if rest[-1] in "xy" else "x"
+    n = 400
+    if kind == "mf":
+        model = Multifluid(1 if rest[0] == "1d" else 2)
+        left, right = (random_multifluid_states(rng, n, model.dimension)
+                       for _ in range(2))
+    else:
+        model = ThermalShallowWater(2)
+        left, right = random_trsw_states(rng, n), random_trsw_states(rng, n)
+    # half the faces hold fluid at rest with equal neighbours
+    rest_faces = slice(n // 2, None)
+    momenta = slice(1, 3 if kind == "trsw" else 1 + model.dimension)
+    left[rest_faces, momenta] = 0.0
+    right[rest_faces] = left[rest_faces]
+    left, right = left[None], right[None]
+    # contiguous, like the dense matrices lcd used to build: einsum's
+    # order depends on the memory layout
+    r_mat, r_inv = map(np.ascontiguousarray,
+                       dense_eigensystem(model, left, right, direction))
+    face = model.lcd_matrices(left, right, direction)
+    vec = np.stack([model.flux(left, direction), model.flux(right, direction),
+                    rng.normal(size=left.shape)])
+    dense = np.stack([np.einsum('...ij,...j->...i', r_inv, v) for v in vec])
+    assert np.array_equal(model.to_char(face, vec), dense)
+    assert np.array_equal(model.from_char(face, dense[2]),
+                          np.einsum('...ij,...j->...i', r_mat, dense[2]))
 
 
 def test_central_upwind_degenerate_speeds_average():
