@@ -11,7 +11,7 @@ from .errors import (ConfigError, AdmissibilityError, ReconstructionError,
                      NumericalError)
 from .grid import GHOST, Grid, Field, BoundaryCondition, fill_ghosts, \
     init_from_function
-from .reconstruct import minmod, limited_slopes, interface_values
+from .reconstruct import limited_slopes, interface_values
 from .fluxes import (local_speeds, split_weights, extremal_weights,
                      characteristic_flux, central_upwind_flux)
 from .globalflux import interleave_cell_halves, interleave_jumps_cells
@@ -29,7 +29,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ConfigError", "AdmissibilityError", "ReconstructionError",
     "NumericalError", "GHOST", "Grid", "Field", "BoundaryCondition",
-    "fill_ghosts", "init_from_function", "minmod", "limited_slopes",
+    "fill_ghosts", "init_from_function", "limited_slopes",
     "interface_values", "local_speeds", "split_weights", "extremal_weights",
     "characteristic_flux", "central_upwind_flux", "interleave_cell_halves",
     "interleave_jumps_cells", "Multifluid", "conservative_state",

@@ -1,11 +1,14 @@
 """Built-in problem setups and config-dict handling.
 
-Each catalog entry records the published setup of a benchmark run: domain,
-default grid, final time, boundary conditions, initial data, topography and
-rotation where present, and which output products to emit.  Initial data
-are described by ordered region lists; the first matching region wins and
-the last entry is the fallback, so unions can be expressed by ordering.
+Each catalog entry is a config dict in the config-file schema, recording
+the published setup of a benchmark run: domain, default grid, final time,
+boundary conditions, initial data, topography and rotation where present,
+and which output products to emit.  Initial data are described by ordered
+region lists; the first matching region wins and the last entry is the
+fallback, so unions can be expressed by ordering.
 """
+
+import sys
 
 import numpy as np
 
@@ -47,19 +50,15 @@ _WHERE_KEYS = {"disk": ("center", "radius"),
                "band": ("axis", "min", "max")}
 
 
-def _is_number(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _check_regions(regions, state_keys, dimension):
     """ConfigError for a region list piecewise_*_ic could not evaluate.
 
     state_keys names the keys each region state needs; a tuple among them
     is a choice of one.  State values and the sizes in "where" must be
-    numbers, a center a pair of them and an axis one of the grid's.
+    finite numbers, a center a pair of them and an axis one of the grid's.
     """
-    if not isinstance(regions, list):
-        raise ConfigError("'regions' must be a list")
+    if not isinstance(regions, list) or not regions:
+        raise ConfigError("'regions' must be a non-empty list")
     for i, region in enumerate(regions):
         state = region.get("state") if isinstance(region, dict) else None
         if not isinstance(state, dict):
@@ -73,11 +72,11 @@ def _check_regions(regions, state_keys, dimension):
             if not _is_number(value):
                 raise ConfigError(f"region {i} state {key!r} is not a "
                                   f"number: {value!r}")
-        where = region.get("where")
-        if where is None:
+        if "where" not in region:
             continue
+        where = region["where"]
         kind = where.get("kind") if isinstance(where, dict) else None
-        if kind not in _WHERE_KEYS:
+        if not isinstance(kind, str) or kind not in _WHERE_KEYS:
             raise ConfigError(f"unknown region kind {where!r}")
         for key in _WHERE_KEYS[kind]:
             if key not in where:
@@ -191,14 +190,14 @@ _MF_SHOCK_BUBBLE_2D = [
 
 
 def _bubble_regions(rho_a, gamma_a):
-    bubble = {"where": {"kind": "disk", "center": (0.0, 0.0), "radius": 0.25},
+    bubble = {"where": {"kind": "disk", "center": [0.0, 0.0], "radius": 0.25},
               "state": {"rho": rho_a, "u": 0.0, "v": 0.0, "p": 1.0,
                         "gamma": gamma_a, "pi_inf": 0.0}}
     return [bubble] + list(_MF_SHOCK_BUBBLE_2D)
 
 
 _MF_EX5_REGIONS = [
-    {"where": {"kind": "disk", "center": (5.0, 2.0), "radius": 1.0},
+    {"where": {"kind": "disk", "center": [5.0, 2.0], "radius": 1.0},
      "state": {"rho": 1.27, "u": 0.0, "v": 0.0, "p": 8290.0, "gamma": 2.0,
                "pi_inf": 0.0}},
     {"where": {"kind": "halfplane", "axis": "y", "op": ">", "value": 4.0},
@@ -221,16 +220,16 @@ _TRSW_EX7_REGIONS = [
 ]
 
 _TRSW_EX8_REGIONS = [
-    {"where": {"kind": "annulus", "center": (0.0, 0.0), "r_min": 0.1,
+    {"where": {"kind": "annulus", "center": [0.0, 0.0], "r_min": 0.1,
                "r_max": 0.3},
      "state": {"surface": 3.1, "b": 4.0 / 3.0}},
-    {"where": {"kind": "disk", "center": (0.0, 0.0), "radius": 0.5},
+    {"where": {"kind": "disk", "center": [0.0, 0.0], "radius": 0.5},
      "state": {"surface": 3.0, "b": 4.0 / 3.0}},
     {"state": {"surface": 2.0, "b": 3.0}},
 ]
 
 _TRSW_EX9_REGIONS = [
-    {"where": {"kind": "disk", "center": (0.0, 0.0), "radius": 0.5},
+    {"where": {"kind": "disk", "center": [0.0, 0.0], "radius": 0.5},
      "state": {"h": 1.5, "b": 1.0}},
     {"state": {"h": 1.2, "b": 1.5}},
 ]
@@ -260,74 +259,75 @@ def _ex10_ic():
     return ic
 
 
+# Entries are config dicts in the config-file schema, plus a "note".
 EXAMPLES = {
     "ex1": dict(
-        model="multifluid", dimension=1, domain=(-1.0, 2.0), nx=300,
-        t_final=3.0, bc="solid_wall", regions=_MF_EX1_REGIONS,
-        outputs=("csv",),
+        model="multifluid", dimension=1, domain=[-1.0, 2.0], nx=300,
+        t_final=3.0, bc="solid_wall", ic={"regions": _MF_EX1_REGIONS},
+        outputs=["csv"],
         note="shock hitting a resting bubble, solid walls"),
     "ex2": dict(
-        model="multifluid", dimension=1, domain=(0.0, 18.0), nx=180,
-        t_final=0.045, bc="free", regions=_MF_EX2_REGIONS,
-        outputs=("csv",),
+        model="multifluid", dimension=1, domain=[0.0, 18.0], nx=180,
+        t_final=0.045, bc="free", ic={"regions": _MF_EX2_REGIONS},
+        outputs=["csv"],
         note="water-air shock-bubble interaction, stiff liquid EOS"),
     "ex3": dict(
-        model="multifluid", dimension=2, domain=(-3.0, 1.0, -0.5, 0.5),
+        model="multifluid", dimension=2, domain=[-3.0, 1.0, -0.5, 0.5],
         nx=2000, ny=500, t_final=3.0,
         bc={"left": "free", "right": "free",
             "bottom": "solid_wall", "top": "solid_wall"},
-        regions=_bubble_regions(4.0 / 29.0, 5.0 / 3.0),
-        snapshots=(0.5, 1.0, 1.5, 2.0, 2.5, 3.0),
-        outputs=("csv", "schlieren"),
+        ic={"regions": _bubble_regions(4.0 / 29.0, 5.0 / 3.0)},
+        snapshots=[0.5, 1.0, 1.5, 2.0, 2.5, 3.0],
+        outputs=["csv", "schlieren"],
         note="shock hitting a light (helium-like) cylindrical bubble"),
     "ex4": dict(
-        model="multifluid", dimension=2, domain=(-3.0, 1.0, -0.5, 0.5),
+        model="multifluid", dimension=2, domain=[-3.0, 1.0, -0.5, 0.5],
         nx=2000, ny=500, t_final=3.0,
         bc={"left": "free", "right": "free",
             "bottom": "solid_wall", "top": "solid_wall"},
-        regions=_bubble_regions(3.1538, 1.249),
-        snapshots=(0.5, 1.0, 1.5, 2.0, 2.5, 3.0),
-        outputs=("csv", "schlieren"),
+        ic={"regions": _bubble_regions(3.1538, 1.249)},
+        snapshots=[0.5, 1.0, 1.5, 2.0, 2.5, 3.0],
+        outputs=["csv", "schlieren"],
         note="shock hitting a heavy (R22-like) cylindrical bubble"),
     "ex5": dict(
-        model="multifluid", dimension=2, domain=(0.0, 10.0, 0.0, 6.0),
+        model="multifluid", dimension=2, domain=[0.0, 10.0, 0.0, 6.0],
         nx=800, ny=480, t_final=0.02,
         bc={"left": "free", "right": "free",
             "bottom": "solid_wall", "top": "free"},
-        regions=_MF_EX5_REGIONS,
-        outputs=("csv", "schlieren"),
+        ic={"regions": _MF_EX5_REGIONS},
+        outputs=["csv", "schlieren"],
         note="cylindrical explosion under an air-water interface"),
     "ex6": dict(
-        model="trsw", dimension=1, domain=(-5.0, 5.0), nx=200,
-        t_final=10.0, bc="free", regions=_TRSW_EX6_REGIONS,
-        outputs=("csv",),
+        model="trsw", dimension=1, domain=[-5.0, 5.0], nx=200,
+        t_final=10.0, bc="free", ic={"regions": _TRSW_EX6_REGIONS},
+        outputs=["csv"],
         note="constant-pressure equilibrium with a buoyancy jump"),
     "ex6p": dict(
-        model="trsw", dimension=1, domain=(-5.0, 5.0), nx=200,
-        t_final=1.6, bc="free", ic_factory=_ex6p_ic,
-        snapshots=(1.2, 1.6), outputs=("csv",),
+        model="trsw", dimension=1, domain=[-5.0, 5.0], nx=200,
+        t_final=1.6, bc="free", ic="ex6p",
+        snapshots=[1.2, 1.6], outputs=["csv"],
         note="small thickness bump on the ex6 equilibrium"),
     "ex7": dict(
-        model="trsw", dimension=1, domain=(-1.0, 1.0), nx=200,
-        t_final=0.2, bc="free", regions=_TRSW_EX7_REGIONS,
-        topography="two_bumps_1d", snapshots=(0.1, 0.2), outputs=("csv",),
+        model="trsw", dimension=1, domain=[-1.0, 1.0], nx=200,
+        t_final=0.2, bc="free", ic={"regions": _TRSW_EX7_REGIONS},
+        topography="two_bumps_1d", snapshots=[0.1, 0.2], outputs=["csv"],
         note="dam break over two bottom bumps"),
     "ex8": dict(
-        model="trsw", dimension=2, domain=(-1.0, 1.0, -1.0, 1.0),
+        model="trsw", dimension=2, domain=[-1.0, 1.0, -1.0, 1.0],
         nx=100, ny=100, t_final=0.12, bc="free",
-        regions=_TRSW_EX8_REGIONS, topography="two_gaussians_2d",
-        outputs=("csv", "slice_diag"),
+        ic={"regions": _TRSW_EX8_REGIONS}, topography="two_gaussians_2d",
+        outputs=["csv", "slice_diag"],
         note="ring perturbation of a lake at rest over two bumps"),
     "ex9": dict(
-        model="trsw", dimension=2, domain=(-1.0, 1.0, -1.0, 1.0),
+        model="trsw", dimension=2, domain=[-1.0, 1.0, -1.0, 1.0],
         nx=100, ny=100, t_final=0.15, bc="free",
-        regions=_TRSW_EX9_REGIONS, outputs=("csv", "slice_diag"),
+        ic={"regions": _TRSW_EX9_REGIONS}, outputs=["csv", "slice_diag"],
         note="circular dam break with a buoyancy contrast"),
     "ex10": dict(
-        model="trsw", dimension=2, domain=(-40.0, 80.0, -10.0, 10.0),
-        nx=900, ny=150, t_final=120.0, bc="free", ic_factory=_ex10_ic,
-        f0=0.0, beta=1.0, snapshots=(30.0, 60.0, 90.0, 120.0),
-        outputs=("csv", "slice_y0"),
+        model="trsw", dimension=2, domain=[-40.0, 80.0, -10.0, 10.0],
+        nx=900, ny=150, t_final=120.0, bc="free", ic="ex10",
+        f0=0.0, beta=1.0, snapshots=[30.0, 60.0, 90.0, 120.0],
+        outputs=["csv", "slice_y0"],
         note="relaxation of a buoyancy anomaly on the equatorial beta-plane"),
 }
 
@@ -336,80 +336,92 @@ def example_names():
     return sorted(EXAMPLES)
 
 
-def make_config(name, scheme="pccu", nx=None, ny=None, theta=1.3, cfl=0.45,
-                t_final=None, snapshots=None, refine=1):
+# initial data that regions cannot express, by "ic" id
+IC_FACTORIES = {"ex6p": _ex6p_ic, "ex10": _ex10_ic}
+
+
+def make_config(name, scheme="pccu", nx=None, ny=None, theta=None, cfl=None,
+                t_final=None, snapshots=None, refine=None):
     """RunConfig for a catalog example, with optional overrides."""
     if name not in EXAMPLES:
         raise ConfigError(f"unknown example {name!r} "
                           f"(available: {', '.join(example_names())})")
-    spec = EXAMPLES[name]
-    return _build_config(
-        label=name, model_kind=spec["model"], dimension=spec["dimension"],
-        domain=spec["domain"], nx=nx or spec["nx"],
-        ny=ny or spec.get("ny"), scheme=scheme, theta=theta, cfl=cfl,
-        t_final=spec["t_final"] if t_final is None else t_final,
-        snapshots=tuple(spec.get("snapshots", ())
-                        if snapshots is None else snapshots),
-        bc_spec=spec["bc"], regions=spec.get("regions"),
-        ic_factory=spec.get("ic_factory"),
-        topography=spec.get("topography", "flat"),
-        f0=spec.get("f0", 0.0), beta=spec.get("beta", 0.0),
-        outputs=tuple(spec["outputs"]), refine=refine)
+    return config_from_dict(
+        {**EXAMPLES[name], "label": name}, scheme=scheme, nx=nx, ny=ny,
+        theta=theta, cfl=cfl, t_final=t_final, snapshots=snapshots,
+        refine=refine)
 
 
-def config_from_dict(raw, scheme=None, nx=None, ny=None, theta=None, cfl=None,
-                     t_final=None, snapshots=None, refine=1):
-    """RunConfig from a plain dict (a parsed config file)."""
+# ---- config dicts ----------------------------------------------------------
+
+def _is_number(value):
+    """An int or float in the finite float range; a bool is not one."""
+    return (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool)
+            and -sys.float_info.max <= value <= sys.float_info.max)
+
+
+def _finite(value):
+    if not _is_number(value):
+        raise TypeError(f"expected a finite number, got {value!r}")
+    return float(value)
+
+
+def _integer(value):
+    if not _finite(value).is_integer():
+        raise TypeError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _list_of(item, value):
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"expected a list, got {value!r}")
+    return tuple(item(v) for v in value)
+
+
+def _initial_data(spec, state_keys, dimension, piecewise):
+    """IC callable for an "ic" entry: {"regions": [...]}, the id of an
+    IC_FACTORIES entry, or a catalog id, which reuses that example's."""
+    if isinstance(spec, str) and spec in EXAMPLES:
+        spec = EXAMPLES[spec]["ic"]
+    if isinstance(spec, str) and spec in IC_FACTORIES:
+        return IC_FACTORIES[spec]()
+    if not isinstance(spec, dict) or "regions" not in spec:
+        raise ConfigError(f"config needs 'ic': an example id or "
+                          f"{{'regions': [...]}}, got {spec!r}")
+    _check_regions(spec["regions"], state_keys, dimension)
+    return piecewise(spec["regions"])
+
+
+def config_from_dict(raw, **overrides):
+    """Checked RunConfig from a config dict: a parsed config file or a
+    catalog entry.  Overrides that are not None replace keys of raw."""
+    if not isinstance(raw, dict):
+        raise ConfigError("a config must be a JSON object")
+    raw = {**raw, **{k: v for k, v in overrides.items() if v is not None}}
     try:
-        model_kind = raw["model"]
-        dimension = int(raw["dimension"])
-        domain = tuple(float(v) for v in raw["domain"])
-        base_nx = int(raw["nx"])
-        base_ny = None if raw.get("ny") is None else int(raw["ny"])
-        base_t = float(raw["t_final"])
-        base_snapshots = raw.get("snapshots", [])
-        if not isinstance(base_snapshots, list):
-            raise TypeError("'snapshots' must be a list of times")
-        base_snapshots = tuple(float(v) for v in base_snapshots)
-        theta = theta if theta is not None else float(raw.get("theta", 1.3))
-        cfl = cfl if cfl is not None else float(raw.get("cfl", 0.45))
-        f0 = float(raw.get("f0", 0.0))
-        beta = float(raw.get("beta", 0.0))
-        eps0 = float(raw.get("eps0", 1e-18))
+        model_kind = str(raw["model"])
+        dimension = _integer(raw["dimension"])
+        domain = _list_of(_finite, raw["domain"])
+        nx = _integer(raw["nx"])
+        ny = None if raw.get("ny") is None else _integer(raw["ny"])
+        refine = _integer(raw.get("refine", 1))
+        t_final = _finite(raw["t_final"])
+        snapshots = _list_of(_finite, raw.get("snapshots", []))
+        theta = _finite(raw.get("theta", 1.3))
+        cfl = _finite(raw.get("cfl", 0.45))
+        eps0 = _finite(raw.get("eps0", 1e-18))
+        f0 = _finite(raw.get("f0", 0.0))
+        beta = _finite(raw.get("beta", 0.0))
+        topography = str(raw.get("topography", "flat"))
+        outputs = _list_of(str, raw.get("outputs", ["csv"]))
+        scheme = str(raw.get("scheme", "pccu"))
+        label = str(raw.get("label", "custom"))
     except KeyError as exc:
-        raise ConfigError(f"config file misses required key {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad value in config file: {exc}") from exc
-    ic_spec = raw.get("ic")
-    regions = None
-    ic_factory = None
-    if isinstance(ic_spec, str):
-        if ic_spec not in EXAMPLES:
-            raise ConfigError(f"unknown ic id {ic_spec!r}")
-        ex = EXAMPLES[ic_spec]
-        regions = ex.get("regions")
-        ic_factory = ex.get("ic_factory")
-    elif isinstance(ic_spec, dict) and "regions" in ic_spec:
-        regions = ic_spec["regions"]
-    else:
-        raise ConfigError("config needs 'ic': example id or {'regions': [...]}")
-    return _build_config(
-        label=str(raw.get("label", "custom")), model_kind=model_kind,
-        dimension=dimension, domain=domain,
-        nx=nx or base_nx, ny=ny or base_ny,
-        scheme=scheme or raw.get("scheme", "pccu"),
-        theta=theta, cfl=cfl, t_final=base_t if t_final is None else t_final,
-        snapshots=base_snapshots if snapshots is None else tuple(snapshots),
-        bc_spec=raw.get("bc", "free"), regions=regions, ic_factory=ic_factory,
-        topography=raw.get("topography", "flat"),
-        f0=f0, beta=beta, outputs=tuple(raw.get("outputs", ("csv",))),
-        refine=refine, eps0=eps0)
+        raise ConfigError(f"config misses required key {exc}") from exc
+    except TypeError as exc:
+        raise ConfigError(f"bad value in config: {exc}") from exc
 
-
-def _build_config(label, model_kind, dimension, domain, nx, ny, scheme, theta,
-                  cfl, t_final, snapshots, bc_spec, regions, ic_factory,
-                  topography, f0, beta, outputs, refine, eps0=1e-18):
-    refine = int(refine)
     if refine < 1:
         raise ConfigError("refine factor must be a positive integer")
     if dimension not in (1, 2):
@@ -417,11 +429,11 @@ def _build_config(label, model_kind, dimension, domain, nx, ny, scheme, theta,
     if len(domain) != 2 * dimension:
         raise ConfigError(f"a {dimension}-D domain needs {2 * dimension} "
                           f"bounds, got {len(domain)}")
-    nx = int(nx) * refine
+    nx *= refine
     if dimension == 2:
         if ny is None:
             raise ConfigError("2-D setup needs ny")
-        ny = int(ny) * refine
+        ny *= refine
         grid = Grid(domain[0], domain[1], nx, domain[2], domain[3], ny)
     else:
         grid = Grid(domain[0], domain[1], nx)
@@ -430,44 +442,34 @@ def _build_config(label, model_kind, dimension, domain, nx, ny, scheme, theta,
         raise ConfigError(f"unknown topography {topography!r} "
                           f"(available: {', '.join(sorted(TOPOGRAPHIES))})")
     topo = TOPOGRAPHIES[topography]
-
     if model_kind == "multifluid":
         if topo is not None or f0 != 0.0 or beta != 0.0:
             raise ConfigError("topography/rotation apply to the trsw model only")
         model = Multifluid(dimension)
-        if ic_factory is not None:
-            ic = ic_factory()
-        elif regions:
-            _check_regions(regions, ("rho", "p", "gamma"), dimension)
-            ic = piecewise_multifluid_ic(regions, dimension)
-        else:
-            raise ConfigError("no initial data given")
+        ic = _initial_data(raw.get("ic"), ("rho", "p", "gamma"), dimension,
+                           lambda r: piecewise_multifluid_ic(r, dimension))
     elif model_kind == "trsw":
         model = ThermalShallowWater(dimension, topography=topo, f0=f0,
                                     beta=beta)
-        if ic_factory is not None:
-            ic = ic_factory()
-        elif regions:
-            _check_regions(regions, (("h", "surface"), "b"), dimension)
-            ic = piecewise_trsw_ic(regions, topography=topo)
-        else:
-            raise ConfigError("no initial data given")
+        ic = _initial_data(raw.get("ic"), (("h", "surface"), "b"), dimension,
+                           lambda r: piecewise_trsw_ic(r, topography=topo))
     else:
         raise ConfigError(f"unknown model {model_kind!r}")
 
     check_outputs(outputs, grid)
-    bc = BoundaryCondition.from_spec(bc_spec, dimension)
+    bc = BoundaryCondition.from_spec(raw.get("bc", "free"), dimension)
     echo = {
         "label": label, "model": model_kind, "dimension": dimension,
-        "scheme": scheme, "domain": list(domain), "nx": nx,
-        "ny": ny if dimension == 2 else None, "dx": grid.dx,
-        "dy": grid.dy if dimension == 2 else None, "theta": theta,
+        "scheme": scheme, "domain": list(domain), "nx": grid.nx,
+        "ny": grid.ny, "dx": grid.dx, "dy": grid.dy, "theta": theta,
         "cfl": cfl, "eps0": eps0, "t_final": t_final,
         "snapshots": list(snapshots), "bc": bc.as_dict(dimension),
         "topography": topography, "f0": f0, "beta": beta,
         "outputs": list(outputs), "refine": refine,
     }
-    return RunConfig(model=model, grid=grid, bc=bc, ic=ic, scheme=scheme,
-                     theta=theta, cfl=cfl, eps0=eps0, t_final=t_final,
-                     snapshots=snapshots, label=label, outputs=outputs,
-                     echo=echo)
+    config = RunConfig(model=model, grid=grid, bc=bc, ic=ic, scheme=scheme,
+                       theta=theta, cfl=cfl, eps0=eps0, t_final=t_final,
+                       snapshots=snapshots, label=label, outputs=outputs,
+                       echo=echo)
+    config.validate()
+    return config

@@ -13,7 +13,7 @@ import json
 import os
 import sys
 
-from .catalog import make_config, config_from_dict, example_names, EXAMPLES
+from .catalog import config_from_dict, example_names, EXAMPLES
 from .driver import run
 from .errors import ConfigError, AdmissibilityError, ReconstructionError, \
     NumericalError
@@ -30,25 +30,23 @@ def _parse_snapshots(text):
 
 
 def _load_config(target, args):
-    overrides = dict(nx=args.nx, ny=args.ny, theta=args.theta, cfl=args.cfl,
-                     t_final=args.tfinal,
-                     snapshots=_parse_snapshots(args.snapshots),
-                     refine=args.refine)
     if target in EXAMPLES:
-        overrides = {k: v for k, v in overrides.items() if v is not None}
-        return make_config(target, scheme=args.scheme or "pccu", **overrides)
-    if os.path.exists(target):
+        raw = {**EXAMPLES[target], "label": target}
+    elif os.path.exists(target):
         try:
             with open(target, "r", encoding="utf-8") as fh:
                 raw = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config file {target!r}: {exc}") \
                 from exc
-        if not isinstance(raw, dict):
-            raise ConfigError("config file must hold a JSON object")
-        return config_from_dict(raw, scheme=args.scheme, **overrides)
-    raise ConfigError(f"{target!r} is neither a known example nor a config "
-                      f"file (examples: {', '.join(example_names())})")
+    else:
+        raise ConfigError(f"{target!r} is neither a known example nor a "
+                          f"config file (examples: "
+                          f"{', '.join(example_names())})")
+    return config_from_dict(
+        raw, scheme=args.scheme, nx=args.nx, ny=args.ny, theta=args.theta,
+        cfl=args.cfl, t_final=args.tfinal,
+        snapshots=_parse_snapshots(args.snapshots), refine=args.refine)
 
 
 def _cmd_run(args):
@@ -108,7 +106,7 @@ def build_parser():
     runp.add_argument("--out", default=None, help="output directory")
     runp.add_argument("--compare", action="store_true",
                       help="run both schemes and write difference norms")
-    runp.add_argument("--refine", type=int, default=1,
+    runp.add_argument("--refine", type=int, default=None,
                       help="multiply the grid resolution by this factor")
     runp.set_defaults(func=_cmd_run)
 

@@ -170,10 +170,10 @@ class RunConfig:
             raise ConfigError("theta must lie in [1, 2]")
         if not 0.0 < self.cfl < 1.0:
             raise ConfigError("cfl must lie in (0, 1)")
-        if self.t_final < 0.0:
-            raise ConfigError("t_final must be non-negative")
-        if self.eps0 <= 0.0:
-            raise ConfigError("eps0 must be positive")
+        if not 0.0 <= self.t_final < np.inf:
+            raise ConfigError("t_final must be finite and non-negative")
+        if not 0.0 < self.eps0 < np.inf:
+            raise ConfigError("eps0 must be finite and positive")
         for s in self.snapshots:
             if not 0.0 <= s <= self.t_final:
                 raise ConfigError(f"snapshot time {s} outside [0, {self.t_final}]")

@@ -84,9 +84,6 @@ class Field:
             return self.data[GHOST:-GHOST]
         return self.data[GHOST:-GHOST, GHOST:-GHOST]
 
-    def copy(self):
-        return Field(self.grid, self.d, self.data.copy())
-
 
 class BoundaryCondition:
     """Per-side boundary kinds: 'free' | 'solid_wall' | 'periodic'."""

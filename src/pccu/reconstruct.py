@@ -11,18 +11,6 @@ import numpy as np
 from .grid import GHOST
 
 
-def minmod(values):
-    """min of all if all positive, max of all if all negative, else 0."""
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.size == 0:
-        raise ValueError("minmod of an empty list")
-    if np.all(arr > 0.0):
-        return float(arr.min())
-    if np.all(arr < 0.0):
-        return float(arr.max())
-    return 0.0
-
-
 def _minmod3(a, b, c):
     pos = (a > 0.0) & (b > 0.0) & (c > 0.0)
     neg = (a < 0.0) & (b < 0.0) & (c < 0.0)
@@ -105,9 +93,10 @@ def reconstruct_equilibrium(lines, model, direction, dx, theta, r_center, r_face
     h_shared = 0.5 * (h_left + h_right)
 
     # Batch the four inversions (U-, U+, and the two breve recoveries) into
-    # one Newton solve; the breve pair shares per-interface buoyancy and
-    # thickness guess so equal targets give bitwise-equal states.
-    b_shared = model.shared_buoyancy(e_minus, e_plus)
+    # one call; the breve pair shares per-interface buoyancy (the mean of
+    # slot 2 of E-, E+) and thickness guess so equal targets give
+    # bitwise-equal states.
+    b_shared = 0.5 * (e_minus[..., 2] + e_plus[..., 2])
     targets = np.concatenate([e_minus, e_plus, e_minus, e_plus], axis=0)
     r4 = np.concatenate([r_face] * 4, axis=0)
     guesses = np.concatenate([h_left, h_right, h_shared, h_shared], axis=0)

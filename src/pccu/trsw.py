@@ -253,9 +253,6 @@ class ThermalShallowWater:
         out[..., 3] = lines[..., it] / h
         return out
 
-    def shared_buoyancy(self, e_minus, e_plus):
-        return 0.5 * (e_minus[..., 2] + e_plus[..., 2])
-
     def equilibrium_invert(self, e_values, r_values, h_guess, direction,
                            b_values=None):
         """Conservative states from equilibrium values at interfaces."""

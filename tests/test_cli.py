@@ -1,12 +1,16 @@
 """Command-line entry point: exit codes, outputs, config files."""
 
 import json
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pccu.cli as cli
-from pccu.catalog import piecewise_multifluid_ic, piecewise_trsw_ic
+from pccu.catalog import EXAMPLES, config_from_dict, make_config, \
+    piecewise_multifluid_ic, piecewise_trsw_ic
 from pccu.errors import ConfigError, NumericalError
 
 
@@ -23,8 +27,9 @@ def test_unknown_target_exits_2(capsys):
 
 
 def test_bad_override_exits_2(capsys):
-    assert cli.main(["run", "ex6", "--theta", "9"]) == 2
-    assert "configuration error" in capsys.readouterr().err
+    for flags in (["--theta", "9"], ["--nx", "0"]):
+        assert cli.main(["run", "ex6"] + flags) == 2, flags
+        assert "configuration error" in capsys.readouterr().err
 
 
 def test_bad_snapshots_value_exits_2(capsys):
@@ -151,6 +156,10 @@ def _halfplane_axis_z(config):
     config["ic"]["regions"][0]["where"]["axis"] = "z"
 
 
+def _kind_list(config):
+    config["ic"]["regions"][0]["where"]["kind"] = []
+
+
 @pytest.mark.parametrize("spoil", [
     _without_b,
     lambda config: config.update(outputs=["schlieren"]),
@@ -161,9 +170,22 @@ def _halfplane_axis_z(config):
     lambda config: config.update(snapshots="abc"),
     lambda config: config.update(bc=5),
     _halfplane_axis_z,
+    lambda config: config.update(outputs=5),
+    lambda config: config.update(outputs=[[]]),
+    lambda config: config.update(topography=[]),
+    lambda config: config.update(topography={}),
+    _kind_list,
+    lambda config: config.update(nx=1e400),
+    lambda config: config.update(t_final=math.nan),
+    lambda config: config.update(t_final=math.inf),
+    lambda config: config.update(eps0=math.nan),
+    lambda config: config["ic"]["regions"][0].update(where=None),
 ], ids=["region_without_b", "schlieren_in_1d", "dimension_x",
         "unknown_output", "text_b", "ny_x", "snapshots_abc", "bc_5",
-        "halfplane_axis_z"])
+        "halfplane_axis_z", "outputs_5", "outputs_nested_list",
+        "topography_list", "topography_dict", "region_kind_list",
+        "nx_1e400", "t_final_nan", "t_final_inf", "eps0_nan",
+        "region_where_null"])
 def test_malformed_config_exits_2_before_running(spoil, monkeypatch,
                                                  tmp_path, capsys):
     config = json.loads(json.dumps(_TINY_DAM))
@@ -177,6 +199,79 @@ def test_malformed_config_exits_2_before_running(spoil, monkeypatch,
     monkeypatch.setattr(cli, "run", must_not_run)
     assert cli.main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
     assert "configuration error:" in capsys.readouterr().err
+
+
+class _Reached(Exception):
+    """Raised by the stubbed run once the config has passed validation."""
+
+
+def _validate_and_stop(config):
+    config.validate()
+    raise _Reached
+
+
+# Any JSON value: what a config file can put under a key.
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-10 ** 30, 10 ** 30)
+    | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=6)
+
+# (where in _TINY_DAM, key): present keys and optional ones
+_SLOTS = ([("top", k) for k in ("model", "dimension", "domain", "nx", "ny",
+                                "t_final", "snapshots", "theta", "cfl",
+                                "eps0", "f0", "beta", "refine", "scheme",
+                                "label", "bc", "topography", "outputs",
+                                "ic")]
+          + [("state", k) for k in ("h", "b", "u", "v", "surface")]
+          + [("where", k) for k in ("kind", "axis", "op", "value",
+                                    "center", "radius")])
+
+
+@pytest.fixture(scope="module")
+def config_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("configs")
+
+
+@settings(max_examples=200, deadline=None)
+@given(slot=st.sampled_from(_SLOTS), value=_JSON)
+def test_any_json_value_exits_2_or_passes_validation(slot, value,
+                                                     config_dir):
+    config = json.loads(json.dumps(_TINY_DAM))
+    where, key = slot
+    {"top": config,
+     "state": config["ic"]["regions"][1]["state"],
+     "where": config["ic"]["regions"][0]["where"]}[where][key] = value
+    path = config_dir / "any.json"
+    path.write_text(json.dumps(config))
+    with mock.patch.object(cli, "run", _validate_and_stop):
+        try:
+            code = cli.main(["run", str(path)])
+        except _Reached:
+            return
+    assert code == 2
+
+
+@pytest.mark.parametrize("name", sorted(EXAMPLES))
+def test_catalog_entry_is_a_config_file(name):
+    as_file = json.loads(json.dumps({**EXAMPLES[name], "label": name}))
+    assert config_from_dict(as_file).echo == make_config(name).echo
+
+
+def test_refine_is_a_config_key_that_the_flag_overrides(tmp_path):
+    assert config_from_dict({**_TINY_DAM, "refine": 2}).grid.nx == 80
+    path = tmp_path / "refined.json"
+    path.write_text(json.dumps({**_TINY_DAM, "refine": 2}))
+    seen = []
+
+    def stop(config):
+        seen.append(config)
+        raise _Reached
+
+    with mock.patch.object(cli, "run", stop), pytest.raises(_Reached):
+        cli.main(["run", str(path), "--refine", "3"])
+    assert seen[0].echo["refine"] == 3 and seen[0].grid.nx == 120
 
 
 _GAS = {"rho": 1.0, "p": 1.0, "gamma": 1.4}

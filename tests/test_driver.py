@@ -248,7 +248,9 @@ def test_config_validation_catches_bad_fields():
     base = make_config("ex6", t_final=1.0)
     for attr, value in [("scheme", "weno"), ("theta", 2.5), ("theta", 0.5),
                         ("cfl", 0.0), ("cfl", 1.0), ("t_final", -1.0),
-                        ("eps0", 0.0), ("snapshots", (2.0,))]:
+                        ("eps0", 0.0), ("snapshots", (2.0,)),
+                        ("t_final", np.nan), ("t_final", np.inf),
+                        ("eps0", np.nan), ("eps0", np.inf)]:
         config = make_config("ex6", t_final=1.0)
         setattr(config, attr, value)
         with pytest.raises(ConfigError):

@@ -9,34 +9,9 @@ from pccu.errors import AdmissibilityError
 from pccu.grid import Grid, Field, BoundaryCondition
 from pccu.driver import spatial_rhs
 from pccu.multifluid import Multifluid
-from pccu.reconstruct import minmod, limited_slopes, interface_values, \
+from pccu.reconstruct import limited_slopes, interface_values, \
     reconstruct_equilibrium, drop_inadmissible_slopes
 from pccu.trsw import ThermalShallowWater
-
-
-# ---- scalar minmod ---------------------------------------------------------
-
-def test_minmod_all_positive_takes_min():
-    assert minmod([2.0, 1.0, 3.0]) == 1.0
-
-
-def test_minmod_all_negative_takes_max():
-    assert minmod([-2.0, -0.5, -1.0]) == -0.5
-
-
-def test_minmod_mixed_signs_is_zero():
-    assert minmod([1.0, -1.0, 2.0]) == 0.0
-
-
-def test_minmod_empty_rejected():
-    with pytest.raises(ValueError):
-        minmod([])
-
-
-@given(st.floats(min_value=-1e12, max_value=1e12,
-                 allow_nan=False, allow_infinity=False))
-def test_minmod_of_equal_args_is_identity(z):
-    assert minmod([z, z, z]) == z
 
 
 # ---- limited slopes --------------------------------------------------------
@@ -44,6 +19,28 @@ def test_minmod_of_equal_args_is_identity(z):
 def _slope_of(triple, theta, dx=1.0):
     line = np.asarray(triple, dtype=float).reshape(1, 3, 1)
     return limited_slopes(line, dx, theta)[0, 0, 0]
+
+
+def test_minmod_all_positive_takes_min():
+    # minmod(2*2, (2+1)/2, 2*1) = minmod(4, 1.5, 2) = 1.5
+    assert _slope_of((0.0, 2.0, 3.0), 2.0) == 1.5
+
+
+def test_minmod_all_negative_takes_max():
+    # minmod(-4, -1.5, -2) = -1.5
+    assert _slope_of((3.0, 1.0, 0.0), 2.0) == -1.5
+
+
+def test_minmod_mixed_signs_is_zero():
+    # minmod(1.3, -0.5, -2.6) = 0
+    assert _slope_of((0.0, 1.0, -1.0), 1.3) == 0.0
+
+
+@given(st.floats(min_value=-1e12, max_value=1e12,
+                 allow_nan=False, allow_infinity=False))
+def test_minmod_of_equal_args_is_identity(z):
+    # equal one-sided differences z: minmod(1.3 z, z, 1.3 z) = z
+    assert _slope_of((0.0, z, 2.0 * z), 1.3) == z
 
 
 @pytest.mark.parametrize("theta", [1.0, 1.3, 2.0])
