@@ -6,6 +6,11 @@ L independent sweep lines, nf interfaces per line, d components.
 
 import numpy as np
 
+# A field's fan counts as open when it is wider than SPLIT_TAU times the
+# face's extremal fan (and than eps0): round-off in a speed at rest must not
+# flip a field from the fallback to its one-sided weights.
+SPLIT_TAU = 1e-12
+
 
 def local_speeds(lam_minus, lam_plus):
     """Fieldwise one-sided speeds and the extremal pair.
@@ -24,17 +29,17 @@ def split_weights(lam_lo, lam_hi, a_lo, a_hi, eps0):
     """Per-field upwinding weights (P_i, M_i, Q_i).
 
     For each characteristic field: if the local fan lam_hi_i - lam_lo_i is
-    wider than eps0, use the fieldwise central-upwind weights; otherwise
-    fall back to the extremal speeds a_hi - a_lo; if those degenerate too,
-    use the unweighted average (1/2, 1/2, 0).  By construction P + M = 1
-    for every field.
+    wider than max(eps0, SPLIT_TAU * (a_hi - a_lo)), use the fieldwise
+    central-upwind weights; otherwise fall back to the extremal speeds
+    a_hi - a_lo; if those are no wider than eps0, use the unweighted
+    average (1/2, 1/2, 0).  By construction P + M = 1 for every field.
     """
-    gap = lam_hi - lam_lo
-    field_ok = gap > eps0
-    safe_gap = np.where(field_ok, gap, 1.0)
     # the fallback weights belong to the face, not the field: form them
     # once per face and let np.where broadcast them over the fields
     agap = a_hi - a_lo
+    gap = lam_hi - lam_lo
+    field_ok = gap > np.maximum(SPLIT_TAU * agap, eps0)[..., None]
+    safe_gap = np.where(field_ok, gap, 1.0)
     glob_ok = agap > eps0
     safe_agap = np.where(glob_ok, agap, 1.0)
     p_g = np.where(glob_ok, a_hi / safe_agap, 0.5)[..., None]

@@ -1,6 +1,7 @@
 """Semi-discrete operator and the run loop."""
 
 import ctypes
+import dataclasses
 import json
 
 import numpy as np
@@ -161,8 +162,38 @@ def test_ex1_lcd_needs_no_repair_and_reports_it(tmp_path):
 
 
 def test_ex2_lcd_reports_its_repairs():
-    report = run(make_config("ex2", scheme="lcd", snapshots=()))
+    # at the catalog's theta ex2/lcd needs no repair; the steepest limiter
+    # still pushes edge values and one stage out of the admissible set
+    report = run(make_config("ex2", scheme="lcd", theta=2.0, snapshots=()))
     assert report.slope_drops > 0 and report.stage_recomputes > 0
+
+
+# ---- lcd at rest is well-posed at round-off ------------------------------------
+
+def test_one_ulp_of_density_barely_moves_ex1_lcd():
+    # ex1 starts mostly at rest, where speeds of round-off size used to
+    # flip fields between the fallback and the one-sided weights
+    config = make_config("ex1", scheme="lcd", snapshots=())
+
+    def nudged(x):
+        state = config.ic(x)
+        state[..., 0] = np.nextafter(state[..., 0], np.inf)
+        return state
+
+    rho = run(config).states[-1][:, 0]
+    rho_nudged = run(dataclasses.replace(config, ic=nudged)).states[-1][:, 0]
+    assert np.abs(rho_nudged - rho).max() <= 1e-10 * np.abs(rho).max()
+
+
+def test_ex4_lcd_keeps_its_mirror_symmetry():
+    config = make_config("ex4", scheme="lcd", nx=192, ny=48, theta=1.3,
+                         t_final=0.03, snapshots=())
+    final = run(config).states[-1]
+    flipped = final[::-1]           # mirror about the middle row, y -> -y
+    even = [0, 1, 3, 4, 5]
+    defect = max(np.abs(final[..., even] - flipped[..., even]).max(),
+                 np.abs(final[..., 2] + flipped[..., 2]).max())
+    assert defect <= 1e-12 * np.abs(final).max()
 
 
 # ---- run loop ------------------------------------------------------------------

@@ -9,11 +9,7 @@ The state hash is exact only for one numpy build on one CPU, so the file
 also records the build that wrote it: numpy's version, the CPU
 architecture and the SIMD features numpy dispatches on.  On that build
 every hash must match.  On another one the norms are compared at 1e-12
-relative instead of the hash.  lcd legs on flows with fluid at rest (most
-of the catalog starts partly at rest) may miss even that tolerance on
-another build: lcd is ill-posed at round-off there (ROADMAP item 3), so
-such a miss is that defect showing, and the tolerance is not to be
-widened for it.
+relative instead of the hash.
 
 Regenerate with ``python tests/test_golden.py``, and only in a change
 that says in CHANGES.md which entries moved and why.
@@ -39,8 +35,9 @@ SCHEMES = ("pccu", "lcd")
 NORM_RTOL = 1e-12
 GRID_2D = 32
 
-# Final times: a few steps each.  ex2 runs far enough that lcd drops five
-# slopes and recomputes one stage, so both repairs are covered.
+# Final times: a few steps each.  ex2 runs 65 steps, into the shock-bubble
+# interaction; neither scheme needs a repair there (the lcd repairs are
+# covered by test_ex2_lcd_reports_its_repairs at theta = 2).
 T_FINAL = {"ex1": 0.05, "ex2": 0.008, "ex3": 0.02, "ex4": 0.04,
            "ex5": 0.002, "ex6": 0.05, "ex6p": 0.05, "ex7": 0.01,
            "ex8": 0.02, "ex9": 0.03, "ex10": 0.5}
