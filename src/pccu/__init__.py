@@ -12,8 +12,8 @@ from .errors import (ConfigError, AdmissibilityError, ReconstructionError,
 from .grid import GHOST, Grid, Field, BoundaryCondition, fill_ghosts, \
     init_from_function
 from .reconstruct import limited_slopes, interface_values
-from .fluxes import (local_speeds, split_weights, extremal_weights,
-                     characteristic_flux, central_upwind_flux)
+from .fluxes import (local_speeds, split_weights, characteristic_flux,
+                     central_upwind_flux)
 from .globalflux import interleave_cell_halves, interleave_jumps_cells
 from .multifluid import Multifluid, conservative_state, material_coeffs
 from .trsw import ThermalShallowWater, invert_momentum_flux
@@ -30,8 +30,7 @@ __all__ = [
     "ConfigError", "AdmissibilityError", "ReconstructionError",
     "NumericalError", "GHOST", "Grid", "Field", "BoundaryCondition",
     "fill_ghosts", "init_from_function", "limited_slopes",
-    "interface_values", "local_speeds", "split_weights", "extremal_weights",
-    "characteristic_flux", "central_upwind_flux", "interleave_cell_halves",
+    "interface_values", "local_speeds", "split_weights", "characteristic_flux", "central_upwind_flux", "interleave_cell_halves",
     "interleave_jumps_cells", "Multifluid", "conservative_state",
     "material_coeffs", "ThermalShallowWater", "invert_momentum_flux",
     "cfl_dt", "ssprk3_step", "RunConfig", "RunReport", "LineGeometry",

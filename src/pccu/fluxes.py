@@ -15,7 +15,7 @@ SPLIT_TAU = 1e-12
 def local_speeds(lam_minus, lam_plus):
     """Fieldwise one-sided speeds and the extremal pair.
 
-    lam_minus/lam_plus: (L, nf, d) eigenvalues at the left/right
+    lam_minus/lam_plus: (L, nf, k) distinct speeds at the left/right
     reconstructed interface states.  Returns (lam_lo, lam_hi, a_lo, a_hi)
     where lam_hi_i = max(lam_i^-, lam_i^+, 0), lam_lo_i = min(..., 0), and
     a_hi/a_lo are the largest/smallest fields (the eigenvalues are ordered).
@@ -51,42 +51,12 @@ def split_weights(lam_lo, lam_hi, a_lo, a_hi, eps0):
     return p, m, q
 
 
-def extremal_weights(a_lo, a_hi, d, eps0):
-    """Weights giving every field the extremal speeds a_lo/a_hi.
-
-    Feeding these through characteristic_flux reproduces the classical
-    central-upwind flux (the R / R^-1 factors cancel).
-    """
-    agap = a_hi - a_lo
-    ok = (agap > eps0)[..., None]
-    safe = np.where(ok, agap[..., None], 1.0)
-    shape = a_hi.shape + (d,)
-    p = np.broadcast_to(np.where(ok, a_hi[..., None] / safe, 0.5), shape)
-    m = np.broadcast_to(np.where(ok, -a_lo[..., None] / safe, 0.5), shape)
-    q = np.broadcast_to(np.where(ok, (a_hi * a_lo)[..., None] / safe, 0.0), shape)
-    return p, m, q
-
-
-def apply_rows(rows, vec):
-    """Sparse matrix times vector over the last axis of `vec`.
-
-    rows[i] maps slot j to the coefficient of vec[..., j] in out[..., i]
-    (None for 1).  A row sums its even-j and its odd-j terms separately,
-    then adds the two, as np.einsum does over a contiguous dense matrix:
-    lcd at rest keeps the dense R and R^-1's exact zeros only in that
-    order, and round-off there flips split_weights.
-    """
-    comps = np.ascontiguousarray(np.moveaxis(vec, -1, 0))
-    out = np.empty(vec.shape[:-1] + (len(rows),))
-    for i, row in enumerate(rows):
-        lanes = [None, None]
-        for j in sorted(row):
-            term = comps[j] if row[j] is None else row[j] * comps[j]
-            lane = lanes[j % 2]
-            lanes[j % 2] = term if lane is None else lane + term
-        even, odd = lanes
-        out[..., i] = odd if even is None else (
-            even if odd is None else even + odd)
+def _dot(row, comps):
+    """sum_j coef_j comps[j] over a sparse row {j: coef_j} (None for 1)."""
+    out = None
+    for j, coef in row.items():
+        term = comps[j] if coef is None else coef * comps[j]
+        out = term if out is None else out + term
     return out
 
 
@@ -94,11 +64,36 @@ def characteristic_flux(model, face, p, m, q, k_minus, k_plus, du):
     """Assemble the interface flux in characteristic variables.
 
     flux = R [ P * (R^-1 K^-) + M * (R^-1 K^+) + Q * (R^-1 (U_breve^+ - U_breve^-)) ]
-    with the weights applied fieldwise; R^-1 and R are the model's
-    to_char and from_char projections with the face data `face`.
+    with the weights applied fieldwise.  p, m, q hold the weights of the
+    distinct speeds, (L, nf, 3): the w - c wave, every middle field (they
+    all move with w) and the w + c wave.  The middle fields share the
+    weights P_w, M_w, Q_w, and sum_i r_i l_i = I, so
+
+        flux = P_w K^- + M_w K^+ + Q_w du + sum_k r_k [(P_k - P_w) l_k K^-
+               + (M_k - M_w) l_k K^+ + (Q_k - Q_w) l_k du]
+
+    over the two acoustic fields k, with l_k their rows of R^-1 and r_k
+    their columns of R from model.eigenvectors(face).  With a single
+    speed, (L, nf, 1), there is nothing to correct.
     """
-    ch = model.to_char(face, np.stack([k_minus, k_plus, du]))
-    return model.from_char(face, p * ch[0] + m * ch[1] + q * ch[2])
+    mid = p.shape[-1] // 2
+    flux = (p[..., mid:mid + 1] * k_minus + m[..., mid:mid + 1] * k_plus
+            + q[..., mid:mid + 1] * du)
+    if mid == 0:
+        return flux
+    inv_rows, rows = model.eigenvectors(face)
+    comps = [np.moveaxis(v, -1, 0) for v in (k_minus, k_plus, du)]
+    amps = {}
+    for k, field in ((0, 0), (-1, len(rows) - 1)):
+        proj = [_dot(inv_rows[field], c) for c in comps]
+        amps[field] = ((p[..., k] - p[..., mid]) * proj[0]
+                       + (m[..., k] - m[..., mid]) * proj[1]
+                       + (q[..., k] - q[..., mid]) * proj[2])
+    for i, row in enumerate(rows):
+        column = {f: row[f] for f in amps if f in row}
+        if column:
+            flux[..., i] += _dot(column, amps)
+    return flux
 
 
 def central_upwind_flux(a_lo, a_hi, k_minus, k_plus, du, eps0):

@@ -16,7 +16,6 @@ likewise for P.  Everything else is a plain Euler flux.
 import numpy as np
 
 from .errors import AdmissibilityError
-from .fluxes import apply_rows
 
 RHO_MIN = 1e-12
 
@@ -142,6 +141,8 @@ class Multifluid:
         return out
 
     def eigenvalues(self, state, direction):
+        """The distinct speeds (w - c, w, w + c) over the last axis; every
+        field between the two acoustic ones moves with w."""
         rho, u, v, p, gamma, pi_inf = self.primitives(state)
         w = u if direction == "x" else v
         margin = p + pi_inf
@@ -150,8 +151,7 @@ class Multifluid:
                 "wave-speed evaluation needs p + pi_inf > 0, rho > 0 and "
                 "G > 0 (min p + pi_inf %.3e)" % float(margin.min()))
         c = np.sqrt(gamma * margin / rho)
-        mids = [w] * (self.d - 2)
-        return np.stack([w - c] + mids + [w + c], axis=-1)
+        return np.stack([w - c, w, w + c], axis=-1)
 
     def noncons_increment(self, state_a, state_b, direction):
         """Path increment of B u_xi across the segment from a to b.
@@ -168,7 +168,7 @@ class Multifluid:
         return out
 
     def lcd_matrices(self, avg_left, avg_right, direction):
-        """Face data (ia, it, w, t, p, gamma - 1, c) of to_char/from_char:
+        """Face data (ia, it, w, t, p, gamma - 1, c) of eigenvectors:
         means of the two adjacent cells' primitives, w the velocity along
         the sweep (slot ia), t across it (slot it; None in 1-D)."""
         rho, u, v, p, gamma, pi_inf = (0.5 * (a + b) for a, b in zip(
@@ -181,14 +181,15 @@ class Multifluid:
         return self._indices(direction) + (w, t, p, gamma - 1.0,
                                            np.sqrt(csq))
 
-    def to_char(self, face, vec):
-        """R^-1 vec over the last axis: the amplitudes of the w - c wave,
-        the contact, in 2-D the shear wave, the G and P material waves and
-        the w + c wave, in that order (1-D has no shear slot).
+    def eigenvectors(self, face):
+        """Sparse rows of R^-1 and of R at the faces, as lists of
+        {slot: coef} maps (coef None for 1).
 
-        The acoustic pair is (X +- Y) / (2 c^2), X = (gamma - 1)(kin V0 -
-        w Va - t Vt + Ve - p VG - VP), Y = c (w V0 - Va); the contact is
-        V0 - X / c^2.  The rows hold these expanded into R^-1's entries.
+        The characteristic fields are the w - c wave, the contact, in 2-D
+        the shear wave, the G and P material waves and the w + c wave, in
+        that order (1-D has no shear slot).  The acoustic rows of R^-1 are
+        (X +- Y) / (2 c^2), X = (gamma - 1)(kin V0 - w Va - t Vt + Ve -
+        p VG - VP), Y = c (w V0 - Va); the contact is V0 - X / c^2.
         """
         ia, it, w, t, p, g, c = face
         ie, ig, ip = self.ie, self.ig, self.ip
@@ -211,24 +212,19 @@ class Multifluid:
             contact[it] = 2.0 * gt
             shear = [{0: -t, it: None}]
         materials = [{ig: None, ip: 1.0 / p}, {ip: -1.0 / p}]
-        return apply_rows([left, contact] + shear + materials + [right], vec)
 
-    def from_char(self, face, ch):
-        """R ch over the last axis, for amplitudes ordered as to_char's."""
-        ia, it, w, t, p, g, c = face
         kr, kg, kp = self.d - 1, self.d - 3, self.d - 2
-        kin = 0.5 * (w * w + t * t)
-        enth = c * c / g + kin
+        enth = c2 / g + kin
         rows = [None] * self.d
         rows[0] = {0: None, 1: None, kr: None}
         rows[ia] = {0: w - c, 1: w, kr: w + c}
-        rows[self.ie] = {0: enth - w * c, 1: kin, kg: p, kr: enth + w * c}
-        rows[self.ig] = {kg: None, kp: None}
-        rows[self.ip] = {kp: -p}
+        rows[ie] = {0: enth - w * c, 1: kin, kg: p, kr: enth + w * c}
+        rows[ig] = {kg: None, kp: None}
+        rows[ip] = {kp: -p}
         if it is not None:
             rows[it] = {0: t, 1: t, 2: None, kr: t}
-            rows[self.ie][2] = t
-        return apply_rows(rows, ch)
+            rows[ie][2] = t
+        return [left, contact] + shear + materials + [right], rows
 
     def quasilinear_matrix(self, state, direction):
         """Full Jacobian-plus-B matrix A of the quasilinear form."""

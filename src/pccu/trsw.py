@@ -25,7 +25,6 @@ the interface).  That is a root of a depressed cubic, taken in closed form
 import numpy as np
 
 from .errors import AdmissibilityError, ReconstructionError
-from .fluxes import apply_rows
 
 H_MIN = 1e-10
 RESIDUAL_TOL = 1e-12
@@ -169,6 +168,8 @@ class ThermalShallowWater:
         return out
 
     def eigenvalues(self, state, direction):
+        """The distinct speeds (w - s, w, w + s), s = sqrt(h b), over the
+        last axis; both material fields move with w."""
         ia, _ = self._indices(direction)
         hb = state[..., 3]
         if np.any(state[..., 0] <= 0.0) or np.any(hb < 0.0):
@@ -176,10 +177,10 @@ class ThermalShallowWater:
                 "wave-speed evaluation needs h > 0 and h b >= 0")
         w = state[..., ia] / state[..., 0]
         s = np.sqrt(hb)                     # sqrt(h b) from the hb slot
-        return np.stack([w - s, w, w, w + s], axis=-1)
+        return np.stack([w - s, w, w + s], axis=-1)
 
     def lcd_matrices(self, avg_left, avg_right, direction):
-        """Face data (ia, it, h, w, t, b) of to_char/from_char: the means
+        """Face data (ia, it, h, w, t, b) of eigenvectors: the means
         of the two adjacent cells' h, w, t and b, with w the velocity
         along the sweep (slot ia) and t the one across it (slot it)."""
         ia, it = self._indices(direction)
@@ -194,30 +195,25 @@ class ThermalShallowWater:
                 "characteristic decomposition needs h > 0 and b > 0")
         return ia, it, h, w, t, b
 
-    def to_char(self, face, vec):
-        """R^-1 vec over the last axis: the amplitudes of the (w - s) wave,
-        the buoyancy and shear materials and the (w + s) wave, in that
-        order, with s = sqrt(b h)."""
+    def eigenvectors(self, face):
+        """Sparse rows of R^-1 and of R at the faces, as lists of
+        {slot: coef} maps (coef None for 1).  The characteristic fields are
+        the (w - s) wave, the buoyancy and shear materials and the (w + s)
+        wave, in that order, with s = sqrt(b h)."""
         ia, it, h, w, t, b = face
         kap = np.sqrt(b / h)
-        inv_b = 1.0 / b
-        rows = [{0: 0.25 * (b + 2.0 * w * kap), ia: -0.5 * kap, 3: 0.25},
-                {0: -0.5 * b, 3: 0.5},
-                {0: -0.5 * t, it: None, 3: -0.5 * t * inv_b},
-                {0: 0.25 * (b - 2.0 * w * kap), ia: 0.5 * kap, 3: 0.25}]
-        return apply_rows(rows, vec)
-
-    def from_char(self, face, ch):
-        """R ch over the last axis, for amplitudes ordered as to_char's."""
-        ia, it, h, w, t, b = face
         s = np.sqrt(b * h)
         inv_b = 1.0 / b
+        inv_rows = [{0: 0.25 * (b + 2.0 * w * kap), ia: -0.5 * kap, 3: 0.25},
+                    {0: -0.5 * b, 3: 0.5},
+                    {0: -0.5 * t, it: None, 3: -0.5 * t * inv_b},
+                    {0: 0.25 * (b - 2.0 * w * kap), ia: 0.5 * kap, 3: 0.25}]
         rows = [None] * 4
         rows[0] = {0: inv_b, 1: -inv_b, 3: inv_b}
         rows[ia] = {0: (w - s) * inv_b, 1: -w * inv_b, 3: (w + s) * inv_b}
         rows[it] = {0: t * inv_b, 2: None, 3: t * inv_b}
         rows[3] = {0: None, 1: None, 3: None}
-        return apply_rows(rows, ch)
+        return inv_rows, rows
 
     def quasilinear_matrix(self, state, direction):
         ia, it = self._indices(direction)

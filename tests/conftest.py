@@ -41,22 +41,51 @@ class ScalarAdvection:
     def lcd_matrices(self, avg_left, avg_right, direction):
         return None
 
-    def to_char(self, face, vec):
-        return vec.copy()
+    def eigenvectors(self, face):
+        return [{0: None}], [{0: None}]
 
-    def from_char(self, face, ch):
-        return ch.copy()
+
+def _dense(rows, shape):
+    """Dense (..., d, d) matrix from sparse {slot: coef} rows."""
+    mat = np.zeros(shape + (len(rows), len(rows)))
+    for i, row in enumerate(rows):
+        for j, coef in row.items():
+            mat[..., i, j] = 1.0 if coef is None else coef
+    return mat
 
 
 def dense_eigensystem(model, left, right, direction):
-    """(R, R^-1) at each face, from the projections applied to identity
-    columns: column j of R is from_char(e_j), of R^-1 to_char(e_j)."""
-    face = model.lcd_matrices(left, right, direction)
-    eye = np.eye(model.d).reshape((model.d,) + (1,) * (left.ndim - 1)
-                                  + (model.d,))
-    columns = np.broadcast_to(eye, (model.d,) + left.shape)
-    return (np.moveaxis(model.from_char(face, columns), 0, -1),
-            np.moveaxis(model.to_char(face, columns), 0, -1))
+    """(R, R^-1) at each face, dense, from the model's sparse rows."""
+    inv_rows, rows = model.eigenvectors(
+        model.lcd_matrices(left, right, direction))
+    return _dense(rows, left.shape[:-1]), _dense(inv_rows, left.shape[:-1])
+
+
+def extremal_weights(a_lo, a_hi, n, eps0):
+    """Weights giving all n speeds the extremal ones a_lo/a_hi.
+
+    Feeding these through characteristic_flux reproduces the classical
+    central-upwind flux (the R / R^-1 factors cancel).
+    """
+    agap = a_hi - a_lo
+    ok = (agap > eps0)[..., None]
+    safe = np.where(ok, agap[..., None], 1.0)
+    shape = a_hi.shape + (n,)
+    p = np.broadcast_to(np.where(ok, a_hi[..., None] / safe, 0.5), shape)
+    m = np.broadcast_to(np.where(ok, -a_lo[..., None] / safe, 0.5), shape)
+    q = np.broadcast_to(np.where(ok, (a_hi * a_lo)[..., None] / safe, 0.0),
+                        shape)
+    return p, m, q
+
+
+def expand_fields(speeds, d):
+    """Per-field values (..., d) from the distinct speeds' (..., 1 or 3):
+    every field between the two acoustic ones takes the middle value."""
+    if speeds.shape[-1] == 1:
+        return speeds
+    return np.concatenate([speeds[..., :1]]
+                          + [speeds[..., 1:2]] * (d - 2)
+                          + [speeds[..., 2:]], axis=-1)
 
 
 @pytest.fixture

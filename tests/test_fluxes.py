@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from pccu.fluxes import local_speeds, split_weights, extremal_weights, \
-    characteristic_flux, central_upwind_flux
+from pccu.fluxes import local_speeds, split_weights, characteristic_flux, \
+    central_upwind_flux
 from pccu.multifluid import Multifluid, conservative_state
 from pccu.trsw import ThermalShallowWater
-from conftest import dense_eigensystem, random_multifluid_states, \
-    random_trsw_states
+from conftest import dense_eigensystem, expand_fields, extremal_weights, \
+    random_multifluid_states, random_trsw_states
 
 EPS0 = 1e-18
 
@@ -26,8 +26,8 @@ def test_local_speeds_acoustic_rest_state(mf1):
     state = conservative_state(1.4, 0.0, 0.0, 1.0, 1.4, 0.0, 1)
     lam = mf1.eigenvalues(_pair(state), "x")
     lam_lo, lam_hi, a_lo, a_hi = local_speeds(lam[0], lam[1])
-    assert np.allclose(lam_hi[0, 0], [0, 0, 0, 0, 1], rtol=0, atol=1e-14)
-    assert np.allclose(lam_lo[0, 0], [-1, 0, 0, 0, 0], rtol=0, atol=1e-14)
+    assert np.allclose(lam_hi[0, 0], [0, 0, 1], rtol=0, atol=1e-14)
+    assert np.allclose(lam_lo[0, 0], [-1, 0, 0], rtol=0, atol=1e-14)
     assert a_hi[0, 0] == pytest.approx(1.0, abs=1e-14)
     assert a_lo[0, 0] == pytest.approx(-1.0, abs=1e-14)
 
@@ -37,7 +37,7 @@ def test_local_speeds_supersonic_clamps_left(mf1):
     state = conservative_state(1.4, 2.0, 0.0, 1.0, 1.4, 0.0, 1)
     lam = mf1.eigenvalues(_pair(state), "x")
     lam_lo, lam_hi, a_lo, a_hi = local_speeds(lam[0], lam[1])
-    assert np.allclose(lam_hi[0, 0], [1, 2, 2, 2, 3], rtol=0, atol=1e-13)
+    assert np.allclose(lam_hi[0, 0], [1, 2, 3], rtol=0, atol=1e-13)
     assert np.all(lam_lo == 0.0)
     assert a_lo[0, 0] == 0.0
     assert a_hi[0, 0] == pytest.approx(3.0, abs=1e-13)
@@ -48,8 +48,8 @@ def test_local_speeds_trsw_unit_cell():
     state = np.array([1.0, 0.0, 0.0, 1.0])     # h=1, b=1, at rest
     lam = model.eigenvalues(_pair(state), "x")
     lam_lo, lam_hi, a_lo, a_hi = local_speeds(lam[0], lam[1])
-    assert np.array_equal(lam_hi[0, 0], [0, 0, 0, 1])
-    assert np.array_equal(lam_lo[0, 0], [-1, 0, 0, 0])
+    assert np.array_equal(lam_hi[0, 0], [0, 0, 1])
+    assert np.array_equal(lam_lo[0, 0], [-1, 0, 0])
     assert (a_lo[0, 0], a_hi[0, 0]) == (-1.0, 1.0)
 
 
@@ -61,9 +61,9 @@ def test_local_speeds_take_envelope_of_both_sides(mf1):
     lam_lo, lam_hi, _, _ = local_speeds(lam[0], lam[1])
     assert lam_hi[0, 0, -1] == pytest.approx(1.5, abs=1e-13)
     assert lam_lo[0, 0, 0] == pytest.approx(-1.5, abs=1e-13)
-    # middle fields straddle zero across the two sides
-    assert lam_hi[0, 0, 2] == pytest.approx(0.5, abs=1e-13)
-    assert lam_lo[0, 0, 2] == pytest.approx(-0.5, abs=1e-13)
+    # the middle speed straddles zero across the two sides
+    assert lam_hi[0, 0, 1] == pytest.approx(0.5, abs=1e-13)
+    assert lam_lo[0, 0, 1] == pytest.approx(-0.5, abs=1e-13)
 
 
 # ---- per-field weights ------------------------------------------------------
@@ -145,7 +145,7 @@ def test_characteristic_assembly_reduces_to_central_upwind(rng, mf1):
     k_minus = mf1.flux(left, "x") + rng.normal(size=left.shape)
     k_plus = mf1.flux(right, "x") + rng.normal(size=left.shape)
     du = right - left
-    p, m, q = extremal_weights(a_lo, a_hi, mf1.d, EPS0)
+    p, m, q = extremal_weights(a_lo, a_hi, 3, EPS0)
     via_lcd = characteristic_flux(mf1, face, p, m, q, k_minus, k_plus, du)
     classic = central_upwind_flux(a_lo, a_hi, k_minus, k_plus, du, EPS0)
     scale = np.abs(classic).max()
@@ -153,16 +153,20 @@ def test_characteristic_assembly_reduces_to_central_upwind(rng, mf1):
 
 
 class _Scaled:
-    """A model whose eigenvector columns are rescaled by `dscale`."""
+    """A model whose eigenvector columns are rescaled by `dscale`: column
+    j of R times dscale[..., j], row j of R^-1 divided by it."""
 
     def __init__(self, model, dscale):
         self.model, self.dscale = model, dscale
 
-    def to_char(self, face, vec):
-        return self.model.to_char(face, vec) / self.dscale
-
-    def from_char(self, face, ch):
-        return self.model.from_char(face, ch * self.dscale)
+    def eigenvectors(self, face):
+        inv_rows, rows = self.model.eigenvectors(face)
+        value = lambda coef: 1.0 if coef is None else coef
+        inv_rows = [{j: value(c) / self.dscale[..., i] for j, c in row.items()}
+                    for i, row in enumerate(inv_rows)]
+        rows = [{j: value(c) * self.dscale[..., j] for j, c in row.items()}
+                for row in rows]
+        return inv_rows, rows
 
 
 def test_assembly_invariant_under_eigenvector_scaling(rng, mf1):
@@ -212,10 +216,9 @@ def test_assembly_passes_through_steady_flux(rng, mf1):
 
 @pytest.mark.parametrize("case", ["mf-1d", "mf-2d-x", "mf-2d-y",
                                   "trsw-x", "trsw-y"])
-def test_projections_round_like_the_dense_product(rng, case):
-    # to_char/from_char sum each row as np.einsum sums the dense product,
-    # so lcd keeps the dense eigensystem's rounding, and with it the exact
-    # zeros of fluid at rest that split_weights tells apart from noise
+def test_flux_matches_the_dense_characteristic_product(rng, case):
+    # the two-wave assembly against R [P R^-1 K^- + M R^-1 K^+ + Q R^-1 du]
+    # with dense R and R^-1 and the weights of every one of the d fields
     kind, *rest = case.split("-")
     direction = rest[-1] if rest[-1] in "xy" else "x"
     n = 400
@@ -226,23 +229,26 @@ def test_projections_round_like_the_dense_product(rng, case):
     else:
         model = ThermalShallowWater(2)
         left, right = random_trsw_states(rng, n), random_trsw_states(rng, n)
-    # half the faces hold fluid at rest with equal neighbours
-    rest_faces = slice(n // 2, None)
+    # a quarter of the faces hold fluid at rest with equal neighbours
+    rest_faces = slice(3 * n // 4, None)
     momenta = slice(1, 3 if kind == "trsw" else 1 + model.dimension)
     left[rest_faces, momenta] = 0.0
     right[rest_faces] = left[rest_faces]
     left, right = left[None], right[None]
-    # contiguous, like the dense matrices lcd used to build: einsum's
-    # order depends on the memory layout
-    r_mat, r_inv = map(np.ascontiguousarray,
-                       dense_eigensystem(model, left, right, direction))
+    lam = model.eigenvalues(np.stack([left, right]), direction)
+    p, m, q = split_weights(*local_speeds(lam[0], lam[1]), EPS0)
+    k_minus = model.flux(left, direction) + rng.normal(size=left.shape)
+    k_plus = model.flux(right, direction) + rng.normal(size=left.shape)
+    du = right - left
     face = model.lcd_matrices(left, right, direction)
-    vec = np.stack([model.flux(left, direction), model.flux(right, direction),
-                    rng.normal(size=left.shape)])
-    dense = np.stack([np.einsum('...ij,...j->...i', r_inv, v) for v in vec])
-    assert np.array_equal(model.to_char(face, vec), dense)
-    assert np.array_equal(model.from_char(face, dense[2]),
-                          np.einsum('...ij,...j->...i', r_mat, dense[2]))
+    got = characteristic_flux(model, face, p, m, q, k_minus, k_plus, du)
+
+    r_mat, r_inv = dense_eigensystem(model, left, right, direction)
+    project = lambda v: np.einsum('...ij,...j->...i', r_inv, v)
+    ch = sum(expand_fields(w, model.d) * project(v)
+             for w, v in zip((p, m, q), (k_minus, k_plus, du)))
+    want = np.einsum('...ij,...j->...i', r_mat, ch)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_central_upwind_degenerate_speeds_average():
