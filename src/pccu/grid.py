@@ -70,7 +70,12 @@ class Field:
         else:
             shape = (grid.ny + 2 * GHOST, grid.nx + 2 * GHOST, d)
         if data is None:
-            data = np.zeros(shape)
+            try:
+                data = np.zeros(shape)
+            except (MemoryError, ValueError) as exc:  # "array is too big"
+                cells = grid.nx * (grid.ny if grid.dimension == 2 else 1)
+                raise ConfigError(f"cannot allocate a field of {cells} "
+                                  f"cells: {exc}") from exc
         else:
             data = np.asarray(data, dtype=np.float64)
             if data.shape != shape:

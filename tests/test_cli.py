@@ -32,6 +32,15 @@ def test_bad_override_exits_2(capsys):
         assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("nx", [10**15, 2**62], ids=["memory", "too-big"])
+def test_grid_too_large_to_allocate_exits_2(nx, capsys, tmp_path):
+    # numpy refuses both at once, with MemoryError and with ValueError
+    code = cli.main(["run", "ex6", "--nx", str(nx), "--tfinal", "0.001",
+                     "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert f"field of {nx} cells" in capsys.readouterr().err
+
+
 def test_bad_snapshots_value_exits_2(capsys):
     assert cli.main(["run", "ex6", "--snapshots", "a,b"]) == 2
 
