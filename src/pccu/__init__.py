@@ -30,7 +30,8 @@ __all__ = [
     "ConfigError", "AdmissibilityError", "ReconstructionError",
     "NumericalError", "GHOST", "Grid", "Field", "BoundaryCondition",
     "fill_ghosts", "init_from_function", "limited_slopes",
-    "interface_values", "local_speeds", "split_weights", "characteristic_flux", "central_upwind_flux", "interleave_cell_halves",
+    "interface_values", "local_speeds", "split_weights", "characteristic_flux",
+    "central_upwind_flux", "interleave_cell_halves",
     "interleave_jumps_cells", "Multifluid", "conservative_state",
     "material_coeffs", "ThermalShallowWater", "invert_momentum_flux",
     "cfl_dt", "ssprk3_step", "RunConfig", "RunReport", "LineGeometry",

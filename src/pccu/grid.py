@@ -72,7 +72,7 @@ class Field:
         if data is None:
             try:
                 data = np.zeros(shape)
-            except (MemoryError, ValueError) as exc:  # "array is too big"
+            except (MemoryError, ValueError) as exc:  # ValueError: too big
                 cells = grid.nx * (grid.ny if grid.dimension == 2 else 1)
                 raise ConfigError(f"cannot allocate a field of {cells} "
                                   f"cells: {exc}") from exc
