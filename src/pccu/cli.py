@@ -125,11 +125,13 @@ def main(argv=None):
         return 2
     except (AdmissibilityError, ReconstructionError, NumericalError) as exc:
         detail = []
-        if getattr(exc, "t", None) is not None:
+        if exc.t is not None:
             detail.append(f"t={exc.t:g}")
-        if getattr(exc, "stage", None) is not None:
+        if exc.stage is not None:
             detail.append(f"stage {exc.stage}")
-        if getattr(exc, "where", None) is not None:
+        if exc.direction is not None:
+            detail.append(f"sweep {exc.direction}")
+        if exc.where is not None:
             detail.append(f"cell ({', '.join(map(str, exc.where))})")
         suffix = f" ({', '.join(detail)})" if detail else ""
         print(f"numerical failure: {exc}{suffix}", file=sys.stderr)

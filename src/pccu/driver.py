@@ -46,7 +46,12 @@ def _sweep(model, lines, geom, scheme, theta, eps0, robust=None, stats=None):
     robust, an (L, n+1) face mask, puts the central-upwind flux on those
     faces under lcd.  stats["slope_drops"] counts the cells whose slope
     was zeroed to keep their interface values admissible.
+
+    The lines are copied component-major once, and ufunc outputs keep
+    their inputs' memory order, so every array derived from them runs
+    contiguously along the lines; the logical shapes stay (..., d).
     """
+    lines = np.moveaxis(np.ascontiguousarray(np.moveaxis(lines, -1, 0)), 0, -1)
     g = GHOST
     direction = geom.direction
     if model.reconstruction == "equilibrium":
@@ -56,31 +61,39 @@ def _sweep(model, lines, geom, scheme, theta, eps0, robust=None, stats=None):
         u_minus, u_plus, ub_minus, ub_plus = reconstruct_equilibrium(
             lines, model, direction, geom.dx, theta,
             -w_center[..., ia], -w_face[..., ia])
-        lam = model.eigenvalues(np.stack([u_minus, u_plus]), direction)
+        lam_minus = model.eigenvalues(u_minus, direction)
+        lam_plus = model.eigenvalues(u_plus, direction)
         k_minus = model.flux(u_minus, direction) - w_face
         k_plus = model.flux(u_plus, direction) - w_face
     else:
         u_minus, u_plus, half = interface_values(lines, geom.dx, theta)
         try:
-            lam = model.eigenvalues(np.stack([u_minus, u_plus]), direction)
+            lam_minus = model.eigenvalues(u_minus, direction)
+            lam_plus = model.eigenvalues(u_plus, direction)
         except AdmissibilityError:
             # the limited slopes pushed an edge value out of the set:
             # drop them there, and raise if the averages are out too
             u_minus, u_plus, half, dropped = drop_inadmissible_slopes(
                 lines, half, model.admissible)
-            lam = model.eigenvalues(np.stack([u_minus, u_plus]), direction)
+            lam_minus = model.eigenvalues(u_minus, direction)
+            lam_plus = model.eigenvalues(u_plus, direction)
             if stats is not None:
                 stats["slope_drops"] += dropped
         ub_minus, ub_plus = u_minus, u_plus
+        # W is nonzero only on the model's nonconservative rows; an
+        # interior cell runs from the U+ of its left face to the U- of
+        # its right one
         jump = model.noncons_increment(u_minus, u_plus, direction)
-        inner = lines[:, g:-g, :]
-        cell = model.noncons_increment(inner - half[:, 1:-1, :],
-                                       inner + half[:, 1:-1, :], direction)
+        cell = model.noncons_increment(u_plus[:, :-1], u_minus[:, 1:],
+                                       direction)
         w_minus, w_plus = interleave_jumps_cells(jump, cell)
-        k_minus = model.flux(u_minus, direction) - w_minus
-        k_plus = model.flux(u_plus, direction) - w_plus
+        rows = model.noncons_rows
+        k_minus = model.flux(u_minus, direction)
+        k_minus[..., rows] -= w_minus
+        k_plus = model.flux(u_plus, direction)
+        k_plus[..., rows] -= w_plus
 
-    lam_lo, lam_hi, a_lo, a_hi = local_speeds(lam[0], lam[1])
+    lam_lo, lam_hi, a_lo, a_hi = local_speeds(lam_minus, lam_plus)
     du = ub_plus - ub_minus
     if scheme == "lcd":
         face = model.lcd_matrices(
@@ -119,31 +132,38 @@ def spatial_rhs(fld, model, bc, scheme, theta, eps0, robust=None,
     robust, a boolean mask over the interior cells, makes lcd use the
     central-upwind flux on every face of those cells.  stats, a dict with
     a "slope_drops" count, accumulates the cells whose reconstruction
-    slope was zeroed for admissibility.
+    slope was zeroed for admissibility.  An AdmissibilityError,
+    ReconstructionError or NumericalError raised in a sweep leaves with
+    its direction ("x" or "y") set.
     """
     fill_ghosts(fld, bc, model)
     grid = fld.grid
     g = GHOST
+
+    def sweep(lines, geom, cells, periodic):
+        faces = None if cells is None else _face_flags(cells, periodic)
+        try:
+            return _sweep(model, lines, geom, scheme, theta, eps0, faces,
+                          stats)
+        except (AdmissibilityError, ReconstructionError,
+                NumericalError) as exc:
+            exc.direction = geom.direction
+            raise
+
     x_coords = _padded_centers(grid.x_min, grid.nx, grid.dx)
     x_periodic = bc.left == "periodic"
     if grid.dimension == 1:
         geom = LineGeometry("x", grid.dx, x_coords)
-        faces = None if robust is None else _face_flags(robust[None],
-                                                        x_periodic)
-        diff, sx = _sweep(model, fld.data[None], geom, scheme, theta, eps0,
-                          faces, stats)
+        diff, sx = sweep(fld.data[None], geom,
+                         None if robust is None else robust[None], x_periodic)
         return -diff[0], sx, 0.0
     geom_x = LineGeometry("x", grid.dx, x_coords, grid.y_centers())
-    faces = None if robust is None else _face_flags(robust, x_periodic)
-    diff_x, sx = _sweep(model, fld.data[g:-g], geom_x, scheme, theta, eps0,
-                        faces, stats)
+    diff_x, sx = sweep(fld.data[g:-g], geom_x, robust, x_periodic)
     y_coords = _padded_centers(grid.y_min, grid.ny, grid.dy)
     geom_y = LineGeometry("y", grid.dy, y_coords, grid.x_centers())
-    lines_y = np.swapaxes(fld.data[:, g:-g], 0, 1)
-    faces = None if robust is None else _face_flags(robust.T,
-                                                    bc.bottom == "periodic")
-    diff_y, sy = _sweep(model, lines_y, geom_y, scheme, theta, eps0,
-                        faces, stats)
+    diff_y, sy = sweep(np.swapaxes(fld.data[:, g:-g], 0, 1), geom_y,
+                       None if robust is None else robust.T,
+                       bc.bottom == "periodic")
     return -(diff_x + np.swapaxes(diff_y, 0, 1)), sx, sy
 
 

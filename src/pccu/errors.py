@@ -6,11 +6,14 @@ class ConfigError(ValueError):
 
 
 class _Located:
-    """Mixin: t, the RK stage and where (the cell index) locate a failure."""
+    """Mixin: t, the RK stage, the sweep direction ("x" or "y") and where
+    (the cell index) locate a failure."""
 
-    def __init__(self, message, t=None, stage=None, where=None):
+    def __init__(self, message, t=None, stage=None, where=None,
+                 direction=None):
         super().__init__(message)
         self.t, self.stage, self.where = t, stage, where
+        self.direction = direction
 
 
 class AdmissibilityError(_Located, ValueError):
@@ -18,17 +21,16 @@ class AdmissibilityError(_Located, ValueError):
 
     t is the time of the step it escaped from, when raised while stepping;
     stage and where are set when an RK stage candidate could not be
-    brought back into the set.
+    brought back into the set, direction when a sweep raised it.
     """
 
 
-class ReconstructionError(RuntimeError):
+class ReconstructionError(_Located, RuntimeError):
     """Equilibrium-variable inversion failed (no positive root).
 
-    t is the time of the step it escaped from, when raised while stepping.
+    t is the time of the step it escaped from, when raised while stepping,
+    and direction the sweep that raised it.
     """
-
-    t = None
 
 
 class NumericalError(_Located, RuntimeError):

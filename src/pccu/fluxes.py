@@ -109,4 +109,6 @@ def central_upwind_flux(a_lo, a_hi, k_minus, k_plus, du, eps0):
     hi = a_hi[..., None]
     lo = a_lo[..., None]
     upwind = (hi * k_minus - lo * k_plus) / safe + (hi * lo / safe) * du
+    if ok.all():
+        return upwind
     return np.where(ok[..., None], upwind, 0.5 * (k_minus + k_plus))

@@ -15,7 +15,8 @@ Two accumulation modes are provided:
   the interface inversions.
 
 * interleave_jumps_cells: per-interface jump terms B(mid) (u+ - u-) and
-  in-cell terms B(avg) (inner jump) are chained to give the two one-sided
+  in-cell terms B(mid) (u-|f+1 - u+|f) across each interior cell, on the
+  model's nonconservative rows only, are chained to give the two one-sided
   values W^-|f (left of the jump) and W^+|f (right of the jump) at every
   interface.  Used with conservative-variable reconstruction, where W may
   be double-valued at the interfaces.
@@ -45,15 +46,17 @@ def interleave_cell_halves(half_left, half_right):
 def interleave_jumps_cells(jump, cell):
     """Chain interface jumps and in-cell integrals into one-sided W.
 
-    jump: (L, n+1, d) contribution of the jump at interfaces 0..n;
-    cell: (L, n, d) in-cell contribution of interior cells (padded cells
-    2..n+1, each sitting between two of the interfaces).  Returns
-    (w_minus, w_plus), both (L, n+1, d): the values immediately left and
-    right of each interface, with w_minus = 0 at interface 0.
+    jump: (L, n+1, k) contribution of the jump at interfaces 0..n;
+    cell: (L, n, k) in-cell contribution of interior cells (padded cells
+    2..n+1, each sitting between two of the interfaces); k counts the
+    model's nonconservative rows.  Returns (w_minus, w_plus), both
+    (L, n+1, k) and component-major like the sweep's arrays: the values
+    immediately left and right of each interface, with w_minus = 0 at
+    interface 0.
     """
-    nl, nf, d = jump.shape
+    nl, nf, k = jump.shape
     n = nf - 1
-    inc = np.empty((nl, 2 * n + 1, d), dtype=jump.dtype)
+    inc = np.moveaxis(np.empty((k, nl, 2 * n + 1), dtype=jump.dtype), 0, -1)
     inc[:, 0::2, :] = jump
     inc[:, 1::2, :] = cell
     cum = np.cumsum(inc, axis=1)

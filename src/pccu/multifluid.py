@@ -63,6 +63,7 @@ class Multifluid:
         self.ie = self.d - 3          # energy slot
         self.ig = self.d - 2          # G slot
         self.ip = self.d - 1          # P slot
+        self.noncons_rows = slice(self.ig, self.ip + 1)
 
     def momentum_index(self, direction):
         return 1 if direction == "x" else 2
@@ -151,21 +152,22 @@ class Multifluid:
                 "wave-speed evaluation needs p + pi_inf > 0, rho > 0 and "
                 "G > 0 (min p + pi_inf %.3e)" % float(margin.min()))
         c = np.sqrt(gamma * margin / rho)
-        return np.stack([w - c, w, w + c], axis=-1)
+        # the speeds outermost in memory, like the sweep's arrays
+        return np.moveaxis(np.stack([w - c, w, w + c]), 0, -1)
 
     def noncons_increment(self, state_a, state_b, direction):
-        """Path increment of B u_xi across the segment from a to b.
+        """Path increment of B u_xi across the segment from a to b, on the
+        rows noncons_rows (G and P); B is zero on every other row.
 
         B has -u on the G and P rows, evaluated at the segment midpoint
         (velocity of the mean state), so the increment is
-        (-u_mid dG, -u_mid dP) on those rows and zero elsewhere.
+        (-u_mid dG, -u_mid dP), shape (..., 2).
         """
-        mid = 0.5 * (state_a + state_b)
-        u_mid = mid[..., self.momentum_index(direction)] / mid[..., 0]
-        out = np.zeros_like(state_a)
-        out[..., self.ig] = -u_mid * (state_b[..., self.ig] - state_a[..., self.ig])
-        out[..., self.ip] = -u_mid * (state_b[..., self.ip] - state_a[..., self.ip])
-        return out
+        ia = self.momentum_index(direction)
+        u_mid = ((0.5 * (state_a[..., ia] + state_b[..., ia]))
+                 / (0.5 * (state_a[..., 0] + state_b[..., 0])))
+        rows = self.noncons_rows
+        return -u_mid[..., None] * (state_b[..., rows] - state_a[..., rows])
 
     def lcd_matrices(self, avg_left, avg_right, direction):
         """Face data (ia, it, w, t, p, gamma - 1, c) of eigenvectors:

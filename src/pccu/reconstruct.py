@@ -12,11 +12,19 @@ from .grid import GHOST
 
 
 def _minmod3(a, b, c):
-    pos = (a > 0.0) & (b > 0.0) & (c > 0.0)
-    neg = (a < 0.0) & (b < 0.0) & (c < 0.0)
+    """minmod(a, b, c): the smallest argument when all three are positive,
+    the largest when all are negative, +0.0 otherwise (a NaN too).
+
+    fmax(lo, 0) + fmin(hi, 0) gives it in one sum; fmax and fmin may
+    return -0.0 for a -0.0 argument, so adding +0.0 makes every zero
+    result +0.0.
+    """
     lo = np.minimum(np.minimum(a, b), c)
     hi = np.maximum(np.maximum(a, b), c)
-    return np.where(pos, lo, np.where(neg, hi, 0.0))
+    out = np.fmax(lo, 0.0, out=lo)
+    out += np.fmin(hi, 0.0, out=hi)
+    out += 0.0
+    return out
 
 
 def limited_slopes(values, dx, theta):

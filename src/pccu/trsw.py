@@ -177,7 +177,8 @@ class ThermalShallowWater:
                 "wave-speed evaluation needs h > 0 and h b >= 0")
         w = state[..., ia] / state[..., 0]
         s = np.sqrt(hb)                     # sqrt(h b) from the hb slot
-        return np.stack([w - s, w, w + s], axis=-1)
+        # the speeds outermost in memory, like the sweep's arrays
+        return np.moveaxis(np.stack([w - s, w, w + s]), 0, -1)
 
     def lcd_matrices(self, avg_left, avg_right, direction):
         """Face data (ia, it, h, w, t, b) of eigenvectors: the means

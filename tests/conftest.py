@@ -18,6 +18,7 @@ class ScalarAdvection:
     reconstruction = "conservative"
     d = 1
     dimension = 1
+    noncons_rows = slice(0, 1)
 
     def momentum_index(self, direction):
         return 0

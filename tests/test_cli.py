@@ -131,7 +131,8 @@ def test_compare_mode_writes_both_schemes_and_norms(tmp_path, capsys):
 
 def test_inversion_failure_names_the_time(tmp_path, capsys):
     # on this coarse grid ex10 meets an interface with no positive
-    # thickness root near t=1.9; the message must say when
+    # thickness root near t=1.9, in the y-sweep; the message must say
+    # when and in which sweep
     code = cli.main(["run", "ex10", "--nx", "40", "--ny", "10",
                      "--tfinal", "2.5", "--snapshots", "1.0",
                      "--out", str(tmp_path / "o")])
@@ -139,6 +140,7 @@ def test_inversion_failure_names_the_time(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "below critical" in err and "t=" in err
     assert "psi_min=" in err
+    assert "t=1.94417" in err and "sweep y" in err
 
 
 _TINY_DAM = {

@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 from pccu.errors import AdmissibilityError, ConfigError
-from pccu.grid import GHOST, Grid, Field, BoundaryCondition
-from pccu.driver import RunConfig, run, spatial_rhs
+from pccu.grid import GHOST, Grid, Field, BoundaryCondition, fill_ghosts, \
+    init_from_function
+from pccu.driver import LineGeometry, RunConfig, run, spatial_rhs, \
+    _padded_centers, _sweep
 from pccu.multifluid import Multifluid, conservative_state
-from pccu.catalog import make_config
+from pccu.catalog import EXAMPLES, make_config
 from pccu.output import write_outputs
 from pccu.timestepping import ssprk3_step
 
@@ -77,6 +79,57 @@ def test_scalar_variants_coincide(scalar_model):
     t_pccu, _, _ = spatial_rhs(fld, scalar_model, bc, "pccu", 1.3, 1e-18)
     t_lcd, _, _ = spatial_rhs(fld, scalar_model, bc, "lcd", 1.3, 1e-18)
     assert np.abs(t_pccu - t_lcd).max() <= 1e-12 * np.abs(t_pccu).max()
+
+
+def _catalog_lines(name, direction):
+    """(model, lines, geom) of one sweep of a catalog example's initial
+    data on a small grid, the lines viewed as spatial_rhs hands them on."""
+    grid_size = {} if EXAMPLES[name]["dimension"] == 1 else dict(nx=20,
+                                                                 ny=20)
+    config = make_config(name, **grid_size)
+    model, grid = config.model, config.grid
+    fld = init_from_function(grid, model.d, config.ic)
+    fill_ghosts(fld, config.bc, model)
+    x_coords = _padded_centers(grid.x_min, grid.nx, grid.dx)
+    if grid.dimension == 1:
+        return model, fld.data[None], LineGeometry("x", grid.dx, x_coords)
+    if direction == "x":
+        return model, fld.data[GHOST:-GHOST], LineGeometry(
+            "x", grid.dx, x_coords, grid.y_centers())
+    y_coords = _padded_centers(grid.y_min, grid.ny, grid.dy)
+    return model, np.swapaxes(fld.data[:, GHOST:-GHOST], 0, 1), \
+        LineGeometry("y", grid.dy, y_coords, grid.x_centers())
+
+
+@pytest.mark.parametrize("scheme", ["pccu", "lcd"])
+@pytest.mark.parametrize("name, direction", [
+    ("ex1", "x"), ("ex4", "x"), ("ex4", "y"), ("ex8", "x"), ("ex8", "y")])
+def test_sweep_is_bitwise_blind_to_memory_layout(name, direction, scheme):
+    # _sweep copies its lines component-major, so C-order lines, a
+    # swapped view of them and a Fortran-order copy give the same bytes
+    model, lines, geom = _catalog_lines(name, direction)
+    c_order = np.ascontiguousarray(lines)
+    layouts = [c_order,
+               np.swapaxes(np.ascontiguousarray(np.swapaxes(c_order, 0, 1)),
+                           0, 1),
+               np.asfortranarray(c_order)]
+    results = [_sweep(model, v, geom, scheme, 1.3, 1e-18) for v in layouts]
+    diff, speed = results[0]
+    assert np.any(diff != 0.0)
+    for other, other_speed in results[1:]:
+        assert other.tobytes() == diff.tobytes()
+        assert other_speed == speed
+
+
+def test_inadmissible_average_names_its_sweep():
+    model = Multifluid(2)
+    fld = Field(Grid(0.0, 1.0, 8, 0.0, 1.0, 6), model.d)
+    fld.interior[...] = conservative_state(1.0, 0.5, -0.2, 1.0, 1.4, 0.0, 2)
+    fld.interior[3, 4, 0] = -1.0           # one negative density average
+    bc = BoundaryCondition("free", "free", "free", "free")
+    with pytest.raises(AdmissibilityError) as info:
+        spatial_rhs(fld, model, bc, "pccu", 1.3, 1e-18)
+    assert info.value.direction == "x"
 
 
 # ---- per-cell fallback from lcd to the central-upwind flux -------------------

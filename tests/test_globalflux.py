@@ -49,10 +49,19 @@ def test_cell_halves_interleave_recursion(rng):
 
 # ---- path increments, multifluid -------------------------------------------
 
+def _rows(model, inc):
+    """All d rows of a path increment given on model.noncons_rows; the
+    other rows of B are zero."""
+    full = np.zeros(inc.shape[:-1] + (model.d,))
+    full[..., model.noncons_rows] = inc
+    return full
+
+
 def test_noncons_increment_zero_for_equal_states(mf1, rng):
     from conftest import random_multifluid_states
     states = random_multifluid_states(rng, 50, 1)
     inc = mf1.noncons_increment(states, states, "x")
+    assert inc.shape == (50, 2)
     assert np.all(inc == 0.0)
 
 
@@ -61,7 +70,9 @@ def test_noncons_increment_gamma_jump_oracle(mf1):
     # only increments are -u * dGamma and -u * dPi on the material rows
     left = conservative_state(2.0, 1.5, 0.0, 3.0, 1.4, 0.0, 1)
     right = conservative_state(2.0, 1.5, 0.0, 3.0, 4.4, 6000.0, 1)
-    inc = mf1.noncons_increment(left, right, "x")
+    # every other row of B is zero: the increment covers noncons_rows only
+    assert mf1.noncons_rows == slice(mf1.ig, mf1.ip + 1)
+    inc = _rows(mf1, mf1.noncons_increment(left, right, "x"))
     d_gamma = right[mf1.ig] - left[mf1.ig]
     d_pi = right[mf1.ip] - left[mf1.ip]
     assert inc[mf1.ig] == pytest.approx(-1.5 * d_gamma, rel=1e-14)
@@ -72,7 +83,7 @@ def test_noncons_increment_gamma_jump_oracle(mf1):
 def test_noncons_increment_uses_midpoint_velocity(mf1):
     left = conservative_state(1.0, 2.0, 0.0, 1.0, 1.4, 0.0, 1)
     right = conservative_state(3.0, 0.0, 0.0, 1.0, 1.6, 0.0, 1)
-    inc = mf1.noncons_increment(left, right, "x")
+    inc = _rows(mf1, mf1.noncons_increment(left, right, "x"))
     u_mid = (left[1] + right[1]) / (left[0] + right[0])   # mean state velocity
     d_gamma = right[mf1.ig] - left[mf1.ig]
     assert inc[mf1.ig] == pytest.approx(-u_mid * d_gamma, rel=1e-14)
@@ -99,6 +110,7 @@ def test_accumulated_w_converges_to_exact_path_integral(mf1):
                                      inner + half[:, 1:-1, :], "x")
         w_minus, w_plus = interleave_jumps_cells(jump, cell)
         f = (2 * n) // 5                 # the interface at x = 0.4 exactly
+        w_plus = _rows(mf1, w_plus)
         return w_plus[0, f, mf1.ig] - w_plus[0, 0, mf1.ig]
 
     # Gamma = 1/(gamma - 1)  =>  Gamma' = -gamma' / (gamma - 1)^2

@@ -1,5 +1,7 @@
 """Generalized-minmod reconstruction in conservative and equilibrium variables."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -10,7 +12,7 @@ from pccu.grid import Grid, Field, BoundaryCondition
 from pccu.driver import spatial_rhs
 from pccu.multifluid import Multifluid
 from pccu.reconstruct import limited_slopes, interface_values, \
-    reconstruct_equilibrium, drop_inadmissible_slopes
+    reconstruct_equilibrium, drop_inadmissible_slopes, _minmod3
 from pccu.trsw import ThermalShallowWater
 
 
@@ -41,6 +43,35 @@ def test_minmod_mixed_signs_is_zero():
 def test_minmod_of_equal_args_is_identity(z):
     # equal one-sided differences z: minmod(1.3 z, z, 1.3 z) = z
     assert _slope_of((0.0, z, 2.0 * z), 1.3) == z
+
+
+def _sign_test_minmod(a, b, c):
+    """The textbook form: min if all three are positive, max if all are
+    negative, 0 otherwise."""
+    pos = (a > 0.0) & (b > 0.0) & (c > 0.0)
+    neg = (a < 0.0) & (b < 0.0) & (c < 0.0)
+    lo = np.minimum(np.minimum(a, b), c)
+    hi = np.maximum(np.maximum(a, b), c)
+    return np.where(pos, lo, np.where(neg, hi, 0.0))
+
+
+def test_minmod_matches_the_sign_test_form():
+    special = [np.inf, -np.inf, 2.0, -2.0, 1e-300, -1e-300, 0.0, -0.0,
+               np.nan]
+    triples = np.array(list(itertools.product(special, repeat=3)))
+    rng = np.random.default_rng(3)
+    drawn = rng.choice(special + list(rng.normal(size=8)), size=(4000, 3))
+    # numpy's SIMD and scalar loops may treat a signed zero differently,
+    # so every triple also fills arrays of 1 to 17 elements
+    cases = [triples, triples[::-1], drawn, drawn[5:]]
+    cases += [np.repeat(t[None], n, axis=0) for t in triples
+              for n in range(1, 18)]
+    for case in cases:
+        a, b, c = (np.ascontiguousarray(case[:, i]) for i in range(3))
+        want = _sign_test_minmod(a, b, c)
+        got = _minmod3(a, b, c)
+        assert got.tobytes() == want.tobytes(), case[got.view(np.int64)
+                                                     != want.view(np.int64)]
 
 
 @pytest.mark.parametrize("theta", [1.0, 1.3, 2.0])
