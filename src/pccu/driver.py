@@ -55,16 +55,17 @@ def _sweep(model, lines, geom, scheme, theta, eps0, robust=None, stats=None):
     g = GHOST
     direction = geom.direction
     if model.reconstruction == "equilibrium":
+        # the sources act on the momentum row along the sweep, where
+        # W is single-valued at the faces
         half_l, half_r = model.source_half_increments(lines, geom)
         w_center, w_face = interleave_cell_halves(half_l, half_r)
         ia = model.momentum_index(direction)
         u_minus, u_plus, ub_minus, ub_plus = reconstruct_equilibrium(
             lines, model, direction, geom.dx, theta,
-            -w_center[..., ia], -w_face[..., ia])
+            -w_center[..., 0], -w_face[..., 0])
         lam_minus = model.eigenvalues(u_minus, direction)
         lam_plus = model.eigenvalues(u_plus, direction)
-        k_minus = model.flux(u_minus, direction) - w_face
-        k_plus = model.flux(u_plus, direction) - w_face
+        rows, w_minus, w_plus = slice(ia, ia + 1), w_face, w_face
     else:
         u_minus, u_plus, half = interface_values(lines, geom.dx, theta)
         try:
@@ -88,10 +89,11 @@ def _sweep(model, lines, geom, scheme, theta, eps0, robust=None, stats=None):
                                        direction)
         w_minus, w_plus = interleave_jumps_cells(jump, cell)
         rows = model.noncons_rows
-        k_minus = model.flux(u_minus, direction)
-        k_minus[..., rows] -= w_minus
-        k_plus = model.flux(u_plus, direction)
-        k_plus[..., rows] -= w_plus
+    # K = F - W; the rows outside W would subtract +0.0
+    k_minus = model.flux(u_minus, direction)
+    k_minus[..., rows] -= w_minus
+    k_plus = model.flux(u_plus, direction)
+    k_plus[..., rows] -= w_plus
 
     lam_lo, lam_hi, a_lo, a_hi = local_speeds(lam_minus, lam_plus)
     du = ub_plus - ub_minus

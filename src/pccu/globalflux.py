@@ -9,7 +9,7 @@ immaterial.
 Two accumulation modes are provided:
 
 * interleave_cell_halves: per-cell left/right half integrals (evaluated
-  from cell averages) are chained to give single-valued values of W at
+  from cell averages, on the rows the sources act on) are chained to give single-valued values of W at
   every cell center and interface.  Used by the equilibrium-reconstruction
   path, where the same W must feed both the cell equilibrium variables and
   the interface inversions.
@@ -25,22 +25,34 @@ Two accumulation modes are provided:
 import numpy as np
 
 
+def _chain(first, second):
+    """Running sums of first and second interleaved along axis 1.
+
+    first is (L, m, k) and second (L, m or m - 1, k); the increments
+    alternate first[0], second[0], first[1], ... in a component-major
+    buffer, so each row is summed contiguously and in order.
+    """
+    nl, nf, k = first.shape
+    inc = np.moveaxis(np.empty((k, nl, nf + second.shape[1]),
+                               dtype=first.dtype), 0, -1)
+    inc[:, 0::2, :] = first
+    inc[:, 1::2, :] = second
+    return np.cumsum(inc, axis=1)
+
+
 def interleave_cell_halves(half_left, half_right):
     """Chain per-cell half integrals into center and interface values.
 
-    half_left/half_right: (L, n + 2g, d) contributions of the left/right
-    half of every padded cell.  Returns (w_center, w_face) with w_center
-    of shape (L, n + 2g, d) (value at each cell center) and w_face of
-    shape (L, n+1, d) (single-valued W at interfaces 0..n, which sit to
-    the right of padded cells 1..n+1).
+    half_left/half_right: (L, n + 2g, k) contributions of the left/right
+    half of every padded cell, on the k rows the sources act on.  Returns
+    (w_center, w_face) with w_center of shape (L, n + 2g, k) (value at
+    each cell center) and w_face of shape (L, n+1, k) (single-valued W at
+    interfaces 0..n, which sit to the right of padded cells 1..n+1).
     """
-    nl, nc, d = half_left.shape
-    stacked = np.stack([half_left, half_right], axis=2).reshape(nl, 2 * nc, d)
-    cum = np.cumsum(stacked, axis=1)
-    w_center = cum[:, 0::2, :]
+    nc = half_left.shape[1]
+    cum = _chain(half_left, half_right)
     w_right_face = cum[:, 1::2, :]
-    w_face = w_right_face[:, 1:nc - 2, :]
-    return w_center, w_face
+    return cum[:, 0::2, :], w_right_face[:, 1:nc - 2, :]
 
 
 def interleave_jumps_cells(jump, cell):
@@ -54,12 +66,7 @@ def interleave_jumps_cells(jump, cell):
     immediately left and right of each interface, with w_minus = 0 at
     interface 0.
     """
-    nl, nf, k = jump.shape
-    n = nf - 1
-    inc = np.moveaxis(np.empty((k, nl, 2 * n + 1), dtype=jump.dtype), 0, -1)
-    inc[:, 0::2, :] = jump
-    inc[:, 1::2, :] = cell
-    cum = np.cumsum(inc, axis=1)
+    cum = _chain(jump, cell)
     w_plus = cum[:, 0::2, :]
     w_minus = np.zeros_like(w_plus)
     w_minus[:, 1:, :] = cum[:, 1::2, :]

@@ -277,12 +277,13 @@ class ThermalShallowWater:
         b h^2/2 whenever h + Z and b are constant: the discrete lake at rest
         is exact.  Coriolis: along x the momentum source is +f(y) h v with
         f constant on the line; along y it is -f(y) h u integrated exactly
-        for affine f (midpoint rule per half cell).  Returns (half_left,
-        half_right) of shape lines.shape.
+        for affine f (midpoint rule per half cell).  Both act on the
+        momentum row along the sweep only, so this returns (half_left,
+        half_right) of shape (L, n + 2g, 1) holding that row.
         """
-        ia, it = self._indices(geom.direction)
-        half_l = np.zeros_like(lines)
-        half_r = np.zeros_like(lines)
+        it = self._indices(geom.direction)[1]
+        half_l = np.zeros(lines.shape[:-1] + (1,))
+        half_r = np.zeros(lines.shape[:-1] + (1,))
         centers = geom.coords
         if self.topography is not None:
             if self.dimension == 1:
@@ -297,18 +298,18 @@ class ThermalShallowWater:
             dz = 0.5 * np.diff(z_c, axis=-1)
             dz = np.concatenate([dz[..., :1], dz, dz[..., -1:]], axis=-1)
             hb = lines[..., 3]
-            half_l[..., ia] -= hb * dz[..., :-1]
-            half_r[..., ia] -= hb * dz[..., 1:]
+            half_l[..., 0] -= hb * dz[..., :-1]
+            half_r[..., 0] -= hb * dz[..., 1:]
         if self.f0 != 0.0 or self.beta != 0.0:
             if geom.direction == "x":
                 f_line = self.coriolis(geom.transverse)[:, None]
                 seg = 0.5 * geom.dx
-                half_l[..., ia] += lines[..., it] * f_line * seg
-                half_r[..., ia] += lines[..., it] * f_line * seg
+                half_l[..., 0] += lines[..., it] * f_line * seg
+                half_r[..., 0] += lines[..., it] * f_line * seg
             else:
                 seg = 0.5 * geom.dx
                 f_lo = self.coriolis(centers - 0.25 * geom.dx)
                 f_hi = self.coriolis(centers + 0.25 * geom.dx)
-                half_l[..., ia] -= lines[..., it] * f_lo * seg
-                half_r[..., ia] -= lines[..., it] * f_hi * seg
+                half_l[..., 0] -= lines[..., it] * f_lo * seg
+                half_r[..., 0] -= lines[..., it] * f_hi * seg
         return half_l, half_r

@@ -139,18 +139,15 @@ def test_source_increments_vanish_on_flat_bottom_no_rotation():
 
 def test_topography_cell_increment_oracle():
     # h=1, b=1 over Z(x) = 0.1 x with dx=1: each cell contributes
-    # -<hb> dZ = -0.1 to the momentum row of W
+    # -<hb> dZ = -0.1 to W, whose one row is the momentum along x
     model = ThermalShallowWater(1, topography=lambda x: 0.1 * x)
     n, dx = 5, 1.0
     lines = _const_trsw_lines(n, 1.0, 1.0)
     geom = LineGeometry("x", dx, (np.arange(-GHOST, n + GHOST) + 0.5) * dx)
     half_l, half_r = model.source_half_increments(lines, geom)
-    ia = model.momentum_index("x")
-    cell_total = half_l[0, :, ia] + half_r[0, :, ia]
+    assert half_l.shape == half_r.shape == (1, n + 2 * GHOST, 1)
+    cell_total = half_l[0, :, 0] + half_r[0, :, 0]
     assert np.allclose(cell_total, -0.1, rtol=0, atol=1e-14)
-    others = [c for c in range(4) if c != ia]
-    assert np.all(half_l[..., others] == 0.0)
-    assert np.all(half_r[..., others] == 0.0)
 
 
 def test_coriolis_y_sweep_increment_oracle():
@@ -163,8 +160,9 @@ def test_coriolis_y_sweep_increment_oracle():
     coords = (np.arange(-GHOST, n + GHOST) + 0.5) * dy
     geom = LineGeometry("y", dy, coords, transverse=np.zeros(3))
     half_l, half_r = model.source_half_increments(lines, geom)
-    ia = model.momentum_index("y")       # hv row for the y-sweep
-    cell_total = half_l[0, :, ia] + half_r[0, :, ia]
+    # one row: the hv momentum of the y-sweep
+    assert half_l.shape == half_r.shape == (3, n + 2 * GHOST, 1)
+    cell_total = half_l[0, :, 0] + half_r[0, :, 0]
     f_cell = 2.0 + coords                # affine f sampled at cell centers
     expect = -f_cell * 1.0 * 0.5 * dy    # -f h u per unit length
     assert np.allclose(cell_total, expect, rtol=1e-13, atol=1e-15)
