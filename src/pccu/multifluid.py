@@ -169,12 +169,13 @@ class Multifluid:
         rows = self.noncons_rows
         return -u_mid[..., None] * (state_b[..., rows] - state_a[..., rows])
 
-    def lcd_matrices(self, avg_left, avg_right, direction):
-        """Face data (ia, it, w, t, p, gamma - 1, c) of eigenvectors:
-        means of the two adjacent cells' primitives, w the velocity along
-        the sweep (slot ia), t across it (slot it; None in 1-D)."""
-        rho, u, v, p, gamma, pi_inf = (0.5 * (a + b) for a, b in zip(
-            self.primitives(avg_left), self.primitives(avg_right)))
+    def lcd_matrices(self, cells, direction):
+        """Face data (ia, it, w, t, p, gamma - 1, c) of eigenvectors at the
+        faces between consecutive cells (axis -2) of cells: means of the
+        two adjacent cells' primitives, w the velocity along the sweep
+        (slot ia), t across it (slot it; None in 1-D)."""
+        rho, u, v, p, gamma, pi_inf = (0.5 * (a[..., :-1] + a[..., 1:])
+                                       for a in self.primitives(cells))
         csq = gamma * (p + pi_inf) / rho
         if np.any(csq <= 0.0) or not np.all(np.isfinite(csq)):
             raise AdmissibilityError(

@@ -180,17 +180,15 @@ class ThermalShallowWater:
         # the speeds outermost in memory, like the sweep's arrays
         return np.moveaxis(np.stack([w - s, w, w + s]), 0, -1)
 
-    def lcd_matrices(self, avg_left, avg_right, direction):
-        """Face data (ia, it, h, w, t, b) of eigenvectors: the means
-        of the two adjacent cells' h, w, t and b, with w the velocity
-        along the sweep (slot ia) and t the one across it (slot it)."""
+    def lcd_matrices(self, cells, direction):
+        """Face data (ia, it, h, w, t, b) of eigenvectors at the faces
+        between consecutive cells (axis -2) of cells: the means of the two
+        adjacent cells' h, w, t and b, with w the velocity along the sweep
+        (slot ia) and t the one across it (slot it)."""
         ia, it = self._indices(direction)
-
-        def prim(avg):
-            h = avg[..., 0]
-            return h, avg[..., ia] / h, avg[..., it] / h, avg[..., 3] / h
-        h, w, t, b = (0.5 * (lv + rv) for lv, rv in zip(prim(avg_left),
-                                                         prim(avg_right)))
+        h = cells[..., 0]
+        h, w, t, b = (0.5 * (v[..., :-1] + v[..., 1:]) for v in (
+            h, cells[..., ia] / h, cells[..., it] / h, cells[..., 3] / h))
         if np.any(b <= 0.0) or np.any(h <= 0.0):
             raise AdmissibilityError(
                 "characteristic decomposition needs h > 0 and b > 0")

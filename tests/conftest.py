@@ -39,7 +39,7 @@ class ScalarAdvection:
     def noncons_increment(self, state_a, state_b, direction):
         return np.zeros_like(state_a)
 
-    def lcd_matrices(self, avg_left, avg_right, direction):
+    def lcd_matrices(self, cells, direction):
         return None
 
     def eigenvectors(self, face):
@@ -55,10 +55,18 @@ def _dense(rows, shape):
     return mat
 
 
+def face_data(model, left, right, direction):
+    """model.lcd_matrices at the faces between paired states (..., d):
+    each pair is a two-cell line, whose one face axis is dropped."""
+    face = model.lcd_matrices(np.stack([left, right], axis=-2), direction)
+    return tuple(v[..., 0] if isinstance(v, np.ndarray) else v
+                 for v in face)
+
+
 def dense_eigensystem(model, left, right, direction):
     """(R, R^-1) at each face, dense, from the model's sparse rows."""
     inv_rows, rows = model.eigenvectors(
-        model.lcd_matrices(left, right, direction))
+        face_data(model, left, right, direction))
     return _dense(rows, left.shape[:-1]), _dense(inv_rows, left.shape[:-1])
 
 

@@ -9,7 +9,7 @@ from pccu.fluxes import local_speeds, split_weights, characteristic_flux, \
 from pccu.multifluid import Multifluid, conservative_state
 from pccu.trsw import ThermalShallowWater
 from conftest import dense_eigensystem, expand_fields, extremal_weights, \
-    random_multifluid_states, random_trsw_states
+    face_data, random_multifluid_states, random_trsw_states
 
 EPS0 = 1e-18
 
@@ -139,7 +139,7 @@ def test_characteristic_assembly_reduces_to_central_upwind(rng, mf1):
     # with every field forced to the extremal speeds, the eigenvector
     # conjugation cancels and the assembly equals the classical formula
     left, right = _random_interfaces(rng, mf1, 1000)
-    face = mf1.lcd_matrices(left, right, "x")
+    face = face_data(mf1, left, right, "x")
     lam = mf1.eigenvalues(np.stack([left, right]), "x")
     _, _, a_lo, a_hi = local_speeds(lam[0], lam[1])
     k_minus = mf1.flux(left, "x") + rng.normal(size=left.shape)
@@ -171,7 +171,7 @@ class _Scaled:
 
 def test_assembly_invariant_under_eigenvector_scaling(rng, mf1):
     left, right = _random_interfaces(rng, mf1, 200)
-    face = mf1.lcd_matrices(left, right, "x")
+    face = face_data(mf1, left, right, "x")
     lam = mf1.eigenvalues(np.stack([left, right]), "x")
     lam_lo, lam_hi, a_lo, a_hi = local_speeds(lam[0], lam[1])
     p, m, q = split_weights(lam_lo, lam_hi, a_lo, a_hi, EPS0)
@@ -188,7 +188,7 @@ def test_assembly_invariant_under_eigenvector_scaling(rng, mf1):
 def test_assembly_consistency_at_equal_states(rng, mf1):
     states = random_multifluid_states(rng, 1000, 1)[None]
     flux = mf1.flux(states, "x")
-    face = mf1.lcd_matrices(states, states, "x")
+    face = face_data(mf1, states, states, "x")
     lam = mf1.eigenvalues(np.stack([states, states]), "x")
     lam_lo, lam_hi, a_lo, a_hi = local_speeds(lam[0], lam[1])
     du = np.zeros_like(states)
@@ -204,7 +204,7 @@ def test_assembly_passes_through_steady_flux(rng, mf1):
     # equal one-sided global fluxes and equal breve states: the interface
     # flux must be that shared value regardless of the weights
     left, right = _random_interfaces(rng, mf1, 100)
-    face = mf1.lcd_matrices(left, right, "x")
+    face = face_data(mf1, left, right, "x")
     lam = mf1.eigenvalues(np.stack([left, right]), "x")
     lam_lo, lam_hi, a_lo, a_hi = local_speeds(lam[0], lam[1])
     p, m, q = split_weights(lam_lo, lam_hi, a_lo, a_hi, EPS0)
@@ -240,7 +240,7 @@ def test_flux_matches_the_dense_characteristic_product(rng, case):
     k_minus = model.flux(left, direction) + rng.normal(size=left.shape)
     k_plus = model.flux(right, direction) + rng.normal(size=left.shape)
     du = right - left
-    face = model.lcd_matrices(left, right, direction)
+    face = face_data(model, left, right, direction)
     got = characteristic_flux(model, face, p, m, q, k_minus, k_plus, du)
 
     r_mat, r_inv = dense_eigensystem(model, left, right, direction)

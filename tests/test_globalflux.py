@@ -173,7 +173,7 @@ def test_coriolis_y_sweep_increment_oracle():
 def test_flux_shift_equivariance_makes_anchor_immaterial(rng, mf1):
     # moving the W anchor adds one constant vector c to every K+-; both
     # assemblies map K+c to flux+c, so flux differences are anchor-invariant
-    from conftest import random_multifluid_states
+    from conftest import face_data, random_multifluid_states
     left = random_multifluid_states(rng, 64, 1)[None]
     right = random_multifluid_states(rng, 64, 1)[None]
     lam = mf1.eigenvalues(np.stack([left, right]), "x")
@@ -188,7 +188,7 @@ def test_flux_shift_equivariance_makes_anchor_immaterial(rng, mf1):
     assert np.allclose(shifted - base, c, rtol=0,
                        atol=1e-12 * np.abs(base).max())
 
-    face = mf1.lcd_matrices(left, right, "x")
+    face = face_data(mf1, left, right, "x")
     p, m, q = split_weights(lam_lo, lam_hi, a_lo, a_hi, 1e-18)
     base = characteristic_flux(mf1, face, p, m, q, k_minus, k_plus, du)
     shifted = characteristic_flux(mf1, face, p, m, q, k_minus + c,
