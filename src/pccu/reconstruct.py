@@ -8,7 +8,11 @@ faces covered.
 
 import numpy as np
 
+from .errors import ReconstructionError
 from .grid import GHOST
+
+# the four inversions of reconstruct_equilibrium, in their batch order
+_INVERTED = ("U-", "U+", "U_breve-", "U_breve+")
 
 
 def _minmod3(a, b, c):
@@ -90,6 +94,8 @@ def reconstruct_equilibrium(lines, model, direction, dx, theta, r_center, r_face
     version of the inverse map, so they coincide whenever E+ = E-.
 
     Returns (U_minus, U_plus, U_breve_minus, U_breve_plus), each (L, n+1, d).
+    A ReconstructionError from the inversion names the failed state, its
+    face (0..n along the sweep) and its line (the transverse cell index).
     """
     e_cells = model.equilibrium_values(lines, r_center, direction)
     half = 0.5 * dx * limited_slopes(e_cells, dx, theta)
@@ -110,9 +116,16 @@ def reconstruct_equilibrium(lines, model, direction, dx, theta, r_center, r_face
     guesses = np.concatenate([h_left, h_right, h_shared, h_shared], axis=0)
     overrides = np.concatenate([e_minus[..., 2], e_plus[..., 2],
                                 b_shared, b_shared], axis=0)
-    states = model.equilibrium_invert(targets, r4, guesses, direction,
-                                      b_values=overrides)
     nl = lines.shape[0]
+    try:
+        states = model.equilibrium_invert(targets, r4, guesses, direction,
+                                          b_values=overrides)
+    except ReconstructionError as exc:
+        if exc.where is None:
+            raise
+        part, line = divmod(exc.where[0], nl)
+        raise ReconstructionError("%s; at %s of face %d on line %d" % (
+            exc, _INVERTED[part], exc.where[1], line)) from exc
     u_minus, u_plus, ub_minus, ub_plus = (states[i * nl:(i + 1) * nl]
                                           for i in range(4))
     return u_minus, u_plus, ub_minus, ub_plus

@@ -53,8 +53,11 @@ def invert_momentum_flux(m, phi, b, guess):
     if np.any(still):
         phi0 = phi[still]
         if np.any(phi0 <= 0.0):
+            bad = np.zeros(m.shape, dtype=bool)
+            bad[still] = phi0 <= 0.0
             raise ReconstructionError(
-                "no positive thickness root (phi <= 0 at rest)")
+                "no positive thickness root (phi <= 0 at rest)",
+                where=_position(bad, 0))
         h[still] = np.sqrt(2.0 * phi0 / b[still])
 
     moving = ~still
@@ -72,8 +75,9 @@ def invert_momentum_flux(m, phi, b, guess):
         kappa = -1.5 * m2 / ph / r
     short = ~(kappa >= -1.0)
     if np.any(short):
-        raise ReconstructionError(_below_critical(
-            m[moving][short], ph[short], bb[short], m.size))
+        bad = np.zeros(m.shape, dtype=bool)
+        bad[moving] = short
+        raise _below_critical(m, phi, b, bad)
     # cos(t) via tan(t/2): numpy's float64 tan is vectorised, its cos is not
     # (numpy 2.4 on AVX-512 x86: 67 against 370 us per 23k values).
     tau = np.tan(np.arccos(kappa) / 6.0) ** 2
@@ -101,13 +105,23 @@ def invert_momentum_flux(m, phi, b, guess):
     return h
 
 
-def _below_critical(m, phi, b, total):
-    """No-root message naming the failed count and the worst cell."""
-    psi_min = 1.5 * np.cbrt(b * m ** 4)
-    k = int(np.argmax(psi_min - phi))
-    return ("no positive thickness root (momentum flux below critical) at %d "
-            "of %d interface values; worst m=%.6g phi=%.6g b=%.6g "
-            "psi_min=%.6g" % (m.size, total, m[k], phi[k], b[k], psi_min[k]))
+def _position(mask, k):
+    """Index tuple of the k-th True entry of mask."""
+    return tuple(int(i) for i in
+                 np.unravel_index(np.flatnonzero(mask)[k], mask.shape))
+
+
+def _below_critical(m, phi, b, bad):
+    """No-root error naming the failed count and the worst value, whose
+    index into the inputs is its where."""
+    mb, pb, bb = m[bad], phi[bad], b[bad]
+    psi_min = 1.5 * np.cbrt(bb * mb ** 4)
+    k = int(np.argmax(psi_min - pb))
+    return ReconstructionError(
+        "no positive thickness root (momentum flux below critical) at %d "
+        "of %d interface values; worst m=%.6g phi=%.6g b=%.6g psi_min=%.6g"
+        % (mb.size, m.size, mb[k], pb[k], bb[k], psi_min[k]),
+        where=_position(bad, k))
 
 
 class ThermalShallowWater:

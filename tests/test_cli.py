@@ -132,7 +132,7 @@ def test_compare_mode_writes_both_schemes_and_norms(tmp_path, capsys):
 def test_inversion_failure_names_the_time(tmp_path, capsys):
     # on this coarse grid ex10 meets an interface with no positive
     # thickness root near t=1.9, in the y-sweep; the message must say
-    # when and in which sweep
+    # when, in which sweep and at which face
     code = cli.main(["run", "ex10", "--nx", "40", "--ny", "10",
                      "--tfinal", "2.5", "--snapshots", "1.0",
                      "--out", str(tmp_path / "o")])
@@ -141,6 +141,8 @@ def test_inversion_failure_names_the_time(tmp_path, capsys):
     assert "below critical" in err and "t=" in err
     assert "psi_min=" in err
     assert "t=1.94417" in err and "sweep y" in err
+    # and where: the state, the face along the sweep and the line
+    assert "at U- of face 10 on line 13" in err
 
 
 _TINY_DAM = {

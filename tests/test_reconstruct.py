@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pccu.grid import GHOST
-from pccu.errors import AdmissibilityError
+from pccu.errors import AdmissibilityError, ReconstructionError
 from pccu.grid import Grid, Field, BoundaryCondition
 from pccu.driver import spatial_rhs
 from pccu.multifluid import Multifluid
@@ -150,6 +150,29 @@ def test_equilibrium_reconstruction_constant_state():
         lines, model, "x", 0.1, 1.3, r_center, r_face)
     for arr in (um, up, ubm, ubp):
         assert np.allclose(arr, [2.0, 0.0, 0.0, 2.0], rtol=0, atol=1e-13)
+
+
+def test_no_root_error_names_state_face_and_line():
+    # m = 0.5 and h = 1 on both sides of face 4, b = 1 left and 2 right:
+    # flat cells give E- and E+ the two sides' values, phi = E2 - R.  R =
+    # 0.3 at face 4 of line 1 leaves phi below psi_min = 1.5 (b m^4)^(1/3)
+    # for U- (0.45 < 0.595) and for U_breve-, whose shared b = 1.5 gives
+    # the larger psi_min (0.681); U+ and U_breve+ keep phi = 0.95.
+    model = ThermalShallowWater(1)
+    n, face = 8, 4
+    b = np.where(np.arange(n + 2 * GHOST) < face + 2, 1.0, 2.0)
+    line = np.stack([1.0 + 0 * b, 0 * b, 0.5 + 0 * b, b], axis=-1)
+    lines = np.tile(line, (3, 1, 1))
+    r_center = np.zeros(lines.shape[:2])
+    r_face = np.zeros((3, n + 1))
+    r_face[1, face] = 0.3
+    with pytest.raises(ReconstructionError) as info:
+        reconstruct_equilibrium(lines, model, "x", 0.1, 1.3, r_center,
+                                r_face)
+    msg = str(info.value)
+    assert "at 2 of 108 interface values" in msg
+    assert "m=0.5 phi=0.45 b=1.5 psi_min=0.681" in msg
+    assert msg.endswith("at U_breve- of face 4 on line 1")
 
 
 def test_equilibrium_reconstruction_steady_dam_gives_single_valued_breve():
