@@ -55,8 +55,6 @@ def _sweep(model, lines, geom, scheme, theta, eps0, robust=None, stats=None):
     g = GHOST
     direction = geom.direction
     if model.reconstruction == "equilibrium":
-        # the sources act on the momentum row along the sweep, where
-        # W is single-valued at the faces
         half_l, half_r = model.source_half_increments(lines, geom)
         w_center, w_face = interleave_cell_halves(half_l, half_r)
         ia = model.momentum_index(direction)

@@ -29,10 +29,8 @@ class ReconstructionError(_Located, RuntimeError):
     """Equilibrium-variable inversion failed (no positive root).
 
     t is the time of the step it escaped from, when raised while stepping,
-    and direction the sweep that raised it.  Raised by
-    trsw.invert_momentum_flux, where is the index of the failed value in
-    its inputs; reconstruct_equilibrium names the line, face and state
-    instead.
+    and direction the sweep that raised it.  From invert_momentum_flux,
+    where indexes the worst failed value in its inputs.
     """
 
 

@@ -9,7 +9,7 @@ immaterial.
 Two accumulation modes are provided:
 
 * interleave_cell_halves: per-cell left/right half integrals (evaluated
-  from cell averages, on the rows the sources act on) are chained to give single-valued values of W at
+  from cell averages) are chained to give single-valued values of W at
   every cell center and interface.  Used by the equilibrium-reconstruction
   path, where the same W must feed both the cell equilibrium variables and
   the interface inversions.
@@ -26,12 +26,8 @@ import numpy as np
 
 
 def _chain(first, second):
-    """Running sums of first and second interleaved along axis 1.
-
-    first is (L, m, k) and second (L, m or m - 1, k); the increments
-    alternate first[0], second[0], first[1], ... in a component-major
-    buffer, so each row is summed contiguously and in order.
-    """
+    """Running sums along axis 1 of first[0], second[0], first[1], ...,
+    taken in order in a component-major buffer."""
     nl, nf, k = first.shape
     inc = np.moveaxis(np.empty((k, nl, nf + second.shape[1]),
                                dtype=first.dtype), 0, -1)
@@ -49,10 +45,9 @@ def interleave_cell_halves(half_left, half_right):
     each cell center) and w_face of shape (L, n+1, k) (single-valued W at
     interfaces 0..n, which sit to the right of padded cells 1..n+1).
     """
-    nc = half_left.shape[1]
     cum = _chain(half_left, half_right)
-    w_right_face = cum[:, 1::2, :]
-    return cum[:, 0::2, :], w_right_face[:, 1:nc - 2, :]
+    # the right face of padded cell i is sum 2i + 1
+    return cum[:, 0::2, :], cum[:, 3:-4:2, :]
 
 
 def interleave_jumps_cells(jump, cell):

@@ -170,10 +170,9 @@ class Multifluid:
         return -u_mid[..., None] * (state_b[..., rows] - state_a[..., rows])
 
     def lcd_matrices(self, cells, direction):
-        """Face data (ia, it, w, t, p, gamma - 1, c) of eigenvectors at the
-        faces between consecutive cells (axis -2) of cells: means of the
-        two adjacent cells' primitives, w the velocity along the sweep
-        (slot ia), t across it (slot it; None in 1-D)."""
+        """Face data (ia, it, w, t, p, gamma - 1, c) between consecutive
+        cells: the means of their primitives, w the velocity along the
+        sweep (slot ia), t across it (slot it; None in 1-D)."""
         rho, u, v, p, gamma, pi_inf = (0.5 * (a[..., :-1] + a[..., 1:])
                                        for a in self.primitives(cells))
         csq = gamma * (p + pi_inf) / rho

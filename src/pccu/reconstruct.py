@@ -11,9 +11,6 @@ import numpy as np
 from .errors import ReconstructionError
 from .grid import GHOST
 
-# the four inversions of reconstruct_equilibrium, in their batch order
-_INVERTED = ("U-", "U+", "U_breve-", "U_breve+")
-
 
 def _minmod3(a, b, c):
     """minmod(a, b, c): the smallest argument when all three are positive,
@@ -94,38 +91,29 @@ def reconstruct_equilibrium(lines, model, direction, dx, theta, r_center, r_face
     version of the inverse map, so they coincide whenever E+ = E-.
 
     Returns (U_minus, U_plus, U_breve_minus, U_breve_plus), each (L, n+1, d).
-    A ReconstructionError from the inversion names the failed state, its
-    face (0..n along the sweep) and its line (the transverse cell index).
     """
     e_cells = model.equilibrium_values(lines, r_center, direction)
     half = 0.5 * dx * limited_slopes(e_cells, dx, theta)
-    e_minus = e_cells[:, GHOST - 1:-GHOST, :] + half[:, :-1, :]
-    e_plus = e_cells[:, GHOST:-GHOST + 1, :] - half[:, 1:, :]
+    e_minus, e_plus = edge_values(e_cells, half)
 
     h_left = lines[:, GHOST - 1:-GHOST, 0]
     h_right = lines[:, GHOST:-GHOST + 1, 0]
     h_shared = 0.5 * (h_left + h_right)
 
-    # Batch the four inversions (U-, U+, and the two breve recoveries) into
-    # one call; the breve pair shares per-interface buoyancy (the mean of
-    # slot 2 of E-, E+) and thickness guess so equal targets give
-    # bitwise-equal states.
-    b_shared = 0.5 * (e_minus[..., 2] + e_plus[..., 2])
-    targets = np.concatenate([e_minus, e_plus, e_minus, e_plus], axis=0)
-    r4 = np.concatenate([r_face] * 4, axis=0)
-    guesses = np.concatenate([h_left, h_right, h_shared, h_shared], axis=0)
-    overrides = np.concatenate([e_minus[..., 2], e_plus[..., 2],
-                                b_shared, b_shared], axis=0)
-    nl = lines.shape[0]
+    # Batch the four inversions (U-, U+, and the two breve recoveries) on
+    # a leading axis of one call; the breve pair shares per-interface
+    # buoyancy (the mean of slot 2 of E-, E+) and thickness guess so equal
+    # targets give bitwise-equal states.
+    targets = np.stack([e_minus, e_plus, e_minus, e_plus])
+    targets[2:, ..., 2] = 0.5 * (e_minus[..., 2] + e_plus[..., 2])
+    guesses = np.stack([h_left, h_right, h_shared, h_shared])
     try:
-        states = model.equilibrium_invert(targets, r4, guesses, direction,
-                                          b_values=overrides)
+        return tuple(model.equilibrium_invert(targets, r_face, guesses,
+                                              direction))
     except ReconstructionError as exc:
         if exc.where is None:
             raise
-        part, line = divmod(exc.where[0], nl)
+        part, line, face = exc.where
         raise ReconstructionError("%s; at %s of face %d on line %d" % (
-            exc, _INVERTED[part], exc.where[1], line)) from exc
-    u_minus, u_plus, ub_minus, ub_plus = (states[i * nl:(i + 1) * nl]
-                                          for i in range(4))
-    return u_minus, u_plus, ub_minus, ub_plus
+            exc, ("U-", "U+", "U_breve-", "U_breve+")[part], face,
+            line)) from exc
