@@ -59,13 +59,12 @@ def _sweep(model, lines, geom, scheme, theta, eps0, robust=None, stats=None):
         w_center, w_face = interleave_cell_halves(half_l, half_r)
         ia = model.momentum_index(direction)
         u_minus, u_plus, ub_minus, ub_plus = reconstruct_equilibrium(
-            lines, model, direction, geom.dx, theta,
-            -w_center[..., 0], -w_face[..., 0])
+            lines, model, direction, theta, -w_center[..., 0], -w_face[..., 0])
         lam_minus = model.eigenvalues(u_minus, direction)
         lam_plus = model.eigenvalues(u_plus, direction)
         rows, w_minus, w_plus = slice(ia, ia + 1), w_face, w_face
     else:
-        u_minus, u_plus, half = interface_values(lines, geom.dx, theta)
+        u_minus, u_plus, half = interface_values(lines, theta)
         try:
             lam_minus = model.eigenvalues(u_minus, direction)
             lam_plus = model.eigenvalues(u_plus, direction)

@@ -28,19 +28,19 @@ def _minmod3(a, b, c):
     return out
 
 
-def limited_slopes(values, dx, theta):
-    """Limited slopes along axis -2.
+def limited_half_slopes(values, theta):
+    """Limited half slopes, (dx/2) * slope, along axis -2.
 
-    values: (..., n, d) cell averages; returns (..., n-2, d) slopes for the
-    inner cells: minmod(theta*dl/dx, (dl+dr)/(2 dx), theta*dr/dx) with
-    dl, dr the one-sided average differences.
+    values: (..., n, d) cell averages; returns (..., n-2, d) for the inner
+    cells: minmod(theta/2 dl, (dl+dr)/4, theta/2 dr) with dl, dr the
+    one-sided average differences (scaling by powers of two is exact).
     """
     dl = values[..., 1:-1, :] - values[..., :-2, :]
     dr = values[..., 2:, :] - values[..., 1:-1, :]
-    return _minmod3(theta * dl, 0.5 * (dl + dr), theta * dr) / dx
+    return _minmod3(0.5 * theta * dl, 0.25 * (dl + dr), 0.5 * theta * dr)
 
 
-def interface_values(lines, dx, theta):
+def interface_values(lines, theta):
     """One-sided interface values of the piecewise-linear reconstruction.
 
     lines: (L, n + 2*GHOST, d) cell averages with ghosts filled.
@@ -48,7 +48,7 @@ def interface_values(lines, dx, theta):
     (L, n+1, d) covering interfaces 0..n, and half = (dx/2) * slope for the
     cells 1..n+2 (used by in-cell path increments).
     """
-    half = 0.5 * dx * limited_slopes(lines, dx, theta)
+    half = limited_half_slopes(lines, theta)
     return edge_values(lines, half) + (half,)
 
 
@@ -81,7 +81,7 @@ def drop_inadmissible_slopes(lines, half, admissible):
     return edge_values(lines, half) + (half, int(np.count_nonzero(bad)))
 
 
-def reconstruct_equilibrium(lines, model, direction, dx, theta, r_center, r_face):
+def reconstruct_equilibrium(lines, model, direction, theta, r_center, r_face):
     """Interface values via equilibrium-variable reconstruction.
 
     The equilibrium variables E are formed from cell averages (with the
@@ -93,7 +93,7 @@ def reconstruct_equilibrium(lines, model, direction, dx, theta, r_center, r_face
     Returns (U_minus, U_plus, U_breve_minus, U_breve_plus), each (L, n+1, d).
     """
     e_cells = model.equilibrium_values(lines, r_center, direction)
-    half = 0.5 * dx * limited_slopes(e_cells, dx, theta)
+    half = limited_half_slopes(e_cells, theta)
     e_minus, e_plus = edge_values(e_cells, half)
 
     h_left = lines[:, GHOST - 1:-GHOST, 0]

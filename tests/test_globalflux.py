@@ -103,7 +103,7 @@ def test_accumulated_w_converges_to_exact_path_integral(mf1):
         x = (np.arange(-GHOST, n + GHOST) + 0.5) * dx
         lines = conservative_state(1.0, u_fn(x), 0.0, 1.0,
                                    gamma_fn(x), 0.0, 1)[None]
-        um, up, half = interface_values(lines, dx, 1.3)
+        um, up, half = interface_values(lines, 1.3)
         jump = mf1.noncons_increment(um, up, "x")
         inner = lines[:, GHOST:-GHOST, :]
         cell = mf1.noncons_increment(inner - half[:, 1:-1, :],

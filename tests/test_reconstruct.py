@@ -11,38 +11,40 @@ from pccu.errors import AdmissibilityError, ReconstructionError
 from pccu.grid import Grid, Field, BoundaryCondition
 from pccu.driver import spatial_rhs
 from pccu.multifluid import Multifluid
-from pccu.reconstruct import limited_slopes, interface_values, \
+from pccu.reconstruct import limited_half_slopes, interface_values, \
     reconstruct_equilibrium, drop_inadmissible_slopes, _minmod3
 from pccu.trsw import ThermalShallowWater
 
 
 # ---- limited slopes --------------------------------------------------------
 
-def _slope_of(triple, theta, dx=1.0):
+def _half_slope_of(triple, theta):
+    # (dx/2) * slope of the middle cell: half the slope at dx = 1
     line = np.asarray(triple, dtype=float).reshape(1, 3, 1)
-    return limited_slopes(line, dx, theta)[0, 0, 0]
+    return limited_half_slopes(line, theta)[0, 0, 0]
 
 
 def test_minmod_all_positive_takes_min():
-    # minmod(2*2, (2+1)/2, 2*1) = minmod(4, 1.5, 2) = 1.5
-    assert _slope_of((0.0, 2.0, 3.0), 2.0) == 1.5
+    # minmod(2*2, (2+1)/2, 2*1) / 2 = minmod(4, 1.5, 2) / 2 = 0.75
+    assert _half_slope_of((0.0, 2.0, 3.0), 2.0) == 0.75
 
 
 def test_minmod_all_negative_takes_max():
-    # minmod(-4, -1.5, -2) = -1.5
-    assert _slope_of((3.0, 1.0, 0.0), 2.0) == -1.5
+    # minmod(-4, -1.5, -2) / 2 = -0.75
+    assert _half_slope_of((3.0, 1.0, 0.0), 2.0) == -0.75
 
 
 def test_minmod_mixed_signs_is_zero():
     # minmod(1.3, -0.5, -2.6) = 0
-    assert _slope_of((0.0, 1.0, -1.0), 1.3) == 0.0
+    assert _half_slope_of((0.0, 1.0, -1.0), 1.3) == 0.0
 
 
 @given(st.floats(min_value=-1e12, max_value=1e12,
                  allow_nan=False, allow_infinity=False))
 def test_minmod_of_equal_args_is_identity(z):
-    # equal one-sided differences z: minmod(1.3 z, z, 1.3 z) = z
-    assert _slope_of((0.0, z, 2.0 * z), 1.3) == z
+    # equal one-sided differences z: minmod(1.3 z, z, 1.3 z) = z, halved
+    # with one rounding (a subnormal z may round to 0)
+    assert _half_slope_of((0.0, z, 2.0 * z), 1.3) == 0.5 * z
 
 
 def _sign_test_minmod(a, b, c):
@@ -76,16 +78,17 @@ def test_minmod_matches_the_sign_test_form():
 
 @pytest.mark.parametrize("theta", [1.0, 1.3, 2.0])
 def test_slope_of_linear_triple(theta):
-    assert _slope_of((0.0, 1.0, 2.0), theta) == 1.0
+    assert _half_slope_of((0.0, 1.0, 2.0), theta) == 0.5
 
 
 def test_slope_clipped_at_extremum():
-    assert _slope_of((0.0, 1.0, 0.0), 1.3) == 0.0
+    assert _half_slope_of((0.0, 1.0, 0.0), 1.3) == 0.0
 
 
 def test_slope_theta_weighted_one_sided():
-    # minmod(1.3*1, (1+3)/2, 1.3*3) = minmod(1.3, 2, 3.9) = 1.3
-    assert _slope_of((0.0, 1.0, 3.0), 1.3) == pytest.approx(1.3, abs=1e-15)
+    # minmod(1.3*1, (1+3)/2, 1.3*3) / 2 = minmod(1.3, 2, 3.9) / 2 = 0.65
+    assert _half_slope_of((0.0, 1.0, 3.0), 1.3) == pytest.approx(0.65,
+                                                                 abs=1e-15)
 
 
 @given(st.lists(st.floats(min_value=-100, max_value=100,
@@ -93,8 +96,8 @@ def test_slope_theta_weighted_one_sided():
        st.floats(min_value=1.0, max_value=2.0))
 def test_slope_of_monotone_triple_bounded_by_central(vals, theta):
     vals = sorted(vals)
-    central = 0.5 * (vals[2] - vals[0])
-    s = _slope_of(vals, theta)
+    central = 0.25 * (vals[2] - vals[0])     # the central half slope
+    s = _half_slope_of(vals, theta)
     assert 0.0 <= s <= central + 1e-12 * abs(central)
 
 
@@ -102,7 +105,7 @@ def test_slope_of_monotone_triple_bounded_by_central(vals, theta):
 
 def test_interface_values_constant_field():
     lines = np.full((2, 9, 3), 4.5)
-    um, up, half = interface_values(lines, 0.1, 1.3)
+    um, up, half = interface_values(lines, 1.3)
     assert um.shape == up.shape == (2, 9 - 2 * GHOST + 1, 3)
     assert np.all(um == 4.5)
     assert np.all(up == 4.5)
@@ -114,7 +117,7 @@ def test_interface_values_linear_exact():
     n, dx = 6, 0.25
     centers = (np.arange(-GHOST, n + GHOST) + 0.5) * dx
     lines = (2.0 + 3.0 * centers)[None, :, None]
-    um, up, _ = interface_values(lines, dx, 1.3)
+    um, up, _ = interface_values(lines, 1.3)
     faces = np.arange(0, n + 1) * dx
     exact = 2.0 + 3.0 * faces
     assert np.allclose(um[0, :, 0], exact, rtol=0, atol=1e-14)
@@ -125,7 +128,7 @@ def test_interface_values_at_extremum_cell():
     # padded line [0,0,0,1,0,0,0] (free ghosts around data 0,1,0): both
     # neighbors of the spike have zero limited slope, the spike is clipped
     lines = np.array([0.0, 0, 0, 1, 0, 0, 0]).reshape(1, 7, 1)
-    um, up, _ = interface_values(lines, 1.0, 1.3)
+    um, up, _ = interface_values(lines, 1.3)
     # interface between interior cells 0 and 1
     assert um[0, 1, 0] == 0.0
     assert up[0, 1, 0] == 1.0
@@ -147,7 +150,7 @@ def test_equilibrium_reconstruction_constant_state():
     r_center = np.zeros(lines.shape[:2])
     r_face = np.zeros((1, n + 1))
     um, up, ubm, ubp = reconstruct_equilibrium(
-        lines, model, "x", 0.1, 1.3, r_center, r_face)
+        lines, model, "x", 1.3, r_center, r_face)
     for arr in (um, up, ubm, ubp):
         assert np.allclose(arr, [2.0, 0.0, 0.0, 2.0], rtol=0, atol=1e-13)
 
@@ -167,7 +170,7 @@ def test_no_root_error_names_state_face_and_line():
     r_face = np.zeros((3, n + 1))
     r_face[1, face] = 0.3
     with pytest.raises(ReconstructionError) as info:
-        reconstruct_equilibrium(lines, model, "x", 0.1, 1.3, r_center,
+        reconstruct_equilibrium(lines, model, "x", 1.3, r_center,
                                 r_face)
     msg = str(info.value)
     assert "at 2 of 108 interface values" in msg
@@ -190,7 +193,7 @@ def test_equilibrium_reconstruction_steady_dam_gives_single_valued_breve():
         r_center = np.zeros(lines.shape[:2])
         r_face = np.zeros((1, n + 1))
         um, up, ubm, ubp = reconstruct_equilibrium(
-            lines, model, "x", 0.1, 1.3, r_center, r_face)
+            lines, model, "x", 1.3, r_center, r_face)
         assert np.array_equal(ubm, ubp)
         # and the one-sided states sit on the same equilibrium values
         for u in (um, up):
@@ -212,10 +215,10 @@ def test_equilibrium_reconstruction_round_trips_e_values():
     r_center = np.zeros(lines.shape[:2])
     r_face = np.zeros((1, n + 1))
     um, up, _, _ = reconstruct_equilibrium(
-        lines, model, "x", dx, 1.3, r_center, r_face)
+        lines, model, "x", 1.3, r_center, r_face)
 
     e_cells = model.equilibrium_values(lines, r_center, "x")
-    half = 0.5 * dx * limited_slopes(e_cells, dx, 1.3)
+    half = limited_half_slopes(e_cells, 1.3)
     e_minus = e_cells[:, GHOST - 1:-GHOST, :] + half[:, :-1, :]
     e_plus = e_cells[:, GHOST:-GHOST + 1, :] - half[:, 1:, :]
     for u, e in ((um, e_minus), (up, e_plus)):
@@ -243,7 +246,7 @@ def test_breve_states_second_order_close_to_one_sided():
         r_center = np.zeros(lines.shape[:2])
         r_face = np.zeros((1, n + 1))
         um, up, ubm, ubp = reconstruct_equilibrium(
-            lines, model, "x", dx, 1.3, r_center, r_face)
+            lines, model, "x", 1.3, r_center, r_face)
         gaps.append(max(np.abs(ubm - um).max(), np.abs(ubp - up).max()))
     rate = np.log2(gaps[0] / gaps[1])
     assert rate >= 1.9, f"breve gap rate {rate:.2f}, gaps {gaps}"
@@ -284,7 +287,7 @@ def test_dropped_slopes_make_every_interface_value_admissible():
     model = Multifluid(1)
     lines = EX2_CELLS[None]
     assert np.all(model.admissible(lines))
-    u_minus, u_plus, half = interface_values(lines, 0.1, 1.3)
+    u_minus, u_plus, half = interface_values(lines, 1.3)
     _, _, _, p, _, pi_inf = model.primitives(np.stack([u_minus, u_plus]))
     assert (p + pi_inf).min() < 0.0
 
