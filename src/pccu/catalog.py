@@ -16,7 +16,6 @@ from .driver import RunConfig
 from .errors import ConfigError
 from .grid import Grid, BoundaryCondition
 from .multifluid import Multifluid, conservative_state
-from .output import check_outputs
 from .trsw import ThermalShallowWater
 
 
@@ -30,31 +29,42 @@ def _region_mask(where, x, y):
         if kind == "disk":
             return rr < where["radius"] ** 2
         return (where["r_min"] ** 2 < rr) & (rr < where["r_max"] ** 2)
+    coord = x if where["axis"] == "x" else y
     if kind == "halfplane":
-        coord = x if where["axis"] == "x" else y
-        if where["op"] == "<":
-            return coord < where["value"]
-        if where["op"] == ">":
-            return coord > where["value"]
-        raise ConfigError(f"halfplane op must be '<' or '>', got {where['op']!r}")
-    if kind == "band":
-        coord = x if where["axis"] == "x" else y
-        return (coord >= where["min"]) & (coord <= where["max"])
-    raise ConfigError(f"unknown region kind {where!r}")
+        return (coord < where["value"] if where["op"] == "<"
+                else coord > where["value"])
+    return (coord >= where["min"]) & (coord <= where["max"])
 
 
-# keys a region's "where" needs, per kind
+# keys a region's "where" takes besides "kind", per kind
 _WHERE_KEYS = {"disk": ("center", "radius"),
                "annulus": ("center", "r_min", "r_max"),
                "halfplane": ("axis", "op", "value"),
                "band": ("axis", "min", "max")}
 
+# the (required, optional) keys of a region's state, per model
+_GAS_KEYS = (("rho", "p", "gamma"), ("u", "v", "pi_inf"))
+_LAYER_KEYS = ((("h", "surface"), "b"), ("u", "v"))
+
+
+def _check_keys(mapping, required, optional, what):
+    """ConfigError for a key of mapping outside required and optional, or a
+    required one it misses; a tuple among required is a choice of one."""
+    choices = [k if isinstance(k, tuple) else (k,) for k in required]
+    allowed = sum(choices, optional)
+    unknown = [k for k in mapping if k not in allowed]
+    if unknown:
+        raise ConfigError(f"unknown key(s) in {what}: "
+                          f"{', '.join(map(repr, unknown))}")
+    for keys in choices:
+        if not any(k in mapping for k in keys):
+            raise ConfigError(f"{what} misses {' or '.join(map(repr, keys))}")
+
 
 def _check_regions(regions, state_keys, dimension):
-    """ConfigError for a region list piecewise_*_ic could not evaluate.
-
-    state_keys names the keys each region state needs; a tuple among them
-    is a choice of one.  State values and the sizes in "where" must be
+    """ConfigError for a region list _piecewise_ic could not evaluate;
+    state_keys is (required, optional) as in _GAS_KEYS.  Only the last
+    region may omit "where".  State values and the sizes in "where" must be
     finite numbers, a center a pair of them and an axis one of the grid's.
     """
     if not isinstance(regions, list) or not regions:
@@ -63,24 +73,23 @@ def _check_regions(regions, state_keys, dimension):
         state = region.get("state") if isinstance(region, dict) else None
         if not isinstance(state, dict):
             raise ConfigError(f"region {i} needs a 'state' object")
-        for key in state_keys:
-            choice = key if isinstance(key, tuple) else (key,)
-            if not any(k in state for k in choice):
-                raise ConfigError(f"region {i} state misses "
-                                  f"{' or '.join(map(repr, choice))}")
+        _check_keys(region, (), ("where", "state"), f"region {i}")
+        _check_keys(state, *state_keys, f"region {i} state")
         for key, value in state.items():
             if not _is_number(value):
                 raise ConfigError(f"region {i} state {key!r} is not a "
                                   f"number: {value!r}")
         if "where" not in region:
+            if i < len(regions) - 1:
+                raise ConfigError("only the last region may omit 'where'")
             continue
         where = region["where"]
         kind = where.get("kind") if isinstance(where, dict) else None
         if not isinstance(kind, str) or kind not in _WHERE_KEYS:
-            raise ConfigError(f"unknown region kind {where!r}")
+            raise ConfigError(f"region {i} has an unknown kind: {where!r}")
+        _check_keys(where, ("kind",) + _WHERE_KEYS[kind], (),
+                    f"region {i} ({kind})")
         for key in _WHERE_KEYS[kind]:
-            if key not in where:
-                raise ConfigError(f"region {i} ({kind}) misses {key!r}")
             value = where[key]
             ok = {"axis": value in ("x", "y")[:dimension],
                   "op": value in ("<", ">"),
@@ -92,11 +101,10 @@ def _check_regions(regions, state_keys, dimension):
                                   f"{value!r}")
 
 
-def _piecewise_ic(regions, region_state):
+def _piecewise_ic(regions, state_keys, dimension, region_state):
     """IC callable taking at each point the state of the first region that
     holds it; region_state(state, x, y) gives a region's (..., d) state."""
-    if any("where" not in r for r in regions[:-1]):
-        raise ConfigError("only the last region may omit 'where'")
+    _check_regions(regions, state_keys, dimension)
 
     def ic(x, y=None):
         masks = [np.broadcast_to(_region_mask(r["where"], x, y), x.shape)
@@ -113,12 +121,13 @@ def _piecewise_ic(regions, region_state):
 
 def piecewise_multifluid_ic(regions, dimension):
     """IC callable from ordered (where, primitive-state) regions."""
-    return _piecewise_ic(regions, lambda st, x, y: conservative_state(
-        st["rho"], st.get("u", 0.0), st.get("v", 0.0), st["p"], st["gamma"],
-        st.get("pi_inf", 0.0), dimension))
+    return _piecewise_ic(
+        regions, _GAS_KEYS, dimension, lambda st, x, y: conservative_state(
+            st["rho"], st.get("u", 0.0), st.get("v", 0.0), st["p"],
+            st["gamma"], st.get("pi_inf", 0.0), dimension))
 
 
-def piecewise_trsw_ic(regions, topography=None):
+def piecewise_trsw_ic(regions, dimension, topography=None):
     """IC callable for (h | surface, u, v, b) region states.
 
     A region given as {"surface": w} sets h = w - Z so initial data can sit
@@ -133,7 +142,7 @@ def piecewise_trsw_ic(regions, topography=None):
             h = float(st["h"])
         u, v, b = st.get("u", 0.0), st.get("v", 0.0), st["b"]
         return np.stack(np.broadcast_arrays(h, h * u, h * v, h * b), axis=-1)
-    return _piecewise_ic(regions, region_state)
+    return _piecewise_ic(regions, _LAYER_KEYS, dimension, region_state)
 
 
 # ---- topography and rotation ------------------------------------------------
@@ -236,7 +245,7 @@ _TRSW_EX9_REGIONS = [
 
 
 def _ex6p_ic():
-    base = piecewise_trsw_ic(_TRSW_EX6_REGIONS)
+    base = piecewise_trsw_ic(_TRSW_EX6_REGIONS, 1)
 
     def ic(x):
         out = base(x)
@@ -340,16 +349,12 @@ def example_names():
 IC_FACTORIES = {"ex6p": _ex6p_ic, "ex10": _ex10_ic}
 
 
-def make_config(name, scheme="pccu", nx=None, ny=None, theta=None, cfl=None,
-                t_final=None, snapshots=None, refine=None):
-    """RunConfig for a catalog example, with optional overrides."""
+def make_config(name, **overrides):
+    """config_from_dict of a catalog entry, labelled with its name."""
     if name not in EXAMPLES:
         raise ConfigError(f"unknown example {name!r} "
                           f"(available: {', '.join(example_names())})")
-    return config_from_dict(
-        {**EXAMPLES[name], "label": name}, scheme=scheme, nx=nx, ny=ny,
-        theta=theta, cfl=cfl, t_final=t_final, snapshots=snapshots,
-        refine=refine)
+    return config_from_dict({**EXAMPLES[name], "label": name}, **overrides)
 
 
 # ---- config dicts ----------------------------------------------------------
@@ -379,64 +384,61 @@ def _list_of(item, value):
     return tuple(item(v) for v in value)
 
 
-def _initial_data(spec, state_keys, dimension, piecewise):
-    """IC callable for an "ic" entry: {"regions": [...]}, the id of an
-    IC_FACTORIES entry, or a catalog id, which reuses that example's."""
+# RunConfig fields a config sets, with their parsers; defaults are RunConfig's
+_RUN_FIELDS = {"t_final": _finite, "scheme": str, "theta": _finite,
+               "cfl": _finite, "eps0": _finite,
+               "snapshots": lambda v: _list_of(_finite, v), "label": str,
+               "outputs": lambda v: _list_of(str, v)}
+
+# the keys a config needs and the others it may have ("note": catalog text)
+_REQUIRED = ("model", "dimension", "domain", "nx", "t_final", "ic")
+_OPTIONAL = ("ny", "refine", "bc", "topography", "f0", "beta", "note",
+             *_RUN_FIELDS)
+
+
+def _initial_data(spec, piecewise, *args):
+    """IC callable for an "ic" entry: piecewise(regions, *args) for
+    {"regions": [...]}, an IC_FACTORIES id, or a catalog id (its "ic")."""
     if isinstance(spec, str) and spec in EXAMPLES:
         spec = EXAMPLES[spec]["ic"]
     if isinstance(spec, str) and spec in IC_FACTORIES:
         return IC_FACTORIES[spec]()
-    if not isinstance(spec, dict) or "regions" not in spec:
+    if not isinstance(spec, dict):
         raise ConfigError(f"config needs 'ic': an example id or "
                           f"{{'regions': [...]}}, got {spec!r}")
-    _check_regions(spec["regions"], state_keys, dimension)
-    return piecewise(spec["regions"])
+    _check_keys(spec, ("regions",), (), "'ic'")
+    return piecewise(spec["regions"], *args)
 
 
 def config_from_dict(raw, **overrides):
     """Checked RunConfig from a config dict: a parsed config file or a
-    catalog entry.  Overrides that are not None replace keys of raw."""
+    catalog entry.  Overrides that are not None replace keys of raw; an
+    unknown key is a ConfigError."""
     if not isinstance(raw, dict):
         raise ConfigError("a config must be a JSON object")
     raw = {**raw, **{k: v for k, v in overrides.items() if v is not None}}
+    _check_keys(raw, _REQUIRED, _OPTIONAL, "the config")
     try:
         model_kind = str(raw["model"])
         dimension = _integer(raw["dimension"])
         domain = _list_of(_finite, raw["domain"])
-        nx = _integer(raw["nx"])
-        ny = None if raw.get("ny") is None else _integer(raw["ny"])
         refine = _integer(raw.get("refine", 1))
-        t_final = _finite(raw["t_final"])
-        snapshots = _list_of(_finite, raw.get("snapshots", []))
-        theta = _finite(raw.get("theta", 1.3))
-        cfl = _finite(raw.get("cfl", 0.45))
-        eps0 = _finite(raw.get("eps0", 1e-18))
+        nx = _integer(raw["nx"]) * refine
+        ny = None if raw.get("ny") is None else _integer(raw["ny"]) * refine
         f0 = _finite(raw.get("f0", 0.0))
         beta = _finite(raw.get("beta", 0.0))
         topography = str(raw.get("topography", "flat"))
-        outputs = _list_of(str, raw.get("outputs", ["csv"]))
-        scheme = str(raw.get("scheme", "pccu"))
-        label = str(raw.get("label", "custom"))
-    except KeyError as exc:
-        raise ConfigError(f"config misses required key {exc}") from exc
+        fields = {k: parse(raw[k]) for k, parse in _RUN_FIELDS.items()
+                  if k in raw}
     except TypeError as exc:
         raise ConfigError(f"bad value in config: {exc}") from exc
 
     if refine < 1:
         raise ConfigError("refine factor must be a positive integer")
-    if dimension not in (1, 2):
-        raise ConfigError(f"dimension must be 1 or 2, got {dimension}")
-    if len(domain) != 2 * dimension:
-        raise ConfigError(f"a {dimension}-D domain needs {2 * dimension} "
-                          f"bounds, got {len(domain)}")
-    nx *= refine
-    if dimension == 2:
-        if ny is None:
-            raise ConfigError("2-D setup needs ny")
-        ny *= refine
-        grid = Grid(domain[0], domain[1], nx, domain[2], domain[3], ny)
-    else:
-        grid = Grid(domain[0], domain[1], nx)
+    if dimension not in (1, 2) or len(domain) != 2 * dimension:
+        raise ConfigError(f"dimension must be 1 or 2 with two domain bounds "
+                          f"per axis, got {dimension} and {list(domain)}")
+    grid = Grid(*domain[:2], nx, *domain[2:], ny=ny)   # 1-D ignores ny
 
     if topography not in TOPOGRAPHIES:
         raise ConfigError(f"unknown topography {topography!r} "
@@ -446,30 +448,21 @@ def config_from_dict(raw, **overrides):
         if topo is not None or f0 != 0.0 or beta != 0.0:
             raise ConfigError("topography/rotation apply to the trsw model only")
         model = Multifluid(dimension)
-        ic = _initial_data(raw.get("ic"), ("rho", "p", "gamma"), dimension,
-                           lambda r: piecewise_multifluid_ic(r, dimension))
+        ic = _initial_data(raw["ic"], piecewise_multifluid_ic, dimension)
     elif model_kind == "trsw":
         model = ThermalShallowWater(dimension, topography=topo, f0=f0,
                                     beta=beta)
-        ic = _initial_data(raw.get("ic"), (("h", "surface"), "b"), dimension,
-                           lambda r: piecewise_trsw_ic(r, topography=topo))
+        ic = _initial_data(raw["ic"], piecewise_trsw_ic, dimension, topo)
     else:
         raise ConfigError(f"unknown model {model_kind!r}")
 
-    check_outputs(outputs, grid)
     bc = BoundaryCondition.from_spec(raw.get("bc", "free"), dimension)
-    echo = {
-        "label": label, "model": model_kind, "dimension": dimension,
-        "scheme": scheme, "domain": list(domain), "nx": grid.nx,
-        "ny": grid.ny, "dx": grid.dx, "dy": grid.dy, "theta": theta,
-        "cfl": cfl, "eps0": eps0, "t_final": t_final,
-        "snapshots": list(snapshots), "bc": bc.as_dict(dimension),
-        "topography": topography, "f0": f0, "beta": beta,
-        "outputs": list(outputs), "refine": refine,
-    }
-    config = RunConfig(model=model, grid=grid, bc=bc, ic=ic, scheme=scheme,
-                       theta=theta, cfl=cfl, eps0=eps0, t_final=t_final,
-                       snapshots=snapshots, label=label, outputs=outputs,
-                       echo=echo)
+    config = RunConfig(model=model, grid=grid, bc=bc, ic=ic, **fields)
+    config.echo = {
+        "model": model_kind, "dimension": dimension, "domain": list(domain),
+        "nx": grid.nx, "ny": grid.ny, "dx": grid.dx, "dy": grid.dy,
+        "bc": bc.as_dict(dimension), "topography": topography, "f0": f0,
+        "beta": beta, "refine": refine,
+        **{k: getattr(config, k) for k in _RUN_FIELDS}}
     config.validate()
     return config

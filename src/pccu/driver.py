@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .errors import ConfigError, AdmissibilityError, NumericalError, \
-    ReconstructionError
+    ReconstructionError, check_admissible
 from .grid import GHOST, Grid, Field, BoundaryCondition, fill_ghosts, \
     init_from_function
 from .reconstruct import interface_values, reconstruct_equilibrium, \
@@ -23,6 +23,7 @@ from .fluxes import local_speeds, split_weights, characteristic_flux, \
     central_upwind_flux
 from .globalflux import interleave_cell_halves, interleave_jumps_cells
 from .timestepping import cfl_dt, ssprk3_step, finite_stage_check
+from .output import check_outputs
 
 SCHEMES = ("pccu", "lcd")
 
@@ -73,8 +74,15 @@ def _sweep(model, lines, geom, scheme, theta, eps0, robust=None, stats=None):
             # drop them there, and raise if the averages are out too
             u_minus, u_plus, half, dropped = drop_inadmissible_slopes(
                 lines, half, model.admissible)
-            lam_minus = model.eigenvalues(u_minus, direction)
-            lam_plus = model.eigenvalues(u_plus, direction)
+            try:
+                lam_minus = model.eigenvalues(u_minus, direction)
+                lam_plus = model.eigenvalues(u_plus, direction)
+            except AdmissibilityError:  # an average is out: name the first
+                cells = lines[:, g:-g]
+                cells = cells.swapaxes(0, 1) if direction == "y" else cells
+                check_admissible(model, cells[0] if model.dimension == 1
+                                 else cells, "cell average")   # grid order
+                raise
             if stats is not None:
                 stats["slope_drops"] += dropped
         ub_minus, ub_plus = u_minus, u_plus
@@ -132,7 +140,8 @@ def spatial_rhs(fld, model, bc, scheme, theta, eps0, robust=None,
     a "slope_drops" count, accumulates the cells whose reconstruction
     slope was zeroed for admissibility.  An AdmissibilityError,
     ReconstructionError or NumericalError raised in a sweep leaves with
-    its direction ("x" or "y") set.
+    its direction ("x" or "y") set; one for an inadmissible cell average
+    names the first such cell in grid order, (k, j) or (j,), and its state.
     """
     fill_ghosts(fld, bc, model)
     grid = fld.grid
@@ -197,6 +206,7 @@ class RunConfig:
                 raise ConfigError(f"snapshot time {s} outside [0, {self.t_final}]")
         if self.grid.dimension != self.model.dimension:
             raise ConfigError("grid and model dimensions differ")
+        check_outputs(self.outputs, self.grid)
 
 
 @dataclass
@@ -242,7 +252,7 @@ def run(config):
     try:
         model.validate(fld.interior, "initial data")
     except AdmissibilityError as exc:
-        raise ConfigError(f"inadmissible initial data: {exc}") from exc
+        raise ConfigError(str(exc)) from exc
 
     cellvol = grid.dx * (grid.dy if grid.dimension == 2 else 1.0)
     sums0 = fld.interior.reshape(-1, model.d).sum(axis=0) * cellvol
@@ -294,6 +304,7 @@ def run(config):
                                   admissible=admissible)
             except (AdmissibilityError, ReconstructionError) as exc:
                 exc.t = t               # start of the step being taken
+                exc.stage = exc.stage or 1      # k0 is stage 1's tendency
                 raise
             t = t_next
             steps += 1

@@ -1,5 +1,7 @@
 """Exception types shared across the solver."""
 
+import numpy as np
+
 
 class ConfigError(ValueError):
     """Invalid run configuration (bad mesh, unknown ids, inconsistent BCs...)."""
@@ -7,7 +9,8 @@ class ConfigError(ValueError):
 
 class _Located:
     """Mixin: t, the RK stage, the sweep direction ("x" or "y") and where
-    (the cell index) locate a failure."""
+    (a cell index) locate a failure; t is the start of the step it escaped
+    from while stepping."""
 
     def __init__(self, message, t=None, stage=None, where=None,
                  direction=None):
@@ -17,23 +20,27 @@ class _Located:
 
 
 class AdmissibilityError(_Located, ValueError):
-    """A state left the admissible set (negative density/thickness, c^2 <= 0).
-
-    t is the time of the step it escaped from, when raised while stepping;
-    stage and where are set when an RK stage candidate could not be
-    brought back into the set, direction when a sweep raised it.
-    """
+    """A state left the admissible set (negative density/thickness,
+    c^2 <= 0)."""
 
 
 class ReconstructionError(_Located, RuntimeError):
-    """Equilibrium-variable inversion failed (no positive root).
-
-    t is the time of the step it escaped from, when raised while stepping,
-    and direction the sweep that raised it.  From invert_momentum_flux,
-    where indexes the worst failed value in its inputs.
-    """
+    """Equilibrium-variable inversion failed (no positive root).  From
+    invert_momentum_flux, where indexes the worst failed value in its
+    inputs."""
 
 
 class NumericalError(_Located, RuntimeError):
-    """Non-finite values appeared during time stepping, located by time,
-    RK stage and the first offending cell."""
+    """Non-finite values appeared during time stepping; where is the first
+    offending cell."""
+
+
+def check_admissible(model, state, what):
+    """AdmissibilityError naming the first cell of state (..., d) outside
+    model.admissible, as where, and its state."""
+    ok = model.admissible(state)
+    if not np.all(ok):
+        cell = tuple(np.argwhere(~ok)[0].tolist())
+        raise AdmissibilityError("%s outside the admissible set at cell %s: %s"
+                                 % (what, cell, state[cell].tolist()),
+                                 where=cell)

@@ -15,7 +15,7 @@ likewise for P.  Everything else is a plain Euler flux.
 
 import numpy as np
 
-from .errors import AdmissibilityError
+from .errors import AdmissibilityError, check_admissible
 
 RHO_MIN = 1e-12
 
@@ -106,20 +106,7 @@ class Multifluid:
             return _inside(rho, state[..., self.ig], p + pi_inf)
 
     def validate(self, state, where="state"):
-        if np.all(self.admissible(state)):
-            return
-        if not np.all(np.isfinite(state)):
-            raise AdmissibilityError("non-finite %s" % where)
-        rho = state[..., 0]
-        if np.any(rho <= RHO_MIN):
-            raise AdmissibilityError(
-                "non-positive density in %s (min %.3e)" % (where, rho.min()))
-        if np.any(state[..., self.ig] <= 0.0):
-            raise AdmissibilityError("non-positive G coefficient in " + where)
-        _, _, _, p, _, pi_inf = self.primitives(state)
-        raise AdmissibilityError(
-            "non-positive or overflowing p + pi_inf in %s (min %.3e)"
-            % (where, (p + pi_inf).min()))
+        check_admissible(self, state, where)
 
     # ---- fluxes and eigenstructure --------------------------------------
 

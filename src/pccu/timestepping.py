@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .errors import AdmissibilityError, NumericalError
+from .errors import AdmissibilityError, NumericalError, ReconstructionError
 
 
 def cfl_dt(speed_x, speed_y, dx, dy, cfl):
@@ -23,6 +23,7 @@ def ssprk3_step(u, dt, rhs, rhs0=None, stage_check=None, admissible=None):
     rhs maps an array to its tendency.  rhs0, if given, is the precomputed
     tendency at u (saves one evaluation when the caller already needed it
     for the CFL bound).  stage_check(candidate, stage) may raise to abort.
+    An error raised by a stage's tendency that names no stage gets it.
 
     admissible, if given, maps a stage candidate to a per-cell mask.  Where
     it fails, the stage is redone with rhs(values, flagged), the tendency
@@ -36,21 +37,26 @@ def ssprk3_step(u, dt, rhs, rhs0=None, stage_check=None, admissible=None):
               lambda v, k: u / 3.0 + (2.0 / 3.0) * (v + dt * k))
     v = u
     for stage, combine in enumerate(stages, 1):
-        k = rhs0 if stage == 1 and rhs0 is not None else rhs(v)
-        candidate = combine(v, k)
-        if admissible is not None:
-            bad = ~admissible(candidate)
-            flagged = np.zeros_like(bad)
-            while np.any(bad):
-                if not np.any(bad & ~flagged):
-                    cell = tuple(np.argwhere(bad)[0].tolist())
-                    raise AdmissibilityError(
-                        "stage %d leaves cell %s inadmissible even with the "
-                        "robust flux on its faces" % (stage, cell),
-                        stage=stage, where=cell)
-                flagged |= bad
-                candidate = combine(v, rhs(v, flagged))
+        try:
+            k = rhs0 if stage == 1 and rhs0 is not None else rhs(v)
+            candidate = combine(v, k)
+            if admissible is not None:
                 bad = ~admissible(candidate)
+                flagged = np.zeros_like(bad)
+                while np.any(bad):
+                    if not np.any(bad & ~flagged):
+                        cell = tuple(np.argwhere(bad)[0].tolist())
+                        raise AdmissibilityError(
+                            "stage %d leaves cell %s inadmissible even with "
+                            "the robust flux on its faces" % (stage, cell),
+                            stage=stage, where=cell)
+                    flagged |= bad
+                    candidate = combine(v, rhs(v, flagged))
+                    bad = ~admissible(candidate)
+        except (AdmissibilityError, ReconstructionError,
+                NumericalError) as exc:
+            exc.stage = exc.stage or stage  # from this stage's tendency
+            raise
         if stage_check is not None:
             stage_check(candidate, stage)
         v = candidate

@@ -24,7 +24,7 @@ the interface).  That is a root of a depressed cubic, taken in closed form
 
 import numpy as np
 
-from .errors import AdmissibilityError, ReconstructionError
+from .errors import AdmissibilityError, ReconstructionError, check_admissible
 
 H_MIN = 1e-10
 RESIDUAL_TOL = 1e-12
@@ -145,16 +145,7 @@ class ThermalShallowWater:
                 & np.isfinite(state).all(axis=-1))
 
     def validate(self, state, where="state"):
-        if np.all(self.admissible(state)):
-            return
-        if not np.all(np.isfinite(state)):
-            raise AdmissibilityError("non-finite %s" % where)
-        if np.any(state[..., 0] <= H_MIN):
-            raise AdmissibilityError(
-                "non-positive thickness in %s (min %.3e)"
-                % (where, state[..., 0].min()))
-        if np.any(state[..., 3] <= 0.0):
-            raise AdmissibilityError("non-positive buoyancy in " + where)
+        check_admissible(self, state, where)
 
     # ---- fluxes and eigenstructure --------------------------------------
 

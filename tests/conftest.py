@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pccu.errors import AdmissibilityError
+from pccu.errors import check_admissible
 from pccu.multifluid import Multifluid, conservative_state
 
 
@@ -27,8 +27,7 @@ class ScalarAdvection:
         return np.isfinite(state).all(axis=-1)
 
     def validate(self, state, where="state"):
-        if not np.all(self.admissible(state)):
-            raise AdmissibilityError("non-finite %s" % where)
+        check_admissible(self, state, where)
 
     def flux(self, state, direction):
         return state.copy()

@@ -1,12 +1,15 @@
-"""The benchmark's tracer must find every solver function it wraps.
+"""The benchmark must find every solver function it calls or wraps.
 
 bench/tracer.py lists in TRACED the (span name, owner path, attribute) of
 every function it wraps on the pccu package.  A refactor that renames or
 drops one of them breaks ``bench/run.py --trace``; this test reads the
-list without importing the harness and checks each entry resolves.
+list without importing the harness and checks each entry resolves.  The
+setup timing of bench/run.py and its workloads call a few more names,
+which the last test checks by signature.
 """
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
@@ -39,3 +42,25 @@ def test_traced_function_resolves_on_the_package(name, path, attr):
     if isinstance(owner, type):
         # the tracer saves and restores the class's own attribute
         assert attr in vars(owner)
+
+
+def test_untraced_names_the_benchmark_calls_resolve():
+    # bench/run.py times config validation, the initial fill and the
+    # initial-data check; bench/workloads.py builds catalog legs with
+    # these overrides and catches the four error classes
+    config = pccu.catalog.make_config("ex6", nx=8, t_final=0.01)
+    inspect.signature(pccu.driver.RunConfig.validate).bind(config)
+    fld = pccu.grid.init_from_function(config.grid, config.model.d, config.ic)
+    for model, state in ((pccu.multifluid.Multifluid(1),
+                          pccu.multifluid.conservative_state(
+                              1.0, 0.0, 0.0, 1.0, 1.4, 0.0, 1)),
+                         (pccu.trsw.ThermalShallowWater(1), fld.interior)):
+        inspect.signature(model.validate).bind(state, "initial data")
+        model.validate(state, "initial data")
+    inspect.signature(pccu.grid.init_from_function).bind(
+        config.grid, config.model.d, config.ic)
+    inspect.signature(pccu.catalog.make_config).bind(
+        "ex1", scheme="lcd", nx=10, ny=None, theta=1.5, t_final=0.1)
+    for name in ("ConfigError", "AdmissibilityError", "ReconstructionError",
+                 "NumericalError"):
+        assert issubclass(getattr(pccu.errors, name), Exception)

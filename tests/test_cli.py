@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -132,7 +133,7 @@ def test_compare_mode_writes_both_schemes_and_norms(tmp_path, capsys):
 def test_inversion_failure_names_the_time(tmp_path, capsys):
     # on this coarse grid ex10 meets an interface with no positive
     # thickness root near t=1.9, in the y-sweep; the message must say
-    # when, in which sweep and at which face
+    # when, in which RK stage and sweep, and at which face
     code = cli.main(["run", "ex10", "--nx", "40", "--ny", "10",
                      "--tfinal", "2.5", "--snapshots", "1.0",
                      "--out", str(tmp_path / "o")])
@@ -141,6 +142,7 @@ def test_inversion_failure_names_the_time(tmp_path, capsys):
     assert "below critical" in err and "t=" in err
     assert "psi_min=" in err
     assert "t=1.94417" in err and "sweep y" in err
+    assert re.search(r"stage [123]", err)
     # and where: the state, the face along the sweep and the line
     assert "at U- of face 10 on line 13" in err
 
@@ -173,6 +175,14 @@ def _kind_list(config):
     config["ic"]["regions"][0]["where"]["kind"] = []
 
 
+def _misspelled_state_key(config):
+    config["ic"]["regions"][1]["state"]["bb"] = 4.0
+
+
+def _extra_where_key(config):
+    config["ic"]["regions"][0]["where"]["radius"] = 1.0
+
+
 @pytest.mark.parametrize("spoil", [
     _without_b,
     lambda config: config.update(outputs=["schlieren"]),
@@ -193,12 +203,16 @@ def _kind_list(config):
     lambda config: config.update(t_final=math.inf),
     lambda config: config.update(eps0=math.nan),
     lambda config: config["ic"]["regions"][0].update(where=None),
+    lambda config: config.update(tfinal=0.5),
+    _misspelled_state_key,
+    _extra_where_key,
 ], ids=["region_without_b", "schlieren_in_1d", "dimension_x",
         "unknown_output", "text_b", "ny_x", "snapshots_abc", "bc_5",
         "halfplane_axis_z", "outputs_5", "outputs_nested_list",
         "topography_list", "topography_dict", "region_kind_list",
         "nx_1e400", "t_final_nan", "t_final_inf", "eps0_nan",
-        "region_where_null"])
+        "region_where_null", "tfinal", "misspelled_state_key",
+        "extra_where_key"])
 def test_malformed_config_exits_2_before_running(spoil, monkeypatch,
                                                  tmp_path, capsys):
     config = json.loads(json.dumps(_TINY_DAM))
@@ -231,13 +245,14 @@ _JSON = st.recursive(
     | st.dictionaries(st.text(max_size=5), inner, max_size=3),
     max_leaves=6)
 
-# (where in _TINY_DAM, key): present keys and optional ones
+# (where in _TINY_DAM, key): present keys, optional ones and one unknown
+# key at the top and in the state
 _SLOTS = ([("top", k) for k in ("model", "dimension", "domain", "nx", "ny",
                                 "t_final", "snapshots", "theta", "cfl",
                                 "eps0", "f0", "beta", "refine", "scheme",
                                 "label", "bc", "topography", "outputs",
-                                "ic")]
-          + [("state", k) for k in ("h", "b", "u", "v", "surface")]
+                                "ic", "tfinal")]
+          + [("state", k) for k in ("h", "b", "u", "v", "surface", "bb")]
           + [("where", k) for k in ("kind", "axis", "op", "value",
                                     "center", "radius")])
 
@@ -291,16 +306,27 @@ _GAS = {"rho": 1.0, "p": 1.0, "gamma": 1.4}
 _LAYER = {"h": 1.0, "b": 1.0}
 
 
-@pytest.mark.parametrize("build, state", [
-    (lambda regions: piecewise_multifluid_ic(regions, 1), _GAS),
-    (lambda regions: piecewise_trsw_ic(regions), _LAYER),
+@pytest.mark.parametrize("build, state, required", [
+    (lambda regions: piecewise_multifluid_ic(regions, 1), _GAS, "p"),
+    (lambda regions: piecewise_trsw_ic(regions, 1), _LAYER, "h"),
 ], ids=["multifluid", "trsw"])
-def test_piecewise_ic_called_directly_rejects_bad_regions(build, state):
+def test_piecewise_ic_called_directly_rejects_bad_regions(build, state,
+                                                          required):
+    # each is a ConfigError when the callable is built, before it is used
     half = {"kind": "halfplane", "axis": "x", "op": ">=", "value": 0.0}
-    ic = build([{"where": half, "state": state}, {"state": state}])
     with pytest.raises(ConfigError, match="op"):
-        ic(np.linspace(-1.0, 1.0, 5))
+        build([{"where": half, "state": state}, {"state": state}])
     half["op"] = "<"
     with pytest.raises(ConfigError, match="only the last region"):
         build([{"where": half, "state": state}, {"state": state},
                {"where": half, "state": state}])
+    with pytest.raises(ConfigError, match="axis"):     # a 1-D grid has no y
+        build([{"where": {**half, "axis": "y"}, "state": state},
+               {"state": state}])
+    missing = {k: v for k, v in state.items() if k != required}
+    with pytest.raises(ConfigError, match=repr(required)):
+        build([{"state": missing}])
+    with pytest.raises(ConfigError, match="not a number"):
+        build([{"state": {**state, required: "1.0"}}])
+    ic = build([{"where": half, "state": state}, {"state": state}])
+    assert ic(np.linspace(-1.0, 1.0, 5)).shape[0] == 5

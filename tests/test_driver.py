@@ -130,6 +130,9 @@ def test_inadmissible_average_names_its_sweep():
     with pytest.raises(AdmissibilityError) as info:
         spatial_rhs(fld, model, bc, "pccu", 1.3, 1e-18)
     assert info.value.direction == "x"
+    # the cell in grid order, (k, j), and its state
+    assert info.value.where == (3, 4)
+    assert str(fld.interior[3, 4].tolist()) in str(info.value)
 
 
 # ---- per-cell fallback from lcd to the central-upwind flux -------------------
@@ -310,7 +313,7 @@ def test_run_rejects_inadmissible_initial_data():
 
     bad = RunConfig(model=config.model, grid=grid, bc=config.bc, ic=bad_ic,
                     t_final=0.1)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"initial data .* cell \(5,\)"):
         run(bad)
 
 
@@ -334,7 +337,9 @@ def test_config_validation_catches_bad_fields():
                         ("cfl", 0.0), ("cfl", 1.0), ("t_final", -1.0),
                         ("eps0", 0.0), ("snapshots", (2.0,)),
                         ("t_final", np.nan), ("t_final", np.inf),
-                        ("eps0", np.nan), ("eps0", np.inf)]:
+                        ("eps0", np.nan), ("eps0", np.inf),
+                        ("outputs", ("vtk",)),
+                        ("outputs", ("schlieren",))]:     # ex6 is 1-D
         config = make_config("ex6", t_final=1.0)
         setattr(config, attr, value)
         with pytest.raises(ConfigError):

@@ -52,18 +52,18 @@ def test_primitive_conservative_round_trip(rng, mf2):
 def test_validate_rejects_bad_states(mf1):
     good = conservative_state(1.0, 0.0, 0.0, 1.0, 1.4, 0.0, 1)
     mf1.validate(good)
-    bad_rho = good.copy()
-    bad_rho[0] = -1.0
-    with pytest.raises(AdmissibilityError):
-        mf1.validate(bad_rho)
-    bad_energy = good.copy()
-    bad_energy[2] = -10.0            # drives p + pi_inf negative
-    with pytest.raises(AdmissibilityError):
-        mf1.validate(bad_energy)
-    bad_finite = good.copy()
-    bad_finite[1] = np.nan
-    with pytest.raises(AdmissibilityError):
-        mf1.validate(bad_finite)
+    for slot, value in [(0, -1.0),      # negative density
+                        (2, -10.0),     # drives p + pi_inf negative
+                        (1, np.nan)]:
+        states = np.stack([good] * 3)
+        states[1:, slot] = value
+        with pytest.raises(AdmissibilityError) as info:
+            mf1.validate(states, "initial data")
+        # the first bad cell and its state
+        assert info.value.where == (1,)
+        message = str(info.value)
+        assert "initial data" in message and "cell (1,)" in message
+        assert str(states[1].tolist()) in message
 
 
 # ---- fluxes ------------------------------------------------------------------

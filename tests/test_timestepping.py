@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pccu.errors import NumericalError
+from pccu.errors import AdmissibilityError, NumericalError
 from pccu.timestepping import cfl_dt, ssprk3_step, finite_stage_check
 
 
@@ -90,3 +90,23 @@ def test_finite_stage_check_raises_with_stage_index():
         ssprk3_step(u.reshape(2, 2, 3), 0.1, lambda v: np.full_like(v, np.nan),
                     stage_check=finite_stage_check(t=0.25))
     assert info.value.where == (0, 0)
+
+
+def test_tendency_error_names_its_stage():
+    calls = []
+
+    def rhs(v, stage=None):
+        calls.append(v)
+        if len(calls) == 2:
+            raise AdmissibilityError("no wave speed", stage=stage)
+        return -v
+
+    # raised by the second call, the second stage's tendency
+    with pytest.raises(AdmissibilityError) as info:
+        ssprk3_step(np.ones(3), 0.1, rhs)
+    assert info.value.stage == 2
+    # a stage the error already carries is kept
+    calls.clear()
+    with pytest.raises(AdmissibilityError) as info:
+        ssprk3_step(np.ones(3), 0.1, lambda v: rhs(v, stage=3))
+    assert info.value.stage == 3

@@ -50,14 +50,19 @@ def test_eigenvalues_raise_on_negative_buoyancy():
 
 
 def test_validate_rejects_bad_states():
-    model = ThermalShallowWater(1)
-    model.validate(np.array([1.0, 0.1, 0.0, 2.0]))
-    with pytest.raises(AdmissibilityError):
-        model.validate(np.array([0.0, 0.0, 0.0, 1.0]))
-    with pytest.raises(AdmissibilityError):
-        model.validate(np.array([1.0, 0.0, 0.0, 0.0]))
-    with pytest.raises(AdmissibilityError):
-        model.validate(np.array([1.0, np.inf, 0.0, 1.0]))
+    model = ThermalShallowWater(2)
+    good = [1.0, 0.1, 0.0, 2.0]
+    model.validate(np.array(good))
+    for bad in ([0.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 0.0],
+                [1.0, np.inf, 0.0, 1.0]):
+        states = np.array([[good, good], [good, bad]])
+        with pytest.raises(AdmissibilityError) as info:
+            model.validate(states, "initial data")
+        # the first bad cell, (k, j), and its state
+        assert info.value.where == (1, 1)
+        message = str(info.value)
+        assert "initial data" in message and "cell (1, 1)" in message
+        assert str(bad) in message
 
 
 def test_coriolis_affine():
