@@ -42,8 +42,9 @@ _WHERE_KEYS = {"disk": ("center", "radius"),
                "halfplane": ("axis", "op", "value"),
                "band": ("axis", "min", "max")}
 
-# the (required, optional) keys of a region's state, per model
-_GAS_KEYS = (("rho", "p", "gamma"), ("u", "v", "pi_inf"))
+# the (required, optional) keys of a region's state, per model (and dimension)
+_GAS_KEYS = {1: (("rho", "p", "gamma"), ("u", "pi_inf")),
+             2: (("rho", "p", "gamma"), ("u", "v", "pi_inf"))}
 _LAYER_KEYS = ((("h", "surface"), "b"), ("u", "v"))
 
 
@@ -63,7 +64,7 @@ def _check_keys(mapping, required, optional, what):
 
 def _check_regions(regions, state_keys, dimension):
     """ConfigError for a region list _piecewise_ic could not evaluate;
-    state_keys is (required, optional) as in _GAS_KEYS.  Only the last
+    state_keys is (required, optional) as in _LAYER_KEYS.  Only the last
     region may omit "where".  State values and the sizes in "where" must be
     finite numbers, a center a pair of them and an axis one of the grid's.
     """
@@ -122,7 +123,8 @@ def _piecewise_ic(regions, state_keys, dimension, region_state):
 def piecewise_multifluid_ic(regions, dimension):
     """IC callable from ordered (where, primitive-state) regions."""
     return _piecewise_ic(
-        regions, _GAS_KEYS, dimension, lambda st, x, y: conservative_state(
+        regions, _GAS_KEYS[dimension], dimension,
+        lambda st, x, y: conservative_state(
             st["rho"], st.get("u", 0.0), st.get("v", 0.0), st["p"],
             st["gamma"], st.get("pi_inf", 0.0), dimension))
 
@@ -438,7 +440,7 @@ def config_from_dict(raw, **overrides):
     if dimension not in (1, 2) or len(domain) != 2 * dimension:
         raise ConfigError(f"dimension must be 1 or 2 with two domain bounds "
                           f"per axis, got {dimension} and {list(domain)}")
-    grid = Grid(*domain[:2], nx, *domain[2:], ny=ny)   # 1-D ignores ny
+    grid = Grid(*domain[:2], nx, *domain[2:], ny=ny)
 
     if topography not in TOPOGRAPHIES:
         raise ConfigError(f"unknown topography {topography!r} "

@@ -14,6 +14,7 @@ from .errors import ConfigError
 GHOST = 2
 
 BC_KINDS = ("free", "solid_wall", "periodic")
+_SIDES = ("left", "right", "bottom", "top")    # x-sides, then y-sides
 
 
 class Grid:
@@ -29,6 +30,8 @@ class Grid:
         self.nx = int(nx)
         self.dx = (self.x_max - self.x_min) / self.nx
         if y_min is None:
+            if y_max is not None or ny is not None:
+                raise ConfigError("a 1-D grid takes no y_max or ny")
             self.dimension = 1
             self.y_min = self.y_max = None
             self.ny = None
@@ -110,22 +113,20 @@ class BoundaryCondition:
     def from_spec(cls, spec, dimension):
         if isinstance(spec, BoundaryCondition):
             return spec
+        sides = _SIDES[:2 * dimension]
         if isinstance(spec, str):
-            spec = {"left": spec, "right": spec, "bottom": spec, "top": spec}
+            spec = dict.fromkeys(sides, spec)
         if not isinstance(spec, dict):
             raise ConfigError(f"bc must be a kind or a per-side object, "
                               f"got {spec!r}")
-        if dimension == 1:
-            return cls(left=spec.get("left", "free"), right=spec.get("right", "free"))
-        return cls(left=spec.get("left", "free"), right=spec.get("right", "free"),
-                   bottom=spec.get("bottom", "free"), top=spec.get("top", "free"))
+        unknown = [k for k in spec if k not in sides]
+        if unknown:
+            raise ConfigError(f"unknown side(s) in a {dimension}-D 'bc': "
+                              f"{', '.join(map(repr, unknown))}")
+        return cls(**{side: spec.get(side, "free") for side in sides})
 
     def as_dict(self, dimension):
-        d = {"left": self.left, "right": self.right}
-        if dimension == 2:
-            d["bottom"] = self.bottom
-            d["top"] = self.top
-        return d
+        return {side: getattr(self, side) for side in _SIDES[:2 * dimension]}
 
 
 def _fill_axis(data, n, lo_kind, hi_kind, wall_comp):

@@ -12,67 +12,49 @@ import numpy as np
 from .errors import ConfigError
 
 
-# product name -> grid dimension it needs (None: any)
-PRODUCTS = {"csv": None, "schlieren": 2, "slice_diag": 2, "slice_y0": 2}
+# rows formatted by one `%`: bounds the text held at once
+_BLOCK_ROWS = 1024
 
 
-def check_outputs(outputs, grid):
-    """ConfigError for a product that is unknown or does not fit the grid."""
-    for name in outputs:
-        if name not in PRODUCTS:
-            raise ConfigError(f"unknown output {name!r} "
-                              f"(available: {', '.join(sorted(PRODUCTS))})")
-        need = PRODUCTS[name]
-        if need is not None and grid.dimension != need:
-            raise ConfigError(f"output {name!r} needs a {need}-D grid")
-        if name == "slice_diag" and grid.nx != grid.ny:
-            raise ConfigError("diagonal slice needs a square 2-D grid")
-
-
-def _write_table(path, header, columns):
-    table = np.column_stack(columns)
-    with open(path, "wb") as fh:
-        fh.write((",".join(header) + "\n").encode("ascii"))
-        np.savetxt(fh, table, fmt="%.17g", delimiter=",", newline="\n")
+def _write_table(path, coords, values):
+    """CSV of columns x[, y] and a (rows, d) table of values under a header
+    line, in the bytes of np.savetxt(fmt="%.17g", delimiter=",")."""
+    d = values.shape[-1]
+    header = ["x", "y"][:len(coords)] + ["comp_%d" % c for c in range(d)]
+    table = np.column_stack(coords + [values])
+    line = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(table), _BLOCK_ROWS):
+            block = table[start:start + _BLOCK_ROWS]
+            fh.write((line * len(block)) % tuple(block.ravel().tolist()))
 
 
 def write_field_csv(path, grid, interior):
-    """Cell-center coordinates and all state components, one row per cell."""
-    d = interior.shape[-1]
-    comp_names = ["comp_%d" % c for c in range(d)]
+    """Cell-center coordinates and all state components, one row per cell;
+    in 2-D row-major over (k, j), so x varies fastest."""
     if grid.dimension == 1:
-        cols = [grid.x_centers()] + [interior[:, c] for c in range(d)]
-        _write_table(path, ["x"] + comp_names, cols)
-    else:
-        xg, yg = np.meshgrid(grid.x_centers(), grid.y_centers())
-        cols = [xg.ravel(), yg.ravel()]
-        cols += [interior[..., c].ravel() for c in range(d)]
-        _write_table(path, ["x", "y"] + comp_names, cols)
+        return _write_table(path, [grid.x_centers()], interior)
+    x, y = np.meshgrid(grid.x_centers(), grid.y_centers())
+    _write_table(path, [x.ravel(), y.ravel()],
+                 interior.reshape(-1, interior.shape[-1]))
 
 
-def write_diagonal_slice_csv(path, grid, interior):
-    """Values along the y = x diagonal (needs a square grid)."""
-    if grid.dimension != 2 or grid.nx != grid.ny:
-        raise ConfigError("diagonal slice needs a square 2-D grid")
-    idx = np.arange(grid.nx)
-    d = interior.shape[-1]
-    cols = [grid.x_centers(), grid.y_centers()]
-    cols += [interior[idx, idx, c] for c in range(d)]
-    header = ["x", "y"] + ["comp_%d" % c for c in range(d)]
-    _write_table(path, header, cols)
+def _diagonal_cells(grid, state):
+    """Selector: the coordinate columns and values of the cells (j, j) on
+    the y = x diagonal of a square grid."""
+    j = np.arange(grid.nx)
+    return [grid.x_centers(), grid.y_centers()], state[j, j]
 
 
-def write_y0_slice_csv(path, grid, interior):
-    """Values along the grid line nearest y = 0."""
-    if grid.dimension != 2:
-        raise ConfigError("y-slice needs a 2-D grid")
+def _y0_cells(grid, state):
+    """The row of cells whose centers are nearest y = 0."""
     k = int(np.argmin(np.abs(grid.y_centers())))
-    d = interior.shape[-1]
-    y = np.full(grid.nx, grid.y_centers()[k])
-    cols = [grid.x_centers(), y]
-    cols += [interior[k, :, c] for c in range(d)]
-    header = ["x", "y"] + ["comp_%d" % c for c in range(d)]
-    _write_table(path, header, cols)
+    return [grid.x_centers(), np.full(grid.nx, grid.y_centers()[k])], state[k]
+
+
+def _slice_csv(select):
+    return lambda path, grid, state: _write_table(path, *select(grid, state))
 
 
 def schlieren_shade(density, dx, dy):
@@ -99,11 +81,47 @@ def write_pgm(path, shade):
         fh.write(flipped.tobytes())
 
 
-def write_run_json(path, echo, report):
-    snap_files = {"field_%03d.csv" % i: t for i, t in enumerate(report.times)}
+def _write_schlieren(path, grid, state):
+    write_pgm(path, schlieren_shade(state[..., 0], grid.dx, grid.dy))
+
+
+# product name -> (grid dimension it needs or None, file name pattern over
+# the snapshot index, writer(path, grid, state))
+PRODUCTS = {
+    "csv": (None, "field_%03d.csv", write_field_csv),
+    "schlieren": (2, "schlieren_%03d.pgm", _write_schlieren),
+    "slice_diag": (2, "slice_diag_%03d.csv", _slice_csv(_diagonal_cells)),
+    "slice_y0": (2, "slice_y0_%03d.csv", _slice_csv(_y0_cells)),
+}
+
+
+def check_outputs(outputs, grid):
+    """ConfigError for a product that is unknown or does not fit the grid."""
+    for name in outputs:
+        if name not in PRODUCTS:
+            raise ConfigError(f"unknown output {name!r} "
+                              f"(available: {', '.join(sorted(PRODUCTS))})")
+        need = PRODUCTS[name][0]
+        if need is not None and grid.dimension != need:
+            raise ConfigError(f"output {name!r} needs a {need}-D grid")
+        if name == "slice_diag" and grid.nx != grid.ny:
+            raise ConfigError("diagonal slice needs a square 2-D grid")
+
+
+def write_outputs(report, out_dir):
+    """Write every configured product for a finished run, then run.json
+    (config echo, each written file's time, diagnostics); returns out_dir."""
+    os.makedirs(out_dir, exist_ok=True)
+    config = report.config
+    files = {}
+    for i, (t, state) in enumerate(zip(report.times, report.states)):
+        for name in config.outputs:
+            _, pattern, writer = PRODUCTS[name]
+            writer(os.path.join(out_dir, pattern % i), config.grid, state)
+            files[pattern % i] = t
     payload = {
-        "config": echo,
-        "snapshot_times": {k: snap_files[k] for k in sorted(snap_files)},
+        "config": config.echo,
+        "snapshot_times": files,
         "diagnostics": {
             "steps": report.steps,
             "wall_time_s": report.wall_time,
@@ -115,31 +133,9 @@ def write_run_json(path, echo, report):
             "stage_recomputes": report.stage_recomputes,
         },
     }
-    with open(path, "w", encoding="ascii") as fh:
+    with open(os.path.join(out_dir, "run.json"), "w", encoding="ascii") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def write_outputs(report, out_dir):
-    """Write every configured product for a finished run; returns out_dir."""
-    os.makedirs(out_dir, exist_ok=True)
-    config = report.config
-    grid, outputs = config.grid, config.outputs
-    for i, (t, state) in enumerate(zip(report.times, report.states)):
-        tag = "%03d" % i
-        if "csv" in outputs:
-            write_field_csv(os.path.join(out_dir, "field_%s.csv" % tag),
-                            grid, state)
-        if "schlieren" in outputs:
-            shade = schlieren_shade(state[..., 0], grid.dx, grid.dy)
-            write_pgm(os.path.join(out_dir, "schlieren_%s.pgm" % tag), shade)
-        if "slice_diag" in outputs:
-            write_diagonal_slice_csv(
-                os.path.join(out_dir, "slice_diag_%s.csv" % tag), grid, state)
-        if "slice_y0" in outputs:
-            write_y0_slice_csv(
-                os.path.join(out_dir, "slice_y0_%s.csv" % tag), grid, state)
-    write_run_json(os.path.join(out_dir, "run.json"), config.echo, report)
     return out_dir
 
 

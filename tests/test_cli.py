@@ -28,7 +28,7 @@ def test_unknown_target_exits_2(capsys):
 
 
 def test_bad_override_exits_2(capsys):
-    for flags in (["--theta", "9"], ["--nx", "0"]):
+    for flags in (["--theta", "9"], ["--nx", "0"], ["--ny", "7"]):
         assert cli.main(["run", "ex6"] + flags) == 2, flags
         assert "configuration error" in capsys.readouterr().err
 
@@ -183,6 +183,13 @@ def _extra_where_key(config):
     config["ic"]["regions"][0]["where"]["radius"] = 1.0
 
 
+def _gas_v_in_1d(config):
+    # a valid 1-D multifluid config but for v, which only a 2-D gas has
+    config["model"] = "multifluid"
+    for region in config["ic"]["regions"]:
+        region["state"] = {"rho": 1.0, "v": 5.0, "p": 1.0, "gamma": 1.4}
+
+
 @pytest.mark.parametrize("spoil", [
     _without_b,
     lambda config: config.update(outputs=["schlieren"]),
@@ -206,13 +213,16 @@ def _extra_where_key(config):
     lambda config: config.update(tfinal=0.5),
     _misspelled_state_key,
     _extra_where_key,
+    lambda config: config.update(bc={"lft": "periodic"}),
+    lambda config: config.update(ny=7),
+    _gas_v_in_1d,
 ], ids=["region_without_b", "schlieren_in_1d", "dimension_x",
         "unknown_output", "text_b", "ny_x", "snapshots_abc", "bc_5",
         "halfplane_axis_z", "outputs_5", "outputs_nested_list",
         "topography_list", "topography_dict", "region_kind_list",
         "nx_1e400", "t_final_nan", "t_final_inf", "eps0_nan",
         "region_where_null", "tfinal", "misspelled_state_key",
-        "extra_where_key"])
+        "extra_where_key", "bc_unknown_side", "ny_in_1d", "gas_v_in_1d"])
 def test_malformed_config_exits_2_before_running(spoil, monkeypatch,
                                                  tmp_path, capsys):
     config = json.loads(json.dumps(_TINY_DAM))

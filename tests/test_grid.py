@@ -156,6 +156,20 @@ def test_bc_unknown_kind_rejected():
         BoundaryCondition("reflecting", "free")
 
 
+def test_bc_unknown_side_rejected():
+    # a misspelled side, and the y-sides of a 1-D grid, are named, not
+    # dropped; a side left out is free
+    with pytest.raises(ConfigError, match="'lft'"):
+        BoundaryCondition.from_spec({"lft": "periodic"}, 1)
+    with pytest.raises(ConfigError, match="'bottom', 'top'"):
+        BoundaryCondition.from_spec({"bottom": "free", "top": "free"}, 1)
+    bc = BoundaryCondition.from_spec({"bottom": "solid_wall"}, 2)
+    assert bc.as_dict(2) == {"left": "free", "right": "free",
+                             "bottom": "solid_wall", "top": "free"}
+    assert BoundaryCondition.from_spec("periodic", 1).as_dict(1) == {
+        "left": "periodic", "right": "periodic"}
+
+
 def test_buoyancy_jump_ic_cells_straddling_interface():
     # dam-break style data on [-5,5] with dx = 1/20: the cells on either
     # side of x=0 pick up the left state (h,v,b)=(2,0,1) and the right

@@ -1,5 +1,6 @@
 """Output writers: CSV fields, slices, schlieren shading, PGM, run manifest."""
 
+import io
 import json
 
 import numpy as np
@@ -7,8 +8,8 @@ import pytest
 
 from pccu.errors import ConfigError
 from pccu.grid import Grid
-from pccu.output import write_field_csv, write_diagonal_slice_csv, \
-    write_y0_slice_csv, schlieren_shade, write_pgm, write_outputs, \
+from pccu.output import PRODUCTS, _write_table, check_outputs, \
+    write_field_csv, schlieren_shade, write_pgm, write_outputs, \
     difference_norms
 from pccu.driver import run
 from pccu.catalog import make_config
@@ -41,32 +42,62 @@ def test_field_csv_round_trip_2d(tmp_path, rng):
     assert np.array_equal(data[:, 2], interior[..., 0].ravel())
 
 
+# values that stress %.17g: signed zero, the smallest subnormal, the
+# extremes, integral floats and a repeating fraction
+_HARD = [-0.0, 0.0, 5e-324, -5e-324, 1.7e308, -1.7e308, 3.0, -42.0,
+         1.0 / 3.0, 2.0 ** 53, 0.1]
+
+
+@pytest.mark.parametrize("rows", [1, 1024, 1025])
+def test_write_table_matches_savetxt(tmp_path, rng, rows):
+    # 1024 rows fill one formatting block exactly, 1025 spill into a second
+    values = rng.choice(_HARD, size=(rows, 3)) * rng.choice([1.0, 1.0 / 7],
+                                                             size=(rows, 3))
+    values[0] = _HARD[:3]
+    x, y = rng.normal(size=rows), rng.choice(_HARD, size=rows)
+    path = tmp_path / "table.csv"
+    _write_table(path, [x, y], values)
+    oracle = io.BytesIO()
+    np.savetxt(oracle, np.column_stack([x, y, values]), fmt="%.17g",
+               delimiter=",", newline="\n")
+    assert path.read_bytes() == (b"x,y,comp_0,comp_1,comp_2\n"
+                                 + oracle.getvalue())
+
+
+def _read_product(name, tmp_path, grid, interior):
+    path = tmp_path / (name + ".csv")
+    PRODUCTS[name][2](path, grid, interior)
+    assert path.read_text().splitlines()[0] == "x,y,comp_0,comp_1"
+    return np.loadtxt(path, delimiter=",", skiprows=1)
+
+
 def test_diagonal_slice_picks_matching_cells(tmp_path, rng):
     grid = Grid(-1.0, 1.0, 6, -1.0, 1.0, 6)
     interior = rng.normal(size=(6, 6, 2))
-    path = tmp_path / "diag.csv"
-    write_diagonal_slice_csv(path, grid, interior)
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
+    data = _read_product("slice_diag", tmp_path, grid, interior)
     idx = np.arange(6)
-    assert np.array_equal(data[:, 2], interior[idx, idx, 0])
+    assert np.array_equal(data[:, 2:], interior[idx, idx])
     assert np.array_equal(data[:, 0], grid.x_centers())
+    assert np.array_equal(data[:, 1], grid.y_centers())
 
 
-def test_diagonal_slice_requires_square_grid(tmp_path):
+def test_diagonal_slice_requires_square_grid():
     grid = Grid(0.0, 1.0, 6, 0.0, 1.0, 4)
-    with pytest.raises(ConfigError):
-        write_diagonal_slice_csv(tmp_path / "d.csv", grid,
-                                 np.zeros((4, 6, 1)))
+    with pytest.raises(ConfigError, match="square"):
+        check_outputs(("csv", "slice_diag"), grid)
+    # the catalog's ex9 writes slice_diag; RunConfig.validate rejects it
+    with pytest.raises(ConfigError, match="square"):
+        make_config("ex9", nx=16, ny=8)
 
 
 def test_y0_slice_picks_row_nearest_zero(tmp_path, rng):
     grid = Grid(0.0, 1.0, 5, -1.0, 1.0, 8)
-    interior = rng.normal(size=(8, 5, 1))
-    path = tmp_path / "y0.csv"
-    write_y0_slice_csv(path, grid, interior)
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
+    interior = rng.normal(size=(8, 5, 2))
+    data = _read_product("slice_y0", tmp_path, grid, interior)
     k = np.argmin(np.abs(grid.y_centers()))
-    assert np.array_equal(data[:, 2], interior[k, :, 0])
+    assert np.array_equal(data[:, 2:], interior[k])
+    assert np.array_equal(data[:, 0], grid.x_centers())
+    assert np.all(data[:, 1] == grid.y_centers()[k])
 
 
 # ---- schlieren ---------------------------------------------------------------------
@@ -146,9 +177,19 @@ def test_write_outputs_produces_manifest_and_fields(tmp_path):
     assert manifest["config"]["label"] == "ex6"
     assert manifest["config"]["nx"] == 200
     assert manifest["diagnostics"]["steps"] == report.steps
-    assert set(manifest["snapshot_times"]) == {"field_000.csv",
-                                               "field_001.csv"}
+    assert manifest["snapshot_times"] == {"field_000.csv": 0.0,
+                                          "field_001.csv": 0.01}
     assert out.endswith("run")
+
+    # run.json maps the files that were written, whatever the products
+    config = make_config("ex9", nx=16, ny=16, t_final=0.005,
+                         snapshots=(0.0,), outputs=("slice_y0",))
+    write_outputs(run(config), str(tmp_path / "y0"))
+    files = sorted(p.name for p in (tmp_path / "y0").iterdir())
+    assert files == ["run.json", "slice_y0_000.csv", "slice_y0_001.csv"]
+    manifest = json.loads((tmp_path / "y0" / "run.json").read_text())
+    assert manifest["snapshot_times"] == {"slice_y0_000.csv": 0.0,
+                                          "slice_y0_001.csv": 0.005}
 
 
 def test_difference_norms_of_identical_runs_vanish():
