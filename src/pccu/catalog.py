@@ -380,6 +380,12 @@ def _integer(value):
     return int(value)
 
 
+def _text(value):
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
 def _list_of(item, value):
     if not isinstance(value, (list, tuple)):
         raise TypeError(f"expected a list, got {value!r}")
@@ -387,10 +393,10 @@ def _list_of(item, value):
 
 
 # RunConfig fields a config sets, with their parsers; defaults are RunConfig's
-_RUN_FIELDS = {"t_final": _finite, "scheme": str, "theta": _finite,
+_RUN_FIELDS = {"t_final": _finite, "scheme": _text, "theta": _finite,
                "cfl": _finite, "eps0": _finite,
-               "snapshots": lambda v: _list_of(_finite, v), "label": str,
-               "outputs": lambda v: _list_of(str, v)}
+               "snapshots": lambda v: _list_of(_finite, v), "label": _text,
+               "outputs": lambda v: _list_of(_text, v)}
 
 # the keys a config needs and the others it may have ("note": catalog text)
 _REQUIRED = ("model", "dimension", "domain", "nx", "t_final", "ic")
@@ -421,7 +427,7 @@ def config_from_dict(raw, **overrides):
     raw = {**raw, **{k: v for k, v in overrides.items() if v is not None}}
     _check_keys(raw, _REQUIRED, _OPTIONAL, "the config")
     try:
-        model_kind = str(raw["model"])
+        model_kind = _text(raw["model"])
         dimension = _integer(raw["dimension"])
         domain = _list_of(_finite, raw["domain"])
         refine = _integer(raw.get("refine", 1))
@@ -429,7 +435,8 @@ def config_from_dict(raw, **overrides):
         ny = None if raw.get("ny") is None else _integer(raw["ny"]) * refine
         f0 = _finite(raw.get("f0", 0.0))
         beta = _finite(raw.get("beta", 0.0))
-        topography = str(raw.get("topography", "flat"))
+        topography = _text(raw.get("topography", "flat"))
+        _text(raw.get("note", ""))          # catalog text, not kept
         fields = {k: parse(raw[k]) for k, parse in _RUN_FIELDS.items()
                   if k in raw}
     except TypeError as exc:

@@ -103,9 +103,10 @@ def _sweep(model, lines, geom, scheme, theta, eps0, robust=None, stats=None):
     lam_lo, lam_hi, a_lo, a_hi = local_speeds(lam_minus, lam_plus)
     du = ub_plus - ub_minus
     if scheme == "lcd":
-        face = model.lcd_matrices(lines[:, g - 1:-g + 1, :], direction)
         p, m, q = split_weights(lam_lo, lam_hi, a_lo, a_hi, eps0)
-        flux = characteristic_flux(model, face, p, m, q, k_minus, k_plus, du)
+        flux = characteristic_flux(
+            model.lcd_matrices(lines[:, g - 1:-g + 1, :], direction),
+            p, m, q, k_minus, k_plus, du)
         if robust is not None:
             flux[robust] = central_upwind_flux(
                 a_lo[robust], a_hi[robust], k_minus[robust], k_plus[robust],

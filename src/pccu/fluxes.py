@@ -60,7 +60,7 @@ def _dot(row, comps):
     return out
 
 
-def characteristic_flux(model, face, p, m, q, k_minus, k_plus, du):
+def characteristic_flux(vectors, p, m, q, k_minus, k_plus, du):
     """Assemble the interface flux in characteristic variables.
 
     flux = R [ P * (R^-1 K^-) + M * (R^-1 K^+) + Q * (R^-1 (U_breve^+ - U_breve^-)) ]
@@ -73,15 +73,16 @@ def characteristic_flux(model, face, p, m, q, k_minus, k_plus, du):
                + (M_k - M_w) l_k K^+ + (Q_k - Q_w) l_k du]
 
     over the two acoustic fields k, with l_k their rows of R^-1 and r_k
-    their columns of R from model.eigenvectors(face).  With a single
-    speed, (L, nf, 1), there is nothing to correct.
+    their columns of R from vectors, the (rows of R^-1, rows of R) that
+    model.lcd_matrices returns.  With a single speed, (L, nf, 1), there
+    is nothing to correct.
     """
     mid = p.shape[-1] // 2
     flux = (p[..., mid:mid + 1] * k_minus + m[..., mid:mid + 1] * k_plus
             + q[..., mid:mid + 1] * du)
     if mid == 0:
         return flux
-    inv_rows, rows = model.eigenvectors(face)
+    inv_rows, rows = vectors
     comps = [np.moveaxis(v, -1, 0) for v in (k_minus, k_plus, du)]
     amps = {}
     for k, field in ((0, 0), (-1, len(rows) - 1)):

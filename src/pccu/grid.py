@@ -65,25 +65,19 @@ class Grid:
 class Field:
     """Cell-average values of a d-component state, ghost layers included."""
 
-    def __init__(self, grid, d, data=None):
+    def __init__(self, grid, d):
         self.grid = grid
         self.d = int(d)
         if grid.dimension == 1:
             shape = (grid.nx + 2 * GHOST, d)
         else:
             shape = (grid.ny + 2 * GHOST, grid.nx + 2 * GHOST, d)
-        if data is None:
-            try:
-                data = np.zeros(shape)
-            except (MemoryError, ValueError) as exc:  # ValueError: too big
-                cells = grid.nx * (grid.ny if grid.dimension == 2 else 1)
-                raise ConfigError(f"cannot allocate a field of {cells} "
-                                  f"cells: {exc}") from exc
-        else:
-            data = np.asarray(data, dtype=np.float64)
-            if data.shape != shape:
-                raise ConfigError(f"field data shape {data.shape} != {shape}")
-        self.data = data
+        try:
+            self.data = np.zeros(shape)
+        except (MemoryError, ValueError) as exc:  # ValueError: too big
+            cells = grid.nx * (grid.ny if grid.dimension == 2 else 1)
+            raise ConfigError(f"cannot allocate a field of {cells} "
+                              f"cells: {exc}") from exc
 
     @property
     def interior(self):

@@ -88,13 +88,6 @@ class Multifluid:
         pi_inf = p_coef / (g_coef + 1.0)
         return rho, u, v, p, gamma, pi_inf
 
-    def pressure(self, state):
-        return self.primitives(state)[3]
-
-    def sound_speed(self, state):
-        rho, _, _, p, gamma, pi_inf = self.primitives(state)
-        return np.sqrt(gamma * (p + pi_inf) / rho)
-
     def admissible(self, state):
         """Per-state mask of {rho > RHO_MIN, G > 0, 0 < p + pi_inf < inf}.
 
@@ -157,9 +150,18 @@ class Multifluid:
         return -u_mid[..., None] * (state_b[..., rows] - state_a[..., rows])
 
     def lcd_matrices(self, cells, direction):
-        """Face data (ia, it, w, t, p, gamma - 1, c) between consecutive
-        cells: the means of their primitives, w the velocity along the
-        sweep (slot ia), t across it (slot it; None in 1-D)."""
+        """Sparse rows of R^-1 and of R at the faces between consecutive
+        cells, as lists of {slot: coef} maps (coef None for 1), from the
+        means of the two cells' primitives.
+
+        The characteristic fields are the w - c wave, the contact, in 2-D
+        the shear wave, the G and P material waves and the w + c wave, in
+        that order (1-D has no shear slot); w is the velocity along the
+        sweep (slot ia), t the one across it (slot it).  The acoustic rows
+        of R^-1 are (X +- Y) / (2 c^2), X = (gamma - 1)(kin V0 - w Va -
+        t Vt + Ve - p VG - VP), Y = c (w V0 - Va); the contact is
+        V0 - X / c^2.
+        """
         rho, u, v, p, gamma, pi_inf = (0.5 * (a[..., :-1] + a[..., 1:])
                                        for a in self.primitives(cells))
         csq = gamma * (p + pi_inf) / rho
@@ -167,21 +169,10 @@ class Multifluid:
             raise AdmissibilityError(
                 "characteristic decomposition needs p + pi_inf > 0")
         w, t = (u, v) if direction == "x" else (v, u)
-        return self._indices(direction) + (w, t, p, gamma - 1.0,
-                                           np.sqrt(csq))
-
-    def eigenvectors(self, face):
-        """Sparse rows of R^-1 and of R at the faces, as lists of
-        {slot: coef} maps (coef None for 1).
-
-        The characteristic fields are the w - c wave, the contact, in 2-D
-        the shear wave, the G and P material waves and the w + c wave, in
-        that order (1-D has no shear slot).  The acoustic rows of R^-1 are
-        (X +- Y) / (2 c^2), X = (gamma - 1)(kin V0 - w Va - t Vt + Ve -
-        p VG - VP), Y = c (w V0 - Va); the contact is V0 - X / c^2.
-        """
-        ia, it, w, t, p, g, c = face
+        ia, it = self._indices(direction)
         ie, ig, ip = self.ie, self.ig, self.ip
+        g = gamma - 1.0
+        c = np.sqrt(csq)
         c2 = c * c
         inv2c2 = 0.5 / c2
         kin = 0.5 * (w * w + t * t)

@@ -96,8 +96,11 @@ PRODUCTS = {
 
 
 def check_outputs(outputs, grid):
-    """ConfigError for a product that is unknown or does not fit the grid."""
-    for name in outputs:
+    """ConfigError for a product that is unknown, named twice or does not
+    fit the grid."""
+    for i, name in enumerate(outputs):
+        if name in outputs[:i]:
+            raise ConfigError(f"output {name!r} is named twice")
         if name not in PRODUCTS:
             raise ConfigError(f"unknown output {name!r} "
                               f"(available: {', '.join(sorted(PRODUCTS))})")

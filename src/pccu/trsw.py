@@ -175,9 +175,12 @@ class ThermalShallowWater:
         return np.moveaxis(np.stack([w - s, w, w + s]), 0, -1)
 
     def lcd_matrices(self, cells, direction):
-        """Face data (ia, it, h, w, t, b) between consecutive cells: the
-        means of their h, w, t and b, with w the velocity along the sweep
-        (slot ia) and t the one across it (slot it)."""
+        """Sparse rows of R^-1 and of R at the faces between consecutive
+        cells, as lists of {slot: coef} maps (coef None for 1), from the
+        means of the two cells' h, w, t and b: w the velocity along the
+        sweep (slot ia), t the one across it (slot it).  The characteristic
+        fields are the (w - s) wave, the buoyancy and shear materials and
+        the (w + s) wave, in that order, with s = sqrt(b h)."""
         ia, it = self._indices(direction)
         h = cells[..., 0]
         h, w, t, b = (0.5 * (v[..., :-1] + v[..., 1:]) for v in (
@@ -185,14 +188,6 @@ class ThermalShallowWater:
         if np.any(b <= 0.0) or np.any(h <= 0.0):
             raise AdmissibilityError(
                 "characteristic decomposition needs h > 0 and b > 0")
-        return ia, it, h, w, t, b
-
-    def eigenvectors(self, face):
-        """Sparse rows of R^-1 and of R at the faces, as lists of
-        {slot: coef} maps (coef None for 1).  The characteristic fields are
-        the (w - s) wave, the buoyancy and shear materials and the (w + s)
-        wave, in that order, with s = sqrt(b h)."""
-        ia, it, h, w, t, b = face
         kap = np.sqrt(b / h)
         s = np.sqrt(b * h)
         inv_b = 1.0 / b

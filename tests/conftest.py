@@ -39,9 +39,6 @@ class ScalarAdvection:
         return np.zeros_like(state_a)
 
     def lcd_matrices(self, cells, direction):
-        return None
-
-    def eigenvectors(self, face):
         return [{0: None}], [{0: None}]
 
 
@@ -54,18 +51,20 @@ def _dense(rows, shape):
     return mat
 
 
-def face_data(model, left, right, direction):
-    """model.lcd_matrices at the faces between paired states (..., d):
-    each pair is a two-cell line, whose one face axis is dropped."""
-    face = model.lcd_matrices(np.stack([left, right], axis=-2), direction)
-    return tuple(v[..., 0] if isinstance(v, np.ndarray) else v
-                 for v in face)
+def face_vectors(model, left, right, direction):
+    """model.lcd_matrices at the faces between paired states (..., d), the
+    rows of R^-1 and of R: each pair is a two-cell line, whose one face
+    axis each coefficient array loses."""
+    return tuple(
+        [{j: c[..., 0] if isinstance(c, np.ndarray) else c
+          for j, c in row.items()} for row in rows]
+        for rows in model.lcd_matrices(np.stack([left, right], axis=-2),
+                                       direction))
 
 
 def dense_eigensystem(model, left, right, direction):
     """(R, R^-1) at each face, dense, from the model's sparse rows."""
-    inv_rows, rows = model.eigenvectors(
-        face_data(model, left, right, direction))
+    inv_rows, rows = face_vectors(model, left, right, direction)
     return _dense(rows, left.shape[:-1]), _dense(inv_rows, left.shape[:-1])
 
 

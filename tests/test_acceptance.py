@@ -22,7 +22,7 @@ from pccu.trsw import ThermalShallowWater
 from pccu.output import schlieren_shade
 from pccu.catalog import make_config
 from conftest import random_multifluid_states, random_trsw_states, \
-    dense_eigensystem, expand_fields, extremal_weights, face_data
+    dense_eigensystem, expand_fields, extremal_weights, face_vectors
 
 EPS0 = 1e-18
 
@@ -124,11 +124,11 @@ def test_criterion_04_flux_identities(rng):
     pe, me, qe = extremal_weights(a_lo, a_hi, 3, EPS0)
     pm_err = max(pm_err, np.abs(pe + me - 1.0).max())
 
-    face = face_data(model, left, right, "x")
+    vectors = face_vectors(model, left, right, "x")
     k_minus = model.flux(left, "x") + rng.normal(size=left.shape)
     k_plus = model.flux(right, "x") + rng.normal(size=left.shape)
     du = right - left
-    via_lcd = characteristic_flux(model, face, pe, me, qe,
+    via_lcd = characteristic_flux(vectors, pe, me, qe,
                                   k_minus, k_plus, du)
     classic = central_upwind_flux(a_lo, a_hi, k_minus, k_plus, du, EPS0)
     rel = np.abs(via_lcd - classic).max() / max(np.abs(classic).max(), 1.0)

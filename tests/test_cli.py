@@ -190,6 +190,15 @@ def _gas_v_in_1d(config):
         region["state"] = {"rho": 1.0, "v": 5.0, "p": 1.0, "gamma": 1.4}
 
 
+def _gas_with(**keys):
+    """A valid 1-D multifluid config but for keys, which only trsw takes."""
+    def spoil(config):
+        config.update(model="multifluid", **keys)
+        for region in config["ic"]["regions"]:
+            region["state"] = {"rho": 1.0, "p": 1.0, "gamma": 1.4}
+    return spoil
+
+
 @pytest.mark.parametrize("spoil", [
     _without_b,
     lambda config: config.update(outputs=["schlieren"]),
@@ -216,13 +225,28 @@ def _gas_v_in_1d(config):
     lambda config: config.update(bc={"lft": "periodic"}),
     lambda config: config.update(ny=7),
     _gas_v_in_1d,
+    lambda config: config.update(outputs=["csv", "csv"]),
+    lambda config: config.update(label=5),
+    lambda config: config.update(label=None),
+    lambda config: config.update(note=[1]),
+    lambda config: config.update(topography=None),
+    lambda config: config.update(refine=0),
+    _gas_with(topography="two_bumps_1d"),
+    _gas_with(f0=1.0),
+    lambda config: config.update(domain=[1.0, -1.0]),
+    lambda config: config.update(bc={"left": "periodic"}),
+    lambda config: config.update(snapshots=[0.02]),
 ], ids=["region_without_b", "schlieren_in_1d", "dimension_x",
         "unknown_output", "text_b", "ny_x", "snapshots_abc", "bc_5",
         "halfplane_axis_z", "outputs_5", "outputs_nested_list",
         "topography_list", "topography_dict", "region_kind_list",
         "nx_1e400", "t_final_nan", "t_final_inf", "eps0_nan",
         "region_where_null", "tfinal", "misspelled_state_key",
-        "extra_where_key", "bc_unknown_side", "ny_in_1d", "gas_v_in_1d"])
+        "extra_where_key", "bc_unknown_side", "ny_in_1d", "gas_v_in_1d",
+        "outputs_repeated", "label_number", "label_null", "note_list",
+        "topography_null", "refine_0",
+        "multifluid_topography", "multifluid_f0", "domain_reversed",
+        "bc_periodic_one_side", "snapshot_after_t_final"])
 def test_malformed_config_exits_2_before_running(spoil, monkeypatch,
                                                  tmp_path, capsys):
     config = json.loads(json.dumps(_TINY_DAM))
@@ -235,6 +259,26 @@ def test_malformed_config_exits_2_before_running(spoil, monkeypatch,
 
     monkeypatch.setattr(cli, "run", must_not_run)
     assert cli.main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "configuration error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["model", "scheme", "label", "topography",
+                                 "note", "outputs"])
+def test_text_keys_take_only_strings(key):
+    # not str() of any JSON value: 5 is no label "5" and no scheme "5"
+    value = [5] if key == "outputs" else 5
+    with pytest.raises(ConfigError, match="expected a string, got 5"):
+        config_from_dict({**_TINY_DAM, key: value})
+
+
+@pytest.mark.parametrize("text", ['{"model": "trsw",', '[1, 2]'],
+                         ids=["not_json", "json_list"])
+def test_config_file_that_is_not_an_object_exits_2(text, monkeypatch,
+                                                   tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    monkeypatch.setattr(cli, "run", None)        # never reached
+    assert cli.main(["run", str(path)]) == 2
     assert "configuration error:" in capsys.readouterr().err
 
 
@@ -261,7 +305,7 @@ _SLOTS = ([("top", k) for k in ("model", "dimension", "domain", "nx", "ny",
                                 "t_final", "snapshots", "theta", "cfl",
                                 "eps0", "f0", "beta", "refine", "scheme",
                                 "label", "bc", "topography", "outputs",
-                                "ic", "tfinal")]
+                                "ic", "note", "tfinal")]
           + [("state", k) for k in ("h", "b", "u", "v", "surface", "bb")]
           + [("where", k) for k in ("kind", "axis", "op", "value",
                                     "center", "radius")])

@@ -9,7 +9,7 @@ from pccu.fluxes import local_speeds, split_weights, characteristic_flux, \
 from pccu.multifluid import Multifluid, conservative_state
 from pccu.trsw import ThermalShallowWater
 from conftest import dense_eigensystem, expand_fields, extremal_weights, \
-    face_data, random_multifluid_states, random_trsw_states
+    face_vectors, random_multifluid_states, random_trsw_states
 
 EPS0 = 1e-18
 
@@ -139,48 +139,42 @@ def test_characteristic_assembly_reduces_to_central_upwind(rng, mf1):
     # with every field forced to the extremal speeds, the eigenvector
     # conjugation cancels and the assembly equals the classical formula
     left, right = _random_interfaces(rng, mf1, 1000)
-    face = face_data(mf1, left, right, "x")
+    vectors = face_vectors(mf1, left, right, "x")
     lam = mf1.eigenvalues(np.stack([left, right]), "x")
     _, _, a_lo, a_hi = local_speeds(lam[0], lam[1])
     k_minus = mf1.flux(left, "x") + rng.normal(size=left.shape)
     k_plus = mf1.flux(right, "x") + rng.normal(size=left.shape)
     du = right - left
     p, m, q = extremal_weights(a_lo, a_hi, 3, EPS0)
-    via_lcd = characteristic_flux(mf1, face, p, m, q, k_minus, k_plus, du)
+    via_lcd = characteristic_flux(vectors, p, m, q, k_minus, k_plus, du)
     classic = central_upwind_flux(a_lo, a_hi, k_minus, k_plus, du, EPS0)
     scale = np.abs(classic).max()
     assert np.abs(via_lcd - classic).max() <= 1e-12 * max(scale, 1.0)
 
 
-class _Scaled:
-    """A model whose eigenvector columns are rescaled by `dscale`: column
-    j of R times dscale[..., j], row j of R^-1 divided by it."""
-
-    def __init__(self, model, dscale):
-        self.model, self.dscale = model, dscale
-
-    def eigenvectors(self, face):
-        inv_rows, rows = self.model.eigenvectors(face)
-        value = lambda coef: 1.0 if coef is None else coef
-        inv_rows = [{j: value(c) / self.dscale[..., i] for j, c in row.items()}
-                    for i, row in enumerate(inv_rows)]
-        rows = [{j: value(c) * self.dscale[..., j] for j, c in row.items()}
-                for row in rows]
-        return inv_rows, rows
+def _scaled(vectors, dscale):
+    """Rows of R^-1 and R with column j of R times dscale[..., j] and row j
+    of R^-1 divided by it."""
+    inv_rows, rows = vectors
+    value = lambda coef: 1.0 if coef is None else coef
+    return ([{j: value(c) / dscale[..., i] for j, c in row.items()}
+             for i, row in enumerate(inv_rows)],
+            [{j: value(c) * dscale[..., j] for j, c in row.items()}
+             for row in rows])
 
 
 def test_assembly_invariant_under_eigenvector_scaling(rng, mf1):
     left, right = _random_interfaces(rng, mf1, 200)
-    face = face_data(mf1, left, right, "x")
+    vectors = face_vectors(mf1, left, right, "x")
     lam = mf1.eigenvalues(np.stack([left, right]), "x")
     lam_lo, lam_hi, a_lo, a_hi = local_speeds(lam[0], lam[1])
     p, m, q = split_weights(lam_lo, lam_hi, a_lo, a_hi, EPS0)
     k_minus, k_plus = mf1.flux(left, "x"), mf1.flux(right, "x")
     du = right - left
-    base = characteristic_flux(mf1, face, p, m, q, k_minus, k_plus, du)
+    base = characteristic_flux(vectors, p, m, q, k_minus, k_plus, du)
     # rescale the eigenvector columns by random positive factors
     dscale = rng.uniform(0.2, 5.0, size=left.shape)
-    scaled = characteristic_flux(_Scaled(mf1, dscale), face, p, m, q,
+    scaled = characteristic_flux(_scaled(vectors, dscale), p, m, q,
                                  k_minus, k_plus, du)
     assert np.abs(scaled - base).max() <= 1e-11 * max(np.abs(base).max(), 1.0)
 
@@ -188,12 +182,12 @@ def test_assembly_invariant_under_eigenvector_scaling(rng, mf1):
 def test_assembly_consistency_at_equal_states(rng, mf1):
     states = random_multifluid_states(rng, 1000, 1)[None]
     flux = mf1.flux(states, "x")
-    face = face_data(mf1, states, states, "x")
+    vectors = face_vectors(mf1, states, states, "x")
     lam = mf1.eigenvalues(np.stack([states, states]), "x")
     lam_lo, lam_hi, a_lo, a_hi = local_speeds(lam[0], lam[1])
     du = np.zeros_like(states)
     p, m, q = split_weights(lam_lo, lam_hi, a_lo, a_hi, EPS0)
-    assembled = characteristic_flux(mf1, face, p, m, q, flux, flux, du)
+    assembled = characteristic_flux(vectors, p, m, q, flux, flux, du)
     classic = central_upwind_flux(a_lo, a_hi, flux, flux, du, EPS0)
     scale = np.abs(flux).max()
     assert np.abs(assembled - flux).max() <= 1e-12 * scale
@@ -204,13 +198,13 @@ def test_assembly_passes_through_steady_flux(rng, mf1):
     # equal one-sided global fluxes and equal breve states: the interface
     # flux must be that shared value regardless of the weights
     left, right = _random_interfaces(rng, mf1, 100)
-    face = face_data(mf1, left, right, "x")
+    vectors = face_vectors(mf1, left, right, "x")
     lam = mf1.eigenvalues(np.stack([left, right]), "x")
     lam_lo, lam_hi, a_lo, a_hi = local_speeds(lam[0], lam[1])
     p, m, q = split_weights(lam_lo, lam_hi, a_lo, a_hi, EPS0)
     k_hat = rng.normal(size=left.shape)
     du = np.zeros_like(left)
-    assembled = characteristic_flux(mf1, face, p, m, q, k_hat, k_hat, du)
+    assembled = characteristic_flux(vectors, p, m, q, k_hat, k_hat, du)
     assert np.abs(assembled - k_hat).max() <= 1e-12 * np.abs(k_hat).max()
 
 
@@ -240,8 +234,8 @@ def test_flux_matches_the_dense_characteristic_product(rng, case):
     k_minus = model.flux(left, direction) + rng.normal(size=left.shape)
     k_plus = model.flux(right, direction) + rng.normal(size=left.shape)
     du = right - left
-    face = face_data(model, left, right, direction)
-    got = characteristic_flux(model, face, p, m, q, k_minus, k_plus, du)
+    vectors = face_vectors(model, left, right, direction)
+    got = characteristic_flux(vectors, p, m, q, k_minus, k_plus, du)
 
     r_mat, r_inv = dense_eigensystem(model, left, right, direction)
     project = lambda v: np.einsum('...ij,...j->...i', r_inv, v)

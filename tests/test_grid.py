@@ -34,12 +34,6 @@ def test_grid_rejects_bad_extents():
         Grid(0.0, 1.0, 10, 0.0, 1.0)   # 2-D without ny
 
 
-def test_field_shape_validation():
-    g = Grid(0.0, 1.0, 4)
-    with pytest.raises(ConfigError):
-        Field(g, 2, data=np.zeros((5, 2)))
-
-
 def test_init_midpoint_rule_linear_exact():
     # midpoint rule integrates linear functions exactly, so the cell
     # averages of f(x) = a + b x are just f at the centers
