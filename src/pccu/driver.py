@@ -4,8 +4,15 @@ The spatial operator runs dimension-by-dimension on "stacked lines": in 2-D
 the x-sweep sees the field as (ny, nx + 2g, d) and the y-sweep as the
 transposed (nx, ny + 2g, d), so both reuse the same 1-D kernel.  Interface
 f = 0..n of a line sits between padded cells f+1 and f+2.
+
+The two sweeps of a 2-D stage read the same ghost-filled averages and
+write separate differences, so a 2-D run of at least HELPER_MIN_CELLS
+cells hands each stage's y-sweep to a helper process (pccu.ysweep) while
+this process runs the x-sweep; every number is the same as with both
+sweeps here.
 """
 
+import contextlib
 import ctypes
 import functools
 import time
@@ -26,6 +33,11 @@ from .timestepping import cfl_dt, ssprk3_step, finite_stage_check
 from .output import check_outputs
 
 SCHEMES = ("pccu", "lcd")
+
+# The break-even of the y-sweep helper: below it, waking the helper and
+# copying the field cost more than the half of the sweep work it takes
+# (ex8 under both schemes; see CHANGES.md).
+HELPER_MIN_CELLS = 1024
 
 
 @dataclass
@@ -132,8 +144,32 @@ def _padded_centers(lo, n, step):
     return lo + (np.arange(-GHOST, n + GHOST) + 0.5) * step
 
 
+def _located_sweep(model, lines, geom, scheme, theta, eps0, cells, periodic,
+                   stats):
+    """_sweep with the robust faces of the flagged cells (L, n) or None; an
+    error raised in the sweep leaves with its direction set."""
+    faces = None if cells is None else _face_flags(cells, periodic)
+    try:
+        return _sweep(model, lines, geom, scheme, theta, eps0, faces, stats)
+    except (AdmissibilityError, ReconstructionError, NumericalError) as exc:
+        exc.direction = geom.direction
+        raise
+
+
+def _y_sweep(data, model, grid, bc, scheme, theta, eps0, robust, stats):
+    """(diff, speed) of the y-sweep over a ghost-filled 2-D field's data;
+    diff is (nx, ny, d)."""
+    geom = LineGeometry("y", grid.dy,
+                        _padded_centers(grid.y_min, grid.ny, grid.dy),
+                        grid.x_centers())
+    return _located_sweep(model, np.swapaxes(data[:, GHOST:-GHOST], 0, 1),
+                          geom, scheme, theta, eps0,
+                          None if robust is None else robust.T,
+                          bc.bottom == "periodic", stats)
+
+
 def spatial_rhs(fld, model, bc, scheme, theta, eps0, robust=None,
-                stats=None):
+                stats=None, helper=None):
     """Tendency -d/dx K - d/dy L on the interior; returns (tendency, sx, sy).
 
     robust, a boolean mask over the interior cells, makes lcd use the
@@ -143,35 +179,36 @@ def spatial_rhs(fld, model, bc, scheme, theta, eps0, robust=None,
     ReconstructionError or NumericalError raised in a sweep leaves with
     its direction ("x" or "y") set; one for an inadmissible cell average
     names the first such cell in grid order, (k, j) or (j,), and its state.
+    helper, a ysweep.SweepHelper set up for this model, grid, bc, scheme,
+    theta and eps0, runs a 2-D y-sweep while this process runs the
+    x-sweep; when both sweeps fail, the x-sweep's error is raised, as
+    without it.
     """
     fill_ghosts(fld, bc, model)
     grid = fld.grid
     g = GHOST
-
-    def sweep(lines, geom, cells, periodic):
-        faces = None if cells is None else _face_flags(cells, periodic)
-        try:
-            return _sweep(model, lines, geom, scheme, theta, eps0, faces,
-                          stats)
-        except (AdmissibilityError, ReconstructionError,
-                NumericalError) as exc:
-            exc.direction = geom.direction
-            raise
-
     x_coords = _padded_centers(grid.x_min, grid.nx, grid.dx)
     x_periodic = bc.left == "periodic"
     if grid.dimension == 1:
         geom = LineGeometry("x", grid.dx, x_coords)
-        diff, sx = sweep(fld.data[None], geom,
-                         None if robust is None else robust[None], x_periodic)
+        diff, sx = _located_sweep(model, fld.data[None], geom, scheme, theta,
+                                  eps0, None if robust is None
+                                  else robust[None], x_periodic, stats)
         return -diff[0], sx, 0.0
     geom_x = LineGeometry("x", grid.dx, x_coords, grid.y_centers())
-    diff_x, sx = sweep(fld.data[g:-g], geom_x, robust, x_periodic)
-    y_coords = _padded_centers(grid.y_min, grid.ny, grid.dy)
-    geom_y = LineGeometry("y", grid.dy, y_coords, grid.x_centers())
-    diff_y, sy = sweep(np.swapaxes(fld.data[:, g:-g], 0, 1), geom_y,
-                       None if robust is None else robust.T,
-                       bc.bottom == "periodic")
+    if helper is not None:
+        helper.start(fld.data, robust)
+    try:
+        diff_x, sx = _located_sweep(model, fld.data[g:-g], geom_x, scheme,
+                                    theta, eps0, robust, x_periodic, stats)
+    except BaseException:
+        if helper is not None:
+            helper.drain()
+        raise
+    # None when the helper did not start this y-sweep: run it here
+    result = None if helper is None else helper.finish(stats)
+    diff_y, sy = result or _y_sweep(fld.data, model, grid, bc, scheme, theta,
+                                    eps0, robust, stats)
     return -(diff_x + np.swapaxes(diff_y, 0, 1)), sx, sy
 
 
@@ -225,6 +262,17 @@ class RunReport:
     stage_recomputes: int = 0       # lcd stage tendencies redone
 
 
+def _y_helper(config):
+    """ysweep.claim(config) for a 2-D run of at least HELPER_MIN_CELLS
+    cells, which loads the helper's module on first use; else a context
+    that gives None."""
+    grid = config.grid
+    if grid.dimension == 2 and grid.nx * grid.ny >= HELPER_MIN_CELLS:
+        from . import ysweep
+        return ysweep.claim(config)
+    return contextlib.nullcontext()
+
+
 @functools.cache
 def fix_malloc_thresholds():
     """Fix glibc's adaptive mmap and trim thresholds, under which the
@@ -272,47 +320,48 @@ def run(config):
     # candidates push out of the admissible set
     admissible = model.admissible if config.scheme == "lcd" else None
 
-    def rhs(values, robust=None):
-        work.interior[...] = values
-        if robust is not None:
-            stats["stage_recomputes"] += 1
-        tendency, sx, sy = spatial_rhs(work, model, config.bc, config.scheme,
-                                       config.theta, config.eps0, robust,
-                                       stats)
-        speeds.append((sx, sy))
-        return tendency
+    with _y_helper(config) as helper:
+        def rhs(values, robust=None):
+            work.interior[...] = values
+            if robust is not None:
+                stats["stage_recomputes"] += 1
+            tendency, sx, sy = spatial_rhs(
+                work, model, config.bc, config.scheme, config.theta,
+                config.eps0, robust, stats, helper)
+            speeds.append((sx, sy))
+            return tendency
 
-    cur = fld.interior.copy()
-    t, steps, dts, speed_max = 0.0, 0, [], 0.0
-    t_start = time.perf_counter()
-    for target in events:
-        while t < target:
-            speeds.clear()
-            try:
-                k0 = rhs(cur)
-                sx, sy = speeds[0]
-                dt = cfl_dt(sx, sy, grid.dx, grid.dy, config.cfl)
-                remaining = target - t
-                if dt * (1.0 + 1e-12) >= remaining:
-                    dt = remaining
-                    t_next = target
-                else:
-                    t_next = t + dt
-                if dt <= 1e-14 * max(config.t_final, 1.0):
-                    raise NumericalError("time step collapsed", t=t)
-                cur = ssprk3_step(cur, dt, rhs, rhs0=k0,
-                                  stage_check=finite_stage_check(t),
-                                  admissible=admissible)
-            except (AdmissibilityError, ReconstructionError) as exc:
-                exc.t = t               # start of the step being taken
-                exc.stage = exc.stage or 1      # k0 is stage 1's tendency
-                raise
-            t = t_next
-            steps += 1
-            dts.append(dt)
-            speed_max = max(speed_max, max(max(s) for s in speeds))
-        times.append(target)
-        states.append(cur.copy())
+        cur = fld.interior.copy()
+        t, steps, dts, speed_max = 0.0, 0, [], 0.0
+        t_start = time.perf_counter()
+        for target in events:
+            while t < target:
+                speeds.clear()
+                try:
+                    k0 = rhs(cur)
+                    sx, sy = speeds[0]
+                    dt = cfl_dt(sx, sy, grid.dx, grid.dy, config.cfl)
+                    remaining = target - t
+                    if dt * (1.0 + 1e-12) >= remaining:
+                        dt = remaining
+                        t_next = target
+                    else:
+                        t_next = t + dt
+                    if dt <= 1e-14 * max(config.t_final, 1.0):
+                        raise NumericalError("time step collapsed", t=t)
+                    cur = ssprk3_step(cur, dt, rhs, rhs0=k0,
+                                      stage_check=finite_stage_check(t),
+                                      admissible=admissible)
+                except (AdmissibilityError, ReconstructionError) as exc:
+                    exc.t = t           # start of the step being taken
+                    exc.stage = exc.stage or 1  # k0 is stage 1's tendency
+                    raise
+                t = t_next
+                steps += 1
+                dts.append(dt)
+                speed_max = max(speed_max, max(max(s) for s in speeds))
+            times.append(target)
+            states.append(cur.copy())
     wall = time.perf_counter() - t_start
 
     sums1 = cur.reshape(-1, model.d).sum(axis=0) * cellvol
