@@ -6,10 +6,9 @@ transposed (nx, ny + 2g, d), so both reuse the same 1-D kernel.  Interface
 f = 0..n of a line sits between padded cells f+1 and f+2.
 
 The two sweeps of a 2-D stage read the same ghost-filled averages and
-write separate differences, so a 2-D run of at least HELPER_MIN_CELLS
-cells hands each stage's y-sweep to a helper process (pccu.ysweep) while
-this process runs the x-sweep; every number is the same as with both
-sweeps here.
+write separate differences, so a 2-D run hands each stage's y-sweep to
+a helper process (pccu.ysweep) while this process runs the x-sweep;
+every number is the same as with both sweeps here.
 """
 
 import contextlib
@@ -33,11 +32,6 @@ from .timestepping import cfl_dt, ssprk3_step, finite_stage_check
 from .output import check_outputs
 
 SCHEMES = ("pccu", "lcd")
-
-# The break-even of the y-sweep helper: below it, waking the helper and
-# copying the field cost more than the half of the sweep work it takes
-# (ex8 under both schemes; see CHANGES.md).
-HELPER_MIN_CELLS = 1024
 
 
 @dataclass
@@ -203,12 +197,13 @@ def spatial_rhs(fld, model, bc, scheme, theta, eps0, robust=None,
                                     theta, eps0, robust, x_periodic, stats)
     except BaseException:
         if helper is not None:
-            helper.drain()
+            helper.wait()
         raise
-    # None when the helper did not start this y-sweep: run it here
-    result = None if helper is None else helper.finish(stats)
-    diff_y, sy = result or _y_sweep(fld.data, model, grid, bc, scheme, theta,
-                                    eps0, robust, stats)
+    if helper is not None:
+        diff_y, sy = helper.finish(stats)
+    else:
+        diff_y, sy = _y_sweep(fld.data, model, grid, bc, scheme, theta, eps0,
+                              robust, stats)
     return -(diff_x + np.swapaxes(diff_y, 0, 1)), sx, sy
 
 
@@ -263,11 +258,9 @@ class RunReport:
 
 
 def _y_helper(config):
-    """ysweep.claim(config) for a 2-D run of at least HELPER_MIN_CELLS
-    cells, which loads the helper's module on first use; else a context
-    that gives None."""
-    grid = config.grid
-    if grid.dimension == 2 and grid.nx * grid.ny >= HELPER_MIN_CELLS:
+    """ysweep.claim(config) for a 2-D run, which loads the helper's module
+    on first use; else a context that gives None."""
+    if config.grid.dimension == 2:
         from . import ysweep
         return ysweep.claim(config)
     return contextlib.nullcontext()
@@ -313,7 +306,6 @@ def run(config):
         states.append(fld.interior.copy())
         events = events[1:]
 
-    work = Field(grid, model.d)
     speeds = []
     stats = {"slope_drops": 0, "stage_recomputes": 0}
     # lcd falls back to the central-upwind flux around the cells its stage
@@ -321,6 +313,10 @@ def run(config):
     admissible = model.admissible if config.scheme == "lcd" else None
 
     with _y_helper(config) as helper:
+        # with a helper, the ghost-filled field is the memory both
+        # processes map, so no stage copies it
+        work = Field(grid, model.d, None if helper is None else helper.data)
+
         def rhs(values, robust=None):
             work.interior[...] = values
             if robust is not None:

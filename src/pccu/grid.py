@@ -63,11 +63,17 @@ class Grid:
 
 
 class Field:
-    """Cell-average values of a d-component state, ghost layers included."""
+    """Cell-average values of a d-component state, ghost layers included.
 
-    def __init__(self, grid, d):
+    data, an array of the field's shape, holds the values in place of a
+    new array of zeros."""
+
+    def __init__(self, grid, d, data=None):
         self.grid = grid
         self.d = int(d)
+        if data is not None:
+            self.data = data
+            return
         if grid.dimension == 1:
             shape = (grid.nx + 2 * GHOST, d)
         else:

@@ -5,13 +5,13 @@ The two sweeps of a stage read the same ghost-filled averages and write
 separate differences, so the split gives the same numbers as running both
 in the caller.  The helper is forked (``multiprocessing``'s ``fork``
 context, daemon) by the first run that claims it and serves every later
-run of the process.  A run sends its static inputs once.  A stage's
-field, robust mask and y-differences go through a memory file shared for
-the run, so no stage waits for the other process to read an array from a
-pipe, and the pipe carries only wake-ups and replies.  The helper exits
-when the caller's end of the pipe closes, so it does not outlive the
-process that forked it.  driver.run loads this module only for a 2-D run
-large enough to use it.
+run of the process.  A run sends its static inputs once.  The run's
+ghost-filled field, each stage's robust mask and the y-differences live
+in a memory file shared for the run, so no stage copies the field or
+waits for the other process to read an array from a pipe, and the pipe
+carries only wake-ups and replies.  The helper exits when the caller's
+end of the pipe closes, so it does not outlive the process that forked
+it.  driver.run loads this module only for a 2-D run.
 """
 
 import contextlib
@@ -37,28 +37,24 @@ class SweepHelper:
     """The helper process and the caller's end of its pipe.
 
     setup() sends a run's pickled static inputs (model, grid, bc, scheme,
-    theta, eps0) and the run's memory file.  Each stage, start() copies
-    the field and the robust mask there, posts the stage's one token and
-    wakes the helper.  Whichever process takes the token runs the
-    y-sweep: finish() takes it when the helper has not started, so the
-    caller never waits for a helper that got no CPU; otherwise it waits
-    for the largest speed and the slope-drop count, with the
-    y-differences in the shared memory, or re-raises the sweep's error.
-    The helper answers every wake-up, with None when it found no token.
+    theta, eps0) and the run's memory file, whose field the run fills as
+    its data.  Each stage, start() copies the robust mask there (and the
+    field, when it is another array) and wakes the helper, which runs the
+    y-sweep; finish() waits for the largest speed and the slope-drop
+    count, with the y-differences in the shared memory, or re-raises the
+    sweep's error.
     """
 
     def __init__(self):
         ctx = multiprocessing.get_context("fork")
         self._conn, child = ctx.Pipe()
-        self._token = ctx.Semaphore(0)
         self.process = ctx.Process(
-            target=_serve, args=(child, self._token, self._conn),
+            target=_serve, args=(child, self._conn),
             name="pccu-y-sweep", daemon=True)
         self.process.start()
         child.close()
         self._owner = os.getpid()
         self._shared = None
-        self._unread = 0            # wake-ups not answered yet
         self._pending = False       # a stage was started and not resolved
 
     def usable(self):
@@ -80,47 +76,33 @@ class SweepHelper:
         finally:
             os.close(fd)
 
+    @property
+    def data(self):
+        """The ghost-filled field data in the run's shared memory."""
+        return self._shared.data
+
     def start(self, data, robust):
-        while self._unread and self._talk(self._conn.poll):
-            self._answer()          # a None for a stage the caller took
         self._shared.put(data, robust)
         self._pending = True
-        self._token.release()
         self._talk(self._conn.send, None)
-        self._unread += 1
 
     def finish(self, stats):
         """(diff_y, sy) of the stage in flight, adding its slope drops to
-        stats, or None when the caller is to run the y-sweep itself;
-        diff_y is valid until the next start()."""
-        reply = self._resolve()
+        stats; diff_y is valid until the next start()."""
+        reply = self.wait()
         if isinstance(reply, Exception):
             raise reply
-        if reply is None:
-            return None
         speed, drops = reply
         if stats is not None:
             stats["slope_drops"] += drops
         return np.moveaxis(self._shared.diff, 0, -1), speed
 
-    def drain(self):
-        """Resolve the stage in flight and drop its reply."""
-        self._resolve()
-
-    def _resolve(self):
-        reply = None
-        if not self._token.acquire(False):
-            # the helper holds this stage's token, so each earlier
-            # wake-up was answered with None and its answer is the next
-            # that is not
-            while reply is None:
-                reply = self._answer()
+    def wait(self):
+        """The reply to the stage in flight: its largest speed and
+        slope-drop count, or its error."""
+        reply = self._talk(self._conn.recv)
         self._pending = False
         return reply
-
-    def _answer(self):
-        self._unread -= 1
-        return self._talk(self._conn.recv)
 
     def _talk(self, method, *args):
         try:
@@ -166,7 +148,8 @@ class _Shared:
         self.flag = np.frombuffer(buf, bool, 1, sum(sizes) + cells)
 
     def put(self, data, robust):
-        np.copyto(self.data, data)
+        if data is not self.data:
+            np.copyto(self.data, data)
         self.flag[0] = robust is not None
         if robust is not None:
             np.copyto(self.mask, robust)
@@ -175,7 +158,7 @@ class _Shared:
         return self.mask if self.flag[0] else None
 
 
-def _serve(conn, token, caller_end):
+def _serve(conn, caller_end):
     """The helper's loop: a run's static inputs and memory file, then one
     answer per wake-up, for one run after another, until the caller's end
     closes."""
@@ -190,9 +173,6 @@ def _serve(conn, token, caller_end):
                     fd = recv_handle(conn)
                     shared = _Shared(fd, static[1], static[0].d)
                     os.close(fd)
-                    continue
-                if not token.acquire(False):
-                    conn.send(None)     # the caller ran that y-sweep
                     continue
                 stats = {"slope_drops": 0}
                 try:
@@ -226,9 +206,10 @@ def _usable_cpus():
 def claim(config):
     """This process's SweepHelper set up for config's 2-D run, or None
     when the run stays serial: fewer than two usable CPUs, static inputs
-    that do not pickle, the helper busy with another thread's run, or no
-    helper yet in a process with more than one thread, which fork() would
-    leave half copied.  A helper that died or was left with a stage
+    that do not pickle, a daemonic multiprocessing process (which may
+    not start children), the helper busy with another thread's run, or
+    no helper yet in a process with more than one thread, which fork()
+    would leave half copied.  A helper that died or was left with a stage
     unresolved is replaced."""
     global _helper
     try:
@@ -237,6 +218,7 @@ def claim(config):
     except (pickle.PicklingError, AttributeError, TypeError):
         static = None
     if (static is None or _usable_cpus() < 2
+            or multiprocessing.current_process().daemon
             or not _helper_lock.acquire(blocking=False)):
         yield None
         return

@@ -1,8 +1,10 @@
 """The y-sweep helper process: bitwise equal to serial, located errors,
 fallbacks and the helper's lifetime."""
 
+import contextlib
 import dataclasses
 import hashlib
+import multiprocessing
 import os
 import pickle
 import signal
@@ -27,7 +29,6 @@ from pccu.trsw import ThermalShallowWater
 pytestmark = pytest.mark.skipif(
     ysweep._usable_cpus() < 2, reason="the helper needs two CPUs and Linux")
 
-SERIAL, HELPER = 10 ** 12, 0        # HELPER_MIN_CELLS for each path
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
@@ -38,13 +39,18 @@ def _fingerprint(report):
             report.conservation)
 
 
+def _serial(monkeypatch):
+    """Keep driver.run's 2-D runs off the helper."""
+    monkeypatch.setattr(driver, "_y_helper",
+                        lambda config: contextlib.nullcontext())
+
+
 def _run_both(monkeypatch, config_of):
     """Fingerprints of the serial run and of the helper run."""
-    out = []
-    for cells in (SERIAL, HELPER):
-        monkeypatch.setattr(driver, "HELPER_MIN_CELLS", cells)
-        out.append(_fingerprint(driver.run(config_of())))
-    return out
+    with monkeypatch.context() as patch:
+        _serial(patch)
+        serial = _fingerprint(driver.run(config_of()))
+    return [serial, _fingerprint(driver.run(config_of()))]
 
 
 def _alive(pid):
@@ -145,17 +151,18 @@ def test_located_errors_pickle_with_their_location():
         1.5, 2, (3, 4), "y")
 
 
-def _ex10_abort(monkeypatch, capsys, tmp_path, cells):
-    monkeypatch.setattr(driver, "HELPER_MIN_CELLS", cells)
+def _ex10_abort(capsys, out):
     code = cli.main(["run", "ex10", "--nx", "40", "--ny", "10",
                      "--tfinal", "2.5", "--snapshots", "1.0",
-                     "--out", str(tmp_path / str(cells))])
+                     "--out", str(out)])
     return code, capsys.readouterr().err
 
 
 def test_located_abort_through_the_helper(monkeypatch, capsys, tmp_path):
-    serial = _ex10_abort(monkeypatch, capsys, tmp_path, SERIAL)
-    helped = _ex10_abort(monkeypatch, capsys, tmp_path, HELPER)
+    with monkeypatch.context() as patch:
+        _serial(patch)
+        serial = _ex10_abort(capsys, tmp_path / "serial")
+    helped = _ex10_abort(capsys, tmp_path / "helper")
     assert helped == serial
     assert helped[0] == 3
     assert "at U- of face 10 on line 13 (t=1.94417, stage 2, sweep y)" \
@@ -169,7 +176,6 @@ def test_located_abort_through_the_helper(monkeypatch, capsys, tmp_path):
 
 
 def test_dead_helper_raises_and_the_next_run_forks_a_new_one(monkeypatch):
-    monkeypatch.setattr(driver, "HELPER_MIN_CELLS", HELPER)
     config = lambda: make_config("ex8", nx=40, ny=40, t_final=0.01,
                                  snapshots=())
     expected = _run_both(monkeypatch, config)[0]
@@ -191,38 +197,6 @@ def test_dead_helper_raises_and_the_next_run_forks_a_new_one(monkeypatch):
     monkeypatch.setattr(ysweep.SweepHelper, "start", original)
     assert _fingerprint(driver.run(config())) == expected
     assert ysweep._helper.process.pid != old.pid
-
-
-def test_stopped_helper_leaves_its_stages_to_the_caller(monkeypatch):
-    # a helper that gets no CPU takes no token, so the caller runs those
-    # y-sweeps itself; the wake-ups it answers late, perhaps with a later
-    # stage's token, keep every reply in step
-    config = lambda: make_config("ex5", nx=100, ny=60, theta=2.0,
-                                 t_final=0.006, snapshots=())
-    expected = _run_both(monkeypatch, config)[0]
-    assert expected[2] > 0
-    start, finish = ysweep.SweepHelper.start, ysweep.SweepHelper.finish
-    taken = []
-
-    def stopping_start(self, data, robust):
-        if len(taken) == 2:
-            os.kill(self.process.pid, signal.SIGSTOP)
-        start(self, data, robust)
-        if len(taken) == 8:
-            os.kill(self.process.pid, signal.SIGCONT)
-
-    def recording_finish(self, stats):
-        result = finish(self, stats)
-        taken.append(result is None)
-        return result
-
-    monkeypatch.setattr(ysweep.SweepHelper, "start", stopping_start)
-    monkeypatch.setattr(ysweep.SweepHelper, "finish", recording_finish)
-    try:
-        assert _fingerprint(driver.run(config())) == expected
-    finally:
-        os.kill(ysweep._helper.process.pid, signal.SIGCONT)
-    assert all(taken[2:8]) and not all(taken[8:])
 
 
 def _never(*args):
@@ -249,12 +223,25 @@ def test_one_cpu_runs_serially(monkeypatch):
     assert _fingerprint(driver.run(config())) == expected
 
 
+def _ex8_fingerprint():
+    return _fingerprint(driver.run(make_config(
+        "ex8", nx=40, ny=40, t_final=0.01, snapshots=())))
+
+
+def test_pool_worker_runs_serially(monkeypatch):
+    # a Pool's workers are daemonic, and daemonic processes may not fork
+    expected = _run_both(monkeypatch, lambda: make_config(
+        "ex8", nx=40, ny=40, t_final=0.01, snapshots=()))[0]
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        assert pool.apply(_ex8_fingerprint) == expected
+
+
 def test_no_fork_while_other_threads_run(monkeypatch):
     config = lambda: make_config("ex4", nx=40, ny=20, t_final=0.01,
                                  snapshots=())
-    monkeypatch.setattr(driver, "HELPER_MIN_CELLS", SERIAL)
-    expected = _fingerprint(driver.run(config()))
-    monkeypatch.setattr(driver, "HELPER_MIN_CELLS", HELPER)
+    with monkeypatch.context() as patch:
+        _serial(patch)
+        expected = _fingerprint(driver.run(config()))
     monkeypatch.setattr(ysweep, "_helper", None)
     monkeypatch.setattr(ysweep, "SweepHelper", _never)
     stop = threading.Event()
@@ -275,7 +262,6 @@ CHILD = textwrap.dedent("""
     sys.path.insert(0, {src!r})
     from pccu import driver, ysweep
     from pccu.catalog import make_config
-    driver.HELPER_MIN_CELLS = 0
     driver.run(make_config("ex8", nx=24, ny=24, t_final=0.01, snapshots=()))
     print(ysweep._helper.process.pid, flush=True)
     if {long!r}:
