@@ -49,18 +49,31 @@ def _load_config(target, args):
         snapshots=_parse_snapshots(args.snapshots), refine=args.refine)
 
 
+def _make_dirs(*paths):
+    """Create the output directories, so an unusable --out exits 2 before
+    the run instead of failing after it."""
+    for path in paths:
+        try:
+            os.makedirs(path, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {path!r}: "
+                              f"{exc}") from exc
+
+
 def _cmd_run(args):
     out_dir = args.out or (args.target.replace(".json", "") + "_out")
     if args.compare:
-        reports = []
+        configs = []
         for scheme in ("pccu", "lcd"):
             args.scheme = scheme
-            config = _load_config(args.target, args)
+            configs.append(_load_config(args.target, args))
+        _make_dirs(*(os.path.join(out_dir, c.scheme) for c in configs))
+        reports = []
+        for config in configs:
             report = run(config)
-            write_outputs(report, os.path.join(out_dir, scheme))
+            write_outputs(report, os.path.join(out_dir, config.scheme))
             reports.append(report)
         norms = difference_norms(reports[0], reports[1])
-        os.makedirs(out_dir, exist_ok=True)
         with open(os.path.join(out_dir, "compare.json"), "w",
                   encoding="ascii") as fh:
             json.dump({"snapshots": norms}, fh, indent=2, sort_keys=True)
@@ -68,6 +81,7 @@ def _cmd_run(args):
         print(f"wrote {out_dir}/pccu, {out_dir}/lcd and compare.json")
         return 0
     config = _load_config(args.target, args)
+    _make_dirs(out_dir)
     report = run(config)
     write_outputs(report, out_dir)
     print(f"{config.label}: {report.steps} steps to t={config.t_final:g} "

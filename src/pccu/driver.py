@@ -58,31 +58,29 @@ def _sweep(model, lines, geom, scheme, theta, eps0, robust=None, stats=None):
     their inputs' memory order, so every array derived from them runs
     contiguously along the lines; the logical shapes stay (..., d).
     """
-    lines = np.moveaxis(np.ascontiguousarray(np.moveaxis(lines, -1, 0)), 0, -1)
+    lines = np.ascontiguousarray(lines.transpose(2, 0, 1)).transpose(1, 2, 0)
     g = GHOST
     direction = geom.direction
     if model.reconstruction == "equilibrium":
         half_l, half_r = model.source_half_increments(lines, geom)
         w_center, w_face = interleave_cell_halves(half_l, half_r)
         ia = model.momentum_index(direction)
-        u_minus, u_plus, ub_minus, ub_plus = reconstruct_equilibrium(
+        states = reconstruct_equilibrium(
             lines, model, direction, theta, -w_center[..., 0], -w_face[..., 0])
-        lam_minus = model.eigenvalues(u_minus, direction)
-        lam_plus = model.eigenvalues(u_plus, direction)
+        pair, breve = states[:2], states[2:]
+        lam = model.eigenvalues(pair, direction)
         rows, w_minus, w_plus = slice(ia, ia + 1), w_face, w_face
     else:
-        u_minus, u_plus, half = interface_values(lines, theta)
+        pair, half = interface_values(lines, theta)
         try:
-            lam_minus = model.eigenvalues(u_minus, direction)
-            lam_plus = model.eigenvalues(u_plus, direction)
+            lam = model.eigenvalues(pair, direction)
         except AdmissibilityError:
             # the limited slopes pushed an edge value out of the set:
             # drop them there, and raise if the averages are out too
-            u_minus, u_plus, half, dropped = drop_inadmissible_slopes(
+            pair, half, dropped = drop_inadmissible_slopes(
                 lines, half, model.admissible)
             try:
-                lam_minus = model.eigenvalues(u_minus, direction)
-                lam_plus = model.eigenvalues(u_plus, direction)
+                lam = model.eigenvalues(pair, direction)
             except AdmissibilityError:  # an average is out: name the first
                 cells = lines[:, g:-g]
                 cells = cells.swapaxes(0, 1) if direction == "y" else cells
@@ -91,7 +89,7 @@ def _sweep(model, lines, geom, scheme, theta, eps0, robust=None, stats=None):
                 raise
             if stats is not None:
                 stats["slope_drops"] += dropped
-        ub_minus, ub_plus = u_minus, u_plus
+        u_minus, u_plus = breve = pair
         # W is nonzero only on the model's nonconservative rows; an
         # interior cell runs from the U+ of its left face to the U- of
         # its right one
@@ -100,16 +98,15 @@ def _sweep(model, lines, geom, scheme, theta, eps0, robust=None, stats=None):
                                        direction)
         w_minus, w_plus = interleave_jumps_cells(jump, cell)
         rows = model.noncons_rows
-    # K = F - W; the rows outside W would subtract +0.0
-    k_minus = model.flux(u_minus, direction)
+    # K = F - W on both sides; the rows outside W would subtract +0.0
+    k_minus, k_plus = model.flux(pair, direction)
     k_minus[..., rows] -= w_minus
-    k_plus = model.flux(u_plus, direction)
     k_plus[..., rows] -= w_plus
 
-    lam_lo, lam_hi, a_lo, a_hi = local_speeds(lam_minus, lam_plus)
-    du = ub_plus - ub_minus
+    a_lo, a_hi = local_speeds(lam)
+    du = breve[1] - breve[0]
     if scheme == "lcd":
-        p, m, q = split_weights(lam_lo, lam_hi, a_lo, a_hi, eps0)
+        p, m, q = split_weights(lam, a_lo, a_hi, eps0)
         flux = characteristic_flux(
             model.lcd_matrices(lines[:, g - 1:-g + 1, :], direction),
             p, m, q, k_minus, k_plus, du)

@@ -12,28 +12,50 @@ import numpy as np
 SPLIT_TAU = 1e-12
 
 
-def local_speeds(lam_minus, lam_plus):
-    """Fieldwise one-sided speeds and the extremal pair.
+def ordered_speeds(w, s):
+    """The distinct speeds (w - s, w, w + s) of a model's fan over a new
+    last axis, outermost in memory like the sweep's components; w and s
+    have the same shape, any number of axes."""
+    lam = np.empty((3,) + np.shape(w)).transpose(*range(1, np.ndim(w) + 1), 0)
+    np.subtract(w, s, out=lam[..., 0])
+    lam[..., 1] = w
+    np.add(w, s, out=lam[..., 2])
+    return lam
 
-    lam_minus/lam_plus: (L, nf, k) distinct speeds at the left/right
-    reconstructed interface states.  Returns (lam_lo, lam_hi, a_lo, a_hi)
-    where lam_hi_i = max(lam_i^-, lam_i^+, 0), lam_lo_i = min(..., 0), and
-    a_hi/a_lo are the largest/smallest fields (the eigenvalues are ordered).
+
+def local_speeds(lam):
+    """The extremal one-sided speeds (a_lo, a_hi) of every face.
+
+    lam: (2, L, nf, k) ordered distinct speeds at the left and right
+    reconstructed interface states.  a_lo = min(lam_0^-, lam_0^+, 0) and
+    a_hi = max(lam_k^-, lam_k^+, 0) come from the outermost fields only.
     """
-    lam_hi = np.maximum(np.maximum(lam_minus, lam_plus), 0.0)
-    lam_lo = np.minimum(np.minimum(lam_minus, lam_plus), 0.0)
-    return lam_lo, lam_hi, lam_lo[..., 0], lam_hi[..., -1]
+    a_lo = np.minimum(np.minimum(lam[0, ..., 0], lam[1, ..., 0]), 0.0)
+    a_hi = np.maximum(np.maximum(lam[0, ..., -1], lam[1, ..., -1]), 0.0)
+    return a_lo, a_hi
 
 
-def split_weights(lam_lo, lam_hi, a_lo, a_hi, eps0):
-    """Per-field upwinding weights (P_i, M_i, Q_i).
+def field_speeds(lam):
+    """Fieldwise one-sided speeds (lam_lo, lam_hi) of the speed pair lam of
+    local_speeds: lam_hi_i = max(lam_i^-, lam_i^+, 0) and lam_lo_i =
+    min(lam_i^-, lam_i^+, 0), each (L, nf, k)."""
+    lam_hi = np.maximum(np.maximum(lam[0], lam[1]), 0.0)
+    lam_lo = np.minimum(np.minimum(lam[0], lam[1]), 0.0)
+    return lam_lo, lam_hi
 
-    For each characteristic field: if the local fan lam_hi_i - lam_lo_i is
-    wider than max(eps0, SPLIT_TAU * (a_hi - a_lo)), use the fieldwise
-    central-upwind weights; otherwise fall back to the extremal speeds
-    a_hi - a_lo; if those are no wider than eps0, use the unweighted
-    average (1/2, 1/2, 0).  By construction P + M = 1 for every field.
+
+def split_weights(lam, a_lo, a_hi, eps0):
+    """Per-field upwinding weights (P_i, M_i, Q_i) from the speed pair lam
+    of local_speeds and its extremal speeds.
+
+    For each characteristic field: if the local fan lam_hi_i - lam_lo_i
+    (field_speeds) is wider than max(eps0, SPLIT_TAU * (a_hi - a_lo)), use
+    the fieldwise central-upwind weights; otherwise fall back to the
+    extremal speeds a_hi - a_lo; if those are no wider than eps0, use the
+    unweighted average (1/2, 1/2, 0).  By construction P + M = 1 for
+    every field.
     """
+    lam_lo, lam_hi = field_speeds(lam)
     # the fallback weights belong to the face, not the field: form them
     # once per face and let np.where broadcast them over the fields
     agap = a_hi - a_lo
@@ -83,7 +105,7 @@ def characteristic_flux(vectors, p, m, q, k_minus, k_plus, du):
     if mid == 0:
         return flux
     inv_rows, rows = vectors
-    comps = [np.moveaxis(v, -1, 0) for v in (k_minus, k_plus, du)]
+    comps = [v.transpose(2, 0, 1) for v in (k_minus, k_plus, du)]
     amps = {}
     for k, field in ((0, 0), (-1, len(rows) - 1)):
         proj = [_dot(inv_rows[field], c) for c in comps]

@@ -29,8 +29,8 @@ def _chain(first, second):
     """Running sums along axis 1 of first[0], second[0], first[1], ...,
     taken in order in a component-major buffer."""
     nl, nf, k = first.shape
-    inc = np.moveaxis(np.empty((k, nl, nf + second.shape[1]),
-                               dtype=first.dtype), 0, -1)
+    inc = np.empty((k, nl, nf + second.shape[1]),
+                   dtype=first.dtype).transpose(1, 2, 0)
     inc[:, 0::2, :] = first
     inc[:, 1::2, :] = second
     return np.cumsum(inc, axis=1)

@@ -16,6 +16,7 @@ likewise for P.  Everything else is a plain Euler flux.
 import numpy as np
 
 from .errors import AdmissibilityError, check_admissible
+from .fluxes import ordered_speeds
 
 RHO_MIN = 1e-12
 
@@ -132,8 +133,7 @@ class Multifluid:
                 "wave-speed evaluation needs p + pi_inf > 0, rho > 0 and "
                 "G > 0 (min p + pi_inf %.3e)" % float(margin.min()))
         c = np.sqrt(gamma * margin / rho)
-        # the speeds outermost in memory, like the sweep's arrays
-        return np.moveaxis(np.stack([w - c, w, w + c]), 0, -1)
+        return ordered_speeds(w, c)
 
     def noncons_increment(self, state_a, state_b, direction):
         """Path increment of B u_xi across the segment from a to b, on the

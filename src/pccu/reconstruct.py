@@ -44,24 +44,27 @@ def interface_values(lines, theta):
     """One-sided interface values of the piecewise-linear reconstruction.
 
     lines: (L, n + 2*GHOST, d) cell averages with ghosts filled.
-    Returns (U_minus, U_plus, half) where U_minus/U_plus have shape
-    (L, n+1, d) covering interfaces 0..n, and half = (dx/2) * slope for the
-    cells 1..n+2 (used by in-cell path increments).
+    Returns (pair, half): pair holds U_minus and U_plus, (2, L, n+1, d)
+    over interfaces 0..n (see edge_values), and half = (dx/2) * slope for
+    the cells 1..n+2 (used by in-cell path increments).
     """
     half = limited_half_slopes(lines, theta)
-    return edge_values(lines, half) + (half,)
+    return edge_values(lines, half), half
 
 
 def edge_values(lines, half):
-    """(U_minus, U_plus) at interfaces 0..n from averages and half slopes.
+    """(U_minus, U_plus) at interfaces 0..n from averages and half slopes,
+    as one (2, L, n+1, d) array, component-major like the lines.
 
     half covers the padded cells 1..n+2.  U_minus at interface f is the
     right edge of padded cell f+1 (half index f) and U_plus the left edge
     of padded cell f+2 (half index f+1).
     """
-    u_minus = lines[:, GHOST - 1:-GHOST, :] + half[:, :-1, :]
-    u_plus = lines[:, GHOST:-GHOST + 1, :] - half[:, 1:, :]
-    return u_minus, u_plus
+    nl, cells, d = half.shape
+    pair = np.empty((2, d, nl, cells - 1)).transpose(0, 2, 3, 1)
+    np.add(lines[:, GHOST - 1:-GHOST, :], half[:, :-1, :], out=pair[0])
+    np.subtract(lines[:, GHOST:-GHOST + 1, :], half[:, 1:, :], out=pair[1])
+    return pair
 
 
 def drop_inadmissible_slopes(lines, half, admissible):
@@ -70,15 +73,15 @@ def drop_inadmissible_slopes(lines, half, admissible):
     admissible maps states (..., d) to a boolean mask (...).  A cell whose
     slope is zeroed has its average on both edges, so the returned
     interface values are admissible wherever the cell averages are; the
-    slopes of all other cells are left as they were.  Returns (U_minus,
-    U_plus, half, number of cells whose slope was zeroed).
+    slopes of all other cells are left as they were.  Returns (pair, half,
+    number of cells whose slope was zeroed), pair as from edge_values.
     """
-    u_minus, u_plus = edge_values(lines, half)
+    ok = admissible(edge_values(lines, half))
     bad = np.zeros(half.shape[:-1], dtype=bool)
-    bad[:, :-1] = ~admissible(u_minus)
-    bad[:, 1:] |= ~admissible(u_plus)
+    bad[:, :-1] = ~ok[0]
+    bad[:, 1:] |= ~ok[1]
     half = np.where(bad[..., None], 0.0, half)
-    return edge_values(lines, half) + (half, int(np.count_nonzero(bad)))
+    return edge_values(lines, half), half, int(np.count_nonzero(bad))
 
 
 def reconstruct_equilibrium(lines, model, direction, theta, r_center, r_face):
@@ -90,11 +93,12 @@ def reconstruct_equilibrium(lines, model, direction, theta, r_center, r_face):
     states U_breve+- are recovered from a per-interface single-valued
     version of the inverse map, so they coincide whenever E+ = E-.
 
-    Returns (U_minus, U_plus, U_breve_minus, U_breve_plus), each (L, n+1, d).
+    Returns one (4, L, n+1, d) array of U_minus, U_plus, U_breve_minus
+    and U_breve_plus: its first two slabs are the pair of edge_values.
     """
     e_cells = model.equilibrium_values(lines, r_center, direction)
     half = limited_half_slopes(e_cells, theta)
-    e_minus, e_plus = edge_values(e_cells, half)
+    e_pair = edge_values(e_cells, half)
 
     h_left = lines[:, GHOST - 1:-GHOST, 0]
     h_right = lines[:, GHOST:-GHOST + 1, 0]
@@ -104,12 +108,11 @@ def reconstruct_equilibrium(lines, model, direction, theta, r_center, r_face):
     # a leading axis of one call; the breve pair shares per-interface
     # buoyancy (the mean of slot 2 of E-, E+) and thickness guess so equal
     # targets give bitwise-equal states.
-    targets = np.stack([e_minus, e_plus, e_minus, e_plus])
-    targets[2:, ..., 2] = 0.5 * (e_minus[..., 2] + e_plus[..., 2])
+    targets = np.concatenate([e_pair, e_pair])
+    targets[2:, ..., 2] = 0.5 * (e_pair[0, ..., 2] + e_pair[1, ..., 2])
     guesses = np.stack([h_left, h_right, h_shared, h_shared])
     try:
-        return tuple(model.equilibrium_invert(targets, r_face, guesses,
-                                              direction))
+        return model.equilibrium_invert(targets, r_face, guesses, direction)
     except ReconstructionError as exc:
         if exc.where is None:
             raise

@@ -25,6 +25,7 @@ the interface).  That is a root of a depressed cubic, taken in closed form
 import numpy as np
 
 from .errors import AdmissibilityError, ReconstructionError, check_admissible
+from .fluxes import ordered_speeds
 
 H_MIN = 1e-10
 RESIDUAL_TOL = 1e-12
@@ -171,8 +172,7 @@ class ThermalShallowWater:
                 "wave-speed evaluation needs h > 0 and h b >= 0")
         w = state[..., ia] / state[..., 0]
         s = np.sqrt(hb)                     # sqrt(h b) from the hb slot
-        # the speeds outermost in memory, like the sweep's arrays
-        return np.moveaxis(np.stack([w - s, w, w + s]), 0, -1)
+        return ordered_speeds(w, s)
 
     def lcd_matrices(self, cells, direction):
         """Sparse rows of R^-1 and of R at the faces between consecutive

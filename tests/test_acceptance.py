@@ -117,9 +117,9 @@ def test_criterion_04_flux_identities(rng):
     left = random_multifluid_states(rng, 1000, 1)[None]
     right = random_multifluid_states(rng, 1000, 1)[None]
     lam = model.eigenvalues(np.stack([left, right]), "x")
-    lam_lo, lam_hi, a_lo, a_hi = local_speeds(lam[0], lam[1])
+    a_lo, a_hi = local_speeds(lam)
 
-    p, m, q = split_weights(lam_lo, lam_hi, a_lo, a_hi, EPS0)
+    p, m, q = split_weights(lam, a_lo, a_hi, EPS0)
     pm_err = np.abs(p + m - 1.0).max()
     pe, me, qe = extremal_weights(a_lo, a_hi, 3, EPS0)
     pm_err = max(pm_err, np.abs(pe + me - 1.0).max())

@@ -130,6 +130,27 @@ def test_compare_mode_writes_both_schemes_and_norms(tmp_path, capsys):
     assert all(len(s["l1"]) == 4 for s in snaps)
 
 
+@pytest.mark.parametrize("compare", [[], ["--compare"]],
+                         ids=["single", "compare"])
+@pytest.mark.parametrize("below", [False, True],
+                         ids=["existing-file", "below-a-file"])
+def test_unusable_out_exits_2_before_running(below, compare, monkeypatch,
+                                             tmp_path, capsys):
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory\n")
+
+    def must_not_run(config):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(cli, "run", must_not_run)
+    out = blocker / "o" if below else blocker
+    code = cli.main(["run", "ex6", "--nx", "8", "--tfinal", "0.001",
+                     "--out", str(out)] + compare)
+    assert code == 2
+    assert "cannot create output directory" in capsys.readouterr().err
+    assert blocker.read_text() == "not a directory\n"
+
+
 def test_inversion_failure_names_the_time(tmp_path, capsys):
     # on this coarse grid ex10 meets an interface with no positive
     # thickness root near t=1.9, in the y-sweep; the message must say

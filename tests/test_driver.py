@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+import pccu.driver as driver
 from pccu.errors import AdmissibilityError, ConfigError
 from pccu.grid import GHOST, Grid, Field, BoundaryCondition, fill_ghosts, \
     init_from_function
@@ -133,6 +134,44 @@ def test_inadmissible_average_names_its_sweep():
     # the cell in grid order, (k, j), and its state
     assert info.value.where == (3, 4)
     assert str(fld.interior[3, 4].tolist()) in str(info.value)
+
+
+def _counted(calls, key, fn):
+    def wrapper(*args, **kwargs):
+        calls[key] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+@pytest.mark.parametrize("scheme", ["pccu", "lcd"])
+@pytest.mark.parametrize("name", ["ex1", "ex8"])
+def test_each_sweep_calls_the_face_hooks_once(name, scheme, monkeypatch):
+    # the hooks see the stacked (U-, U+) pair, not one side at a time, and
+    # only lcd forms the fieldwise speed bounds of split_weights
+    grid_size = {} if EXAMPLES[name]["dimension"] == 1 else dict(nx=12,
+                                                                 ny=12)
+    config = make_config(name, scheme=scheme, **grid_size)
+    model = config.model
+    calls = dict.fromkeys(("eigenvalues", "flux", "split_weights"), 0)
+    for hook in ("eigenvalues", "flux"):
+        monkeypatch.setattr(type(model), hook,
+                            _counted(calls, hook, vars(type(model))[hook]))
+    monkeypatch.setattr(driver, "split_weights", _counted(
+        calls, "split_weights", driver.split_weights))
+    fld = init_from_function(config.grid, model.d, config.ic)
+    spatial_rhs(fld, model, config.bc, scheme, config.theta, config.eps0)
+    sweeps = config.grid.dimension
+    assert calls == {"eigenvalues": sweeps, "flux": sweeps,
+                     "split_weights": sweeps if scheme == "lcd" else 0}
+
+
+def test_pccu_run_never_calls_split_weights(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("split_weights called under pccu")
+
+    monkeypatch.setattr(driver, "split_weights", refuse)
+    report = run(make_config("ex1", nx=40, t_final=0.05))
+    assert report.steps >= 2
 
 
 # ---- per-cell fallback from lcd to the central-upwind flux -------------------

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from pccu.fluxes import local_speeds, split_weights, characteristic_flux, \
-    central_upwind_flux
+from pccu.fluxes import field_speeds, local_speeds, split_weights, \
+    characteristic_flux, central_upwind_flux
 from pccu.multifluid import Multifluid, conservative_state
 from pccu.trsw import ThermalShallowWater
 from conftest import dense_eigensystem, expand_fields, extremal_weights, \
@@ -25,7 +25,7 @@ def test_local_speeds_acoustic_rest_state(mf1):
     # rho=1.4, p=1, gamma=1.4, u=0  =>  c^2 = 1.4*1/1.4 = 1
     state = conservative_state(1.4, 0.0, 0.0, 1.0, 1.4, 0.0, 1)
     lam = mf1.eigenvalues(_pair(state), "x")
-    lam_lo, lam_hi, a_lo, a_hi = local_speeds(lam[0], lam[1])
+    (lam_lo, lam_hi), (a_lo, a_hi) = field_speeds(lam), local_speeds(lam)
     assert np.allclose(lam_hi[0, 0], [0, 0, 1], rtol=0, atol=1e-14)
     assert np.allclose(lam_lo[0, 0], [-1, 0, 0], rtol=0, atol=1e-14)
     assert a_hi[0, 0] == pytest.approx(1.0, abs=1e-14)
@@ -36,7 +36,7 @@ def test_local_speeds_supersonic_clamps_left(mf1):
     # u=2, c=1: every eigenvalue positive, so the one-sided minima clamp to 0
     state = conservative_state(1.4, 2.0, 0.0, 1.0, 1.4, 0.0, 1)
     lam = mf1.eigenvalues(_pair(state), "x")
-    lam_lo, lam_hi, a_lo, a_hi = local_speeds(lam[0], lam[1])
+    (lam_lo, lam_hi), (a_lo, a_hi) = field_speeds(lam), local_speeds(lam)
     assert np.allclose(lam_hi[0, 0], [1, 2, 3], rtol=0, atol=1e-13)
     assert np.all(lam_lo == 0.0)
     assert a_lo[0, 0] == 0.0
@@ -47,7 +47,7 @@ def test_local_speeds_trsw_unit_cell():
     model = ThermalShallowWater(1)
     state = np.array([1.0, 0.0, 0.0, 1.0])     # h=1, b=1, at rest
     lam = model.eigenvalues(_pair(state), "x")
-    lam_lo, lam_hi, a_lo, a_hi = local_speeds(lam[0], lam[1])
+    (lam_lo, lam_hi), (a_lo, a_hi) = field_speeds(lam), local_speeds(lam)
     assert np.array_equal(lam_hi[0, 0], [0, 0, 1])
     assert np.array_equal(lam_lo[0, 0], [-1, 0, 0])
     assert (a_lo[0, 0], a_hi[0, 0]) == (-1.0, 1.0)
@@ -58,7 +58,7 @@ def test_local_speeds_take_envelope_of_both_sides(mf1):
     sr = conservative_state(1.4, -0.5, 0.0, 1.0, 1.4, 0.0, 1)
     lam = mf1.eigenvalues(np.stack([sl.reshape(1, 1, -1),
                                     sr.reshape(1, 1, -1)]), "x")
-    lam_lo, lam_hi, _, _ = local_speeds(lam[0], lam[1])
+    lam_lo, lam_hi = field_speeds(lam)
     assert lam_hi[0, 0, -1] == pytest.approx(1.5, abs=1e-13)
     assert lam_lo[0, 0, 0] == pytest.approx(-1.5, abs=1e-13)
     # the middle speed straddles zero across the two sides
@@ -69,9 +69,8 @@ def test_local_speeds_take_envelope_of_both_sides(mf1):
 # ---- per-field weights ------------------------------------------------------
 
 def _weights(lam_lo, lam_hi, a_lo, a_hi):
-    shape = (1, 1, len(lam_lo))
-    p, m, q = split_weights(np.reshape(lam_lo, shape),
-                            np.reshape(lam_hi, shape),
+    shape = (2, 1, 1, len(lam_lo))
+    p, m, q = split_weights(np.reshape([lam_lo, lam_hi], shape),
                             np.full((1, 1), a_lo), np.full((1, 1), a_hi),
                             EPS0)
     return p[0, 0], m[0, 0], q[0, 0]
@@ -111,8 +110,8 @@ def test_weights_mixed_fields_choose_branch_per_field():
 def test_weights_partition_of_unity_and_negative_q(his, los):
     lam_hi = np.array(his).reshape(1, 1, 3)
     lam_lo = np.array(los).reshape(1, 1, 3)
-    p, m, q = split_weights(lam_lo, lam_hi, lam_lo[..., 0], lam_hi[..., -1],
-                            EPS0)
+    p, m, q = split_weights(np.stack([lam_lo, lam_hi]), lam_lo[..., 0],
+                            lam_hi[..., -1], EPS0)
     assert np.all(np.abs(p + m - 1.0) <= 1e-15)
     assert np.all(q <= 0.0)
 
@@ -141,7 +140,7 @@ def test_characteristic_assembly_reduces_to_central_upwind(rng, mf1):
     left, right = _random_interfaces(rng, mf1, 1000)
     vectors = face_vectors(mf1, left, right, "x")
     lam = mf1.eigenvalues(np.stack([left, right]), "x")
-    _, _, a_lo, a_hi = local_speeds(lam[0], lam[1])
+    a_lo, a_hi = local_speeds(lam)
     k_minus = mf1.flux(left, "x") + rng.normal(size=left.shape)
     k_plus = mf1.flux(right, "x") + rng.normal(size=left.shape)
     du = right - left
@@ -167,8 +166,8 @@ def test_assembly_invariant_under_eigenvector_scaling(rng, mf1):
     left, right = _random_interfaces(rng, mf1, 200)
     vectors = face_vectors(mf1, left, right, "x")
     lam = mf1.eigenvalues(np.stack([left, right]), "x")
-    lam_lo, lam_hi, a_lo, a_hi = local_speeds(lam[0], lam[1])
-    p, m, q = split_weights(lam_lo, lam_hi, a_lo, a_hi, EPS0)
+    a_lo, a_hi = local_speeds(lam)
+    p, m, q = split_weights(lam, a_lo, a_hi, EPS0)
     k_minus, k_plus = mf1.flux(left, "x"), mf1.flux(right, "x")
     du = right - left
     base = characteristic_flux(vectors, p, m, q, k_minus, k_plus, du)
@@ -184,9 +183,9 @@ def test_assembly_consistency_at_equal_states(rng, mf1):
     flux = mf1.flux(states, "x")
     vectors = face_vectors(mf1, states, states, "x")
     lam = mf1.eigenvalues(np.stack([states, states]), "x")
-    lam_lo, lam_hi, a_lo, a_hi = local_speeds(lam[0], lam[1])
+    a_lo, a_hi = local_speeds(lam)
     du = np.zeros_like(states)
-    p, m, q = split_weights(lam_lo, lam_hi, a_lo, a_hi, EPS0)
+    p, m, q = split_weights(lam, a_lo, a_hi, EPS0)
     assembled = characteristic_flux(vectors, p, m, q, flux, flux, du)
     classic = central_upwind_flux(a_lo, a_hi, flux, flux, du, EPS0)
     scale = np.abs(flux).max()
@@ -200,8 +199,8 @@ def test_assembly_passes_through_steady_flux(rng, mf1):
     left, right = _random_interfaces(rng, mf1, 100)
     vectors = face_vectors(mf1, left, right, "x")
     lam = mf1.eigenvalues(np.stack([left, right]), "x")
-    lam_lo, lam_hi, a_lo, a_hi = local_speeds(lam[0], lam[1])
-    p, m, q = split_weights(lam_lo, lam_hi, a_lo, a_hi, EPS0)
+    a_lo, a_hi = local_speeds(lam)
+    p, m, q = split_weights(lam, a_lo, a_hi, EPS0)
     k_hat = rng.normal(size=left.shape)
     du = np.zeros_like(left)
     assembled = characteristic_flux(vectors, p, m, q, k_hat, k_hat, du)
@@ -230,7 +229,7 @@ def test_flux_matches_the_dense_characteristic_product(rng, case):
     right[rest_faces] = left[rest_faces]
     left, right = left[None], right[None]
     lam = model.eigenvalues(np.stack([left, right]), direction)
-    p, m, q = split_weights(*local_speeds(lam[0], lam[1]), EPS0)
+    p, m, q = split_weights(lam, *local_speeds(lam), EPS0)
     k_minus = model.flux(left, direction) + rng.normal(size=left.shape)
     k_plus = model.flux(right, direction) + rng.normal(size=left.shape)
     du = right - left

@@ -105,7 +105,7 @@ def test_slope_of_monotone_triple_bounded_by_central(vals, theta):
 
 def test_interface_values_constant_field():
     lines = np.full((2, 9, 3), 4.5)
-    um, up, half = interface_values(lines, 1.3)
+    (um, up), half = interface_values(lines, 1.3)
     assert um.shape == up.shape == (2, 9 - 2 * GHOST + 1, 3)
     assert np.all(um == 4.5)
     assert np.all(up == 4.5)
@@ -117,7 +117,7 @@ def test_interface_values_linear_exact():
     n, dx = 6, 0.25
     centers = (np.arange(-GHOST, n + GHOST) + 0.5) * dx
     lines = (2.0 + 3.0 * centers)[None, :, None]
-    um, up, _ = interface_values(lines, 1.3)
+    (um, up), _ = interface_values(lines, 1.3)
     faces = np.arange(0, n + 1) * dx
     exact = 2.0 + 3.0 * faces
     assert np.allclose(um[0, :, 0], exact, rtol=0, atol=1e-14)
@@ -128,7 +128,7 @@ def test_interface_values_at_extremum_cell():
     # padded line [0,0,0,1,0,0,0] (free ghosts around data 0,1,0): both
     # neighbors of the spike have zero limited slope, the spike is clipped
     lines = np.array([0.0, 0, 0, 1, 0, 0, 0]).reshape(1, 7, 1)
-    um, up, _ = interface_values(lines, 1.3)
+    (um, up), _ = interface_values(lines, 1.3)
     # interface between interior cells 0 and 1
     assert um[0, 1, 0] == 0.0
     assert up[0, 1, 0] == 1.0
@@ -287,12 +287,12 @@ def test_dropped_slopes_make_every_interface_value_admissible():
     model = Multifluid(1)
     lines = EX2_CELLS[None]
     assert np.all(model.admissible(lines))
-    u_minus, u_plus, half = interface_values(lines, 1.3)
+    (u_minus, u_plus), half = interface_values(lines, 1.3)
     _, _, _, p, _, pi_inf = model.primitives(np.stack([u_minus, u_plus]))
     assert (p + pi_inf).min() < 0.0
 
-    fixed_minus, fixed_plus, fixed_half, dropped = drop_inadmissible_slopes(
-        lines, half, model.admissible)
+    (fixed_minus, fixed_plus), fixed_half, dropped = \
+        drop_inadmissible_slopes(lines, half, model.admissible)
     assert np.all(model.admissible(fixed_minus))
     assert np.all(model.admissible(fixed_plus))
     # half covers padded cells 1..4; a cell both of whose edge values were
