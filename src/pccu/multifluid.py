@@ -115,11 +115,11 @@ class Multifluid:
         else:
             kinetic = 0.5 * state[..., 1] ** 2 / rho
         p = (state[..., self.ie] - kinetic - p_coef) / g_coef
-        out = state * w[..., None]
+        out = np.empty_like(state)
+        np.multiply(state[..., :self.ig], w[..., None], out=out[..., :self.ig])
         out[..., self.momentum_index(direction)] += p
         out[..., self.ie] += p * w
-        out[..., self.ig] = 0.0
-        out[..., self.ip] = 0.0
+        out[..., self.noncons_rows] = 0.0
         return out
 
     def eigenvalues(self, state, direction):

@@ -1,7 +1,10 @@
 """Output products: CSV fields, schlieren images, slices, run metadata.
 
 All writers are deterministic: fixed field order, %.17g formatting (full
-round-trip precision for doubles), LF line endings, no timestamps.
+round-trip precision for doubles), LF line endings, no timestamps.  A CSV
+table holds the bytes of np.savetxt(fmt="%.17g", delimiter=","); its x and
+y columns repeat a few cell centres on every row, so each distinct
+coordinate is formatted once and its text reused on every row that holds it.
 """
 
 import json
@@ -16,18 +19,39 @@ from .errors import ConfigError
 _BLOCK_ROWS = 1024
 
 
+class _CoordinateText(dict):
+    """%.17g text of float64 values, each followed by a comma, keyed by their
+    bits so that -0.0 and +0.0 keep their own text; a value is formatted at
+    its first lookup.  The text holds no '%', so it can stand in a format
+    string."""
+
+    def __missing__(self, bits):
+        text = self[bits] = "%.17g," % float(np.int64(bits).view(np.float64))
+        return text
+
+
 def _write_table(path, coords, values):
     """CSV of columns x[, y] and a (rows, d) table of values under a header
     line, in the bytes of np.savetxt(fmt="%.17g", delimiter=",")."""
-    d = values.shape[-1]
-    header = ["x", "y"][:len(coords)] + ["comp_%d" % c for c in range(d)]
-    table = np.column_stack(coords + [values])
-    line = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    rows, d = values.shape
+    nc = len(coords)
+    header = ["x", "y"][:nc] + ["comp_%d" % c for c in range(d)]
+    coord_bits = [np.asarray(col, dtype=np.float64).view(np.int64)
+                  for col in coords]
+    text = _CoordinateText()
+    tail = ",".join(["%.17g"] * d) + "\n"
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for start in range(0, len(table), _BLOCK_ROWS):
-            block = table[start:start + _BLOCK_ROWS]
-            fh.write((line * len(block)) % tuple(block.ravel().tolist()))
+        for start in range(0, rows, _BLOCK_ROWS):
+            stop = min(start + _BLOCK_ROWS, rows)
+            # the block's format: per row the coordinate text, then a %.17g
+            # for each value
+            parts = [tail] * ((nc + 1) * (stop - start))
+            for c, bits in enumerate(coord_bits):
+                parts[c::nc + 1] = map(text.__getitem__,
+                                       bits[start:stop].tolist())
+            line = "".join(parts)
+            fh.write(line % tuple(values[start:stop].ravel().tolist()))
 
 
 def write_field_csv(path, grid, interior):

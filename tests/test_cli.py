@@ -257,6 +257,8 @@ def _gas_with(**keys):
     lambda config: config.update(domain=[1.0, -1.0]),
     lambda config: config.update(bc={"left": "periodic"}),
     lambda config: config.update(snapshots=[0.02]),
+    lambda config: config.update(f0=1.0),
+    lambda config: config.update(beta=0.5),
 ], ids=["region_without_b", "schlieren_in_1d", "dimension_x",
         "unknown_output", "text_b", "ny_x", "snapshots_abc", "bc_5",
         "halfplane_axis_z", "outputs_5", "outputs_nested_list",
@@ -267,7 +269,8 @@ def _gas_with(**keys):
         "outputs_repeated", "label_number", "label_null", "note_list",
         "topography_null", "refine_0",
         "multifluid_topography", "multifluid_f0", "domain_reversed",
-        "bc_periodic_one_side", "snapshot_after_t_final"])
+        "bc_periodic_one_side", "snapshot_after_t_final", "trsw_f0_in_1d",
+        "trsw_beta_in_1d"])
 def test_malformed_config_exits_2_before_running(spoil, monkeypatch,
                                                  tmp_path, capsys):
     config = json.loads(json.dumps(_TINY_DAM))

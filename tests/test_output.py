@@ -48,20 +48,87 @@ _HARD = [-0.0, 0.0, 5e-324, -5e-324, 1.7e308, -1.7e308, 3.0, -42.0,
          1.0 / 3.0, 2.0 ** 53, 0.1]
 
 
-@pytest.mark.parametrize("rows", [1, 1024, 1025])
+def _savetxt_bytes(header, columns):
+    """The oracle: a header line, then np.savetxt(fmt="%.17g",
+    delimiter=",") of the columns."""
+    oracle = io.BytesIO()
+    np.savetxt(oracle, np.column_stack(columns), fmt="%.17g", delimiter=",",
+               newline="\n")
+    return header.encode("ascii") + b"\n" + oracle.getvalue()
+
+
+def _grid_coordinates(rows):
+    """x tiled and y repeated per row of 7, as in a 2-D field, both with
+    -0.0 and +0.0 among their values."""
+    x = np.array([-0.0, 0.0, -0.5, 0.5, 1.0 / 3.0, 5e-324, -1.7e308])
+    y = np.array([0.0, -0.0, 0.1, -2.0 ** 53])
+    r = np.arange(rows)
+    return x[r % len(x)], y[(r // len(x)) % len(y)]
+
+
+@pytest.mark.parametrize("rows", [1, 1024, 1025, 3000])
 def test_write_table_matches_savetxt(tmp_path, rng, rows):
-    # 1024 rows fill one formatting block exactly, 1025 spill into a second
+    # 1024 rows fill one formatting block exactly, 1025 spill into a second;
+    # coordinates scattered, then repeating as in a 2-D field
     values = rng.choice(_HARD, size=(rows, 3)) * rng.choice([1.0, 1.0 / 7],
                                                              size=(rows, 3))
     values[0] = _HARD[:3]
-    x, y = rng.normal(size=rows), rng.choice(_HARD, size=rows)
     path = tmp_path / "table.csv"
-    _write_table(path, [x, y], values)
-    oracle = io.BytesIO()
-    np.savetxt(oracle, np.column_stack([x, y, values]), fmt="%.17g",
-               delimiter=",", newline="\n")
-    assert path.read_bytes() == (b"x,y,comp_0,comp_1,comp_2\n"
-                                 + oracle.getvalue())
+    for x, y in [(rng.normal(size=rows), rng.choice(_HARD, size=rows)),
+                 _grid_coordinates(rows)]:
+        _write_table(path, [x, y], values)
+        assert path.read_bytes() == _savetxt_bytes(
+            "x,y,comp_0,comp_1,comp_2", [x, y, values])
+
+
+def _product_bytes(name, tmp_path, grid, state):
+    path = tmp_path / (name + ".csv")
+    PRODUCTS[name][2](path, grid, state)
+    return path.read_bytes()
+
+
+def test_field_csv_1d_bytes_match_savetxt(tmp_path, rng):
+    grid = Grid(-1.0, 1.0, 1025)          # a centre at 0, two blocks
+    state = rng.normal(size=(1025, 3))
+    state[:4] = [[-0.0, 0.0, 5e-324], [1.0, -1.0, 0.0], [0.0, 0.0, 0.0],
+                 [1.0 / 3.0, 1.7e308, -0.0]]
+    assert (_product_bytes("csv", tmp_path, grid, state)
+            == _savetxt_bytes("x,comp_0,comp_1,comp_2",
+                              [grid.x_centers(), state]))
+
+
+def _state_2d(rng, ny, nx):
+    state = rng.normal(size=(ny, nx, 2))
+    state[0, :3] = [[-0.0, 0.0], [1.0, 5e-324], [0.0, -0.0]]
+    return state
+
+
+def test_field_csv_2d_bytes_match_savetxt(tmp_path, rng):
+    grid = Grid(-1.0, 1.0, 41, -3.0, 0.5, 30)     # 1230 rows
+    state = _state_2d(rng, 30, 41)
+    x = np.tile(grid.x_centers(), 30)
+    y = np.repeat(grid.y_centers(), 41)
+    assert (_product_bytes("csv", tmp_path, grid, state)
+            == _savetxt_bytes("x,y,comp_0,comp_1",
+                              [x, y, state.reshape(-1, 2)]))
+
+
+def test_diagonal_slice_bytes_match_savetxt(tmp_path, rng):
+    grid = Grid(-1.0, 1.0, 9, -2.0, 2.0, 9)
+    state = _state_2d(rng, 9, 9)
+    diagonal = np.array([state[j, j] for j in range(9)])
+    assert (_product_bytes("slice_diag", tmp_path, grid, state)
+            == _savetxt_bytes("x,y,comp_0,comp_1",
+                              [grid.x_centers(), grid.y_centers(), diagonal]))
+
+
+def test_y0_slice_bytes_match_savetxt(tmp_path, rng):
+    grid = Grid(0.0, 1.0, 6, -1.0, 1.0, 7)        # centre row at y = 0
+    state = _state_2d(rng, 7, 6)
+    assert grid.y_centers()[3] == 0.0
+    assert (_product_bytes("slice_y0", tmp_path, grid, state)
+            == _savetxt_bytes("x,y,comp_0,comp_1",
+                              [grid.x_centers(), np.zeros(6), state[3]]))
 
 
 def _read_product(name, tmp_path, grid, interior):
