@@ -61,7 +61,7 @@ def _make_dirs(*paths):
 
 
 def _cmd_run(args):
-    out_dir = args.out or (args.target.replace(".json", "") + "_out")
+    out_dir = args.out or args.target.removesuffix(".json") + "_out"
     if args.compare:
         configs = []
         for scheme in ("pccu", "lcd"):

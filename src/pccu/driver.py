@@ -44,26 +44,21 @@ class LineGeometry:
     transverse: np.ndarray | None = None
 
 
-def _sweep(model, lines, geom, scheme, theta, eps0, robust=None, stats=None):
-    """Flux differences for stacked lines.
+def _face_states(model, lines, geom, theta, stats):
+    """Face data of component-major stacked lines for the flux assembly.
 
-    lines: (L, n + 2g, d) cell averages with ghosts filled.  Returns
-    (diff, speed) with diff = (flux_{f} - flux_{f-1}) / dx over the n
-    interior cells, shape (L, n, d), and the largest wave speed seen.
-    robust, an (L, n+1) face mask, puts the central-upwind flux on those
-    faces under lcd.  stats["slope_drops"] counts the cells whose slope
-    was zeroed to keep their interface values admissible.
-
-    The lines are copied component-major once, and ufunc outputs keep
-    their inputs' memory order, so every array derived from them runs
-    contiguously along the lines; the logical shapes stay (..., d).
+    Returns (k, du, lam): k stacks K- and K+ = F - W at faces 0..n as one
+    (2, L, n+1, d) array, du = Ŭ+ - Ŭ- and lam is model.eigenvalues of
+    the pair (U-, U+).  The reconstruction, its slopes and the W chain
+    are locals here, so they are freed before the flux is assembled.
+    stats["slope_drops"] counts the cells whose slope was zeroed to keep
+    their interface values admissible.
     """
-    lines = np.ascontiguousarray(lines.transpose(2, 0, 1)).transpose(1, 2, 0)
     g = GHOST
     direction = geom.direction
     if model.reconstruction == "equilibrium":
-        half_l, half_r = model.source_half_increments(lines, geom)
-        w_center, w_face = interleave_cell_halves(half_l, half_r)
+        w_center, w_face = interleave_cell_halves(
+            *model.source_half_increments(lines, geom))
         ia = model.momentum_index(direction)
         states = reconstruct_equilibrium(
             lines, model, direction, theta, -w_center[..., 0], -w_face[..., 0])
@@ -93,28 +88,49 @@ def _sweep(model, lines, geom, scheme, theta, eps0, robust=None, stats=None):
         # W is nonzero only on the model's nonconservative rows; an
         # interior cell runs from the U+ of its left face to the U- of
         # its right one
-        jump = model.noncons_increment(u_minus, u_plus, direction)
-        cell = model.noncons_increment(u_plus[:, :-1], u_minus[:, 1:],
-                                       direction)
-        w_minus, w_plus = interleave_jumps_cells(jump, cell)
+        w_minus, w_plus = interleave_jumps_cells(
+            model.noncons_increment(u_minus, u_plus, direction),
+            model.noncons_increment(u_plus[:, :-1], u_minus[:, 1:], direction))
         rows = model.noncons_rows
     # K = F - W on both sides; the rows outside W would subtract +0.0
-    k_minus, k_plus = model.flux(pair, direction)
-    k_minus[..., rows] -= w_minus
-    k_plus[..., rows] -= w_plus
+    k = model.flux(pair, direction)
+    k[0][..., rows] -= w_minus
+    k[1][..., rows] -= w_plus
+    return k, breve[1] - breve[0], lam
 
+
+def _sweep(model, lines, geom, scheme, theta, eps0, robust=None, stats=None):
+    """Flux differences for stacked lines.
+
+    lines: (L, n + 2g, d) cell averages with ghosts filled.  Returns
+    (diff, speed) with diff = (flux_{f} - flux_{f-1}) / dx over the n
+    interior cells, shape (L, n, d), and the largest wave speed seen.
+    robust, an (L, n+1) face mask, puts the central-upwind flux on those
+    faces under lcd.  stats as for _face_states.
+
+    The lines are copied component-major once, and ufunc outputs keep
+    their inputs' memory order, so every array derived from them runs
+    contiguously along the lines; the logical shapes stay (..., d).  The
+    face states come first (_face_states), then the flux is assembled
+    from them; the speeds go as soon as the weights exist.
+    """
+    lines = np.ascontiguousarray(lines.transpose(2, 0, 1)).transpose(1, 2, 0)
+    g = GHOST
+    (k_minus, k_plus), du, lam = _face_states(model, lines, geom, theta,
+                                              stats)
     a_lo, a_hi = local_speeds(lam)
-    du = breve[1] - breve[0]
     if scheme == "lcd":
         p, m, q = split_weights(lam, a_lo, a_hi, eps0)
+        del lam
         flux = characteristic_flux(
-            model.lcd_matrices(lines[:, g - 1:-g + 1, :], direction),
+            model.lcd_matrices(lines[:, g - 1:-g + 1, :], geom.direction),
             p, m, q, k_minus, k_plus, du)
         if robust is not None:
             flux[robust] = central_upwind_flux(
                 a_lo[robust], a_hi[robust], k_minus[robust], k_plus[robust],
                 du[robust], eps0)
     else:
+        del lam, lines
         flux = central_upwind_flux(a_lo, a_hi, k_minus, k_plus, du, eps0)
     speed = float(max(a_hi.max(), -a_lo.min()))
     return (flux[:, 1:, :] - flux[:, :-1, :]) / geom.dx, speed

@@ -49,8 +49,7 @@ def invert_momentum_flux(m, phi, b, guess):
     # m*m == 0.0 also catches |m| small enough that m^2 underflows; the
     # kinetic term is then far below any resolvable thickness and the
     # at-rest closed form is the root of the relevant (upper) branch.
-    m2_all = m * m
-    still = m2_all == 0.0
+    still = m * m == 0.0
     if np.any(still):
         phi0 = phi[still]
         if np.any(phi0 <= 0.0):
@@ -59,11 +58,18 @@ def invert_momentum_flux(m, phi, b, guess):
         h[still] = np.sqrt(2.0 * phi0 / b[still])
 
     moving = ~still
-    if not np.any(moving):
-        return h
+    if np.any(moving):
+        h[moving] = _moving_root(m, phi, b, guess, moving)
+    return h
+
+
+def _moving_root(m, phi, b, guess, moving):
+    """The root of invert_momentum_flux at the values flagged by moving,
+    gathered flat; its temporaries are freed before the caller scatters
+    it back."""
     bb = b[moving]
     ph = phi[moving]
-    m2 = m2_all[moving]
+    m2 = np.square(m[moving])
     # h_up = 2 r cos(t), r = sqrt(a/3), cos(3t) = kappa.  kappa^2 is
     # 27 b m^4 / (8 phi^3), so kappa >= -1 is psi_min <= phi; phi <= 0
     # gives NaN or -inf, which fails it too.
@@ -78,6 +84,7 @@ def invert_momentum_flux(m, phi, b, guess):
     # (numpy 2.4 on AVX-512 x86: 67 against 370 us per 23k values).
     tau = np.tan(np.arccos(kappa) / 6.0) ** 2
     hh = 2.0 * r * (1.0 - tau) / (1.0 + tau)
+    del r, kappa, short, tau        # dead before the polish, the peak
     gg = guess[moving]
     lower = bb * gg * gg * gg < m2              # guess < h_crit
     if np.any(lower):
@@ -92,13 +99,11 @@ def invert_momentum_flux(m, phi, b, guess):
     # psi' ~ 0 next to the double root makes the step noise there: keep
     # it only where the residual does not grow.
     better = np.abs(res_polished) <= np.abs(res)
-    hh = np.where(better, polished, hh)
     worst = np.max(np.where(better, np.abs(res_polished), np.abs(res)) / ph)
     if worst > RESIDUAL_TOL:
         raise ReconstructionError(
             "thickness root inaccurate (relative residual %.3e)" % worst)
-    h[moving] = hh
-    return h
+    return np.where(better, polished, hh)
 
 
 def _below_critical(m, phi, b, failed):

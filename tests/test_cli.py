@@ -110,6 +110,19 @@ def test_run_config_file_referencing_catalog_ic(tmp_path):
     assert cli.main(["run", str(path), "--out", str(tmp_path / "o")]) == 0
 
 
+def test_default_out_strips_only_a_trailing_json(tmp_path, capsys):
+    folder = tmp_path / "old.json.d"
+    folder.mkdir()
+    path = folder / "case.json"
+    path.write_text(json.dumps({
+        "model": "trsw", "dimension": 1, "domain": [-5.0, 5.0], "nx": 20,
+        "t_final": 0.001, "ic": "ex6"}))
+    assert cli.main(["run", str(path)]) == 0
+    assert (folder / "case_out" / "run.json").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["old.json.d"]
+    assert str(folder / "case_out") in capsys.readouterr().out
+
+
 def test_config_file_missing_keys_exits_2(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text(json.dumps({"model": "trsw"}))

@@ -3,6 +3,7 @@
 import ctypes
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -120,6 +121,37 @@ def test_sweep_is_bitwise_blind_to_memory_layout(name, direction, scheme):
     for other, other_speed in results[1:]:
         assert other.tobytes() == diff.tobytes()
         assert other_speed == speed
+
+
+@pytest.mark.parametrize("name, nx, ny, scheme, bound", [
+    ("ex4", 192, 48, "lcd", 680), ("ex4", 192, 48, "pccu", 500),
+    ("ex8", 80, 80, "pccu", 820)])
+def test_x_sweep_working_set_per_cell(name, nx, ny, scheme, bound):
+    # tracemalloc peak of one x-sweep a few steps in, in bytes per cell:
+    # 613, 452 and 743 with numpy 2.4, and each bound leaves about 10%.
+    # Face states kept alive through the flux assembly, or the whole
+    # thickness inversion alive at its scatter, read 887, 605 and 867.
+    config = make_config(name, nx=nx, ny=ny, t_final=0.01, snapshots=(),
+                         scheme=scheme)
+    report = run(config)
+    assert report.steps >= 3
+    model, grid = config.model, config.grid
+    fld = Field(grid, model.d)
+    fld.interior[...] = report.states[-1]
+    fill_ghosts(fld, config.bc, model)
+    geom = LineGeometry("x", grid.dx,
+                        _padded_centers(grid.x_min, grid.nx, grid.dx),
+                        grid.y_centers())
+    lines = fld.data[GHOST:-GHOST]
+    _sweep(model, lines, geom, scheme, config.theta, config.eps0)  # warm-up
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _sweep(model, lines, geom, scheme, config.theta, config.eps0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak / (nx * ny) <= bound
 
 
 def test_inadmissible_average_names_its_sweep():
