@@ -36,12 +36,31 @@ SCHEMES = ("pccu", "lcd")
 
 @dataclass
 class LineGeometry:
-    """Per-sweep geometry: padded center coordinates along the sweep axis
-    and the (fixed) transverse coordinate of each line."""
+    """Per-sweep geometry: padded center coordinates along the sweep axis,
+    the (fixed) transverse coordinate of each line and, for a model with
+    topography, its half-jumps at the padded faces (dz, see
+    ThermalShallowWater.topography_half_jumps)."""
     direction: str
     dx: float
     coords: np.ndarray
     transverse: np.ndarray | None = None
+    dz: np.ndarray | None = None
+
+
+def line_geometry(model, grid, direction):
+    """The LineGeometry of one sweep direction of a run; a run builds each
+    direction's once."""
+    if direction == "x":
+        geom = LineGeometry("x", grid.dx,
+                            _padded_centers(grid.x_min, grid.nx, grid.dx),
+                            grid.y_centers() if grid.dimension == 2 else None)
+    else:
+        geom = LineGeometry("y", grid.dy,
+                            _padded_centers(grid.y_min, grid.ny, grid.dy),
+                            grid.x_centers())
+    if getattr(model, "topography", None) is not None:
+        geom.dz = model.topography_half_jumps(geom)
+    return geom
 
 
 def _face_states(model, lines, geom, theta, stats):
@@ -122,9 +141,10 @@ def _sweep(model, lines, geom, scheme, theta, eps0, robust=None, stats=None):
     if scheme == "lcd":
         p, m, q = split_weights(lam, a_lo, a_hi, eps0)
         del lam
-        flux = characteristic_flux(
-            model.lcd_matrices(lines[:, g - 1:-g + 1, :], geom.direction),
-            p, m, q, k_minus, k_plus, du)
+        vectors = model.lcd_matrices(lines[:, g - 1:-g + 1, :],
+                                     geom.direction)
+        del lines
+        flux = characteristic_flux(vectors, p, m, q, k_minus, k_plus, du)
         if robust is not None:
             flux[robust] = central_upwind_flux(
                 a_lo[robust], a_hi[robust], k_minus[robust], k_plus[robust],
@@ -133,7 +153,9 @@ def _sweep(model, lines, geom, scheme, theta, eps0, robust=None, stats=None):
         del lam, lines
         flux = central_upwind_flux(a_lo, a_hi, k_minus, k_plus, du, eps0)
     speed = float(max(a_hi.max(), -a_lo.min()))
-    return (flux[:, 1:, :] - flux[:, :-1, :]) / geom.dx, speed
+    diff = np.subtract(flux[:, 1:, :], flux[:, :-1, :])
+    diff /= geom.dx
+    return diff, speed
 
 
 def _face_flags(cells, periodic):
@@ -163,12 +185,9 @@ def _located_sweep(model, lines, geom, scheme, theta, eps0, cells, periodic,
         raise
 
 
-def _y_sweep(data, model, grid, bc, scheme, theta, eps0, robust, stats):
-    """(diff, speed) of the y-sweep over a ghost-filled 2-D field's data;
-    diff is (nx, ny, d)."""
-    geom = LineGeometry("y", grid.dy,
-                        _padded_centers(grid.y_min, grid.ny, grid.dy),
-                        grid.x_centers())
+def _y_sweep(data, model, geom, bc, scheme, theta, eps0, robust, stats):
+    """(diff, speed) of the y-sweep, of geometry geom, over a ghost-filled
+    2-D field's data; diff is (nx, ny, d)."""
     return _located_sweep(model, np.swapaxes(data[:, GHOST:-GHOST], 0, 1),
                           geom, scheme, theta, eps0,
                           None if robust is None else robust.T,
@@ -176,7 +195,7 @@ def _y_sweep(data, model, grid, bc, scheme, theta, eps0, robust, stats):
 
 
 def spatial_rhs(fld, model, bc, scheme, theta, eps0, robust=None,
-                stats=None, helper=None):
+                stats=None, helper=None, geoms=None):
     """Tendency -d/dx K - d/dy L on the interior; returns (tendency, sx, sy).
 
     robust, a boolean mask over the interior cells, makes lcd use the
@@ -189,24 +208,26 @@ def spatial_rhs(fld, model, bc, scheme, theta, eps0, robust=None,
     helper, a ysweep.SweepHelper set up for this model, grid, bc, scheme,
     theta and eps0, runs a 2-D y-sweep while this process runs the
     x-sweep; when both sweeps fail, the x-sweep's error is raised, as
-    without it.
+    without it.  geoms holds the line_geometry of each direction of the
+    grid, x first; a run passes the ones it built, else they are built
+    here.
     """
     fill_ghosts(fld, bc, model)
     grid = fld.grid
     g = GHOST
-    x_coords = _padded_centers(grid.x_min, grid.nx, grid.dx)
+    if geoms is None:
+        geoms = [line_geometry(model, grid, direction)
+                 for direction in "xy"[:grid.dimension]]
     x_periodic = bc.left == "periodic"
     if grid.dimension == 1:
-        geom = LineGeometry("x", grid.dx, x_coords)
-        diff, sx = _located_sweep(model, fld.data[None], geom, scheme, theta,
-                                  eps0, None if robust is None
+        diff, sx = _located_sweep(model, fld.data[None], geoms[0], scheme,
+                                  theta, eps0, None if robust is None
                                   else robust[None], x_periodic, stats)
-        return -diff[0], sx, 0.0
-    geom_x = LineGeometry("x", grid.dx, x_coords, grid.y_centers())
+        return np.negative(diff[0], out=diff[0]), sx, 0.0
     if helper is not None:
         helper.start(fld.data, robust)
     try:
-        diff_x, sx = _located_sweep(model, fld.data[g:-g], geom_x, scheme,
+        diff_x, sx = _located_sweep(model, fld.data[g:-g], geoms[0], scheme,
                                     theta, eps0, robust, x_periodic, stats)
     except BaseException:
         if helper is not None:
@@ -215,9 +236,10 @@ def spatial_rhs(fld, model, bc, scheme, theta, eps0, robust=None,
     if helper is not None:
         diff_y, sy = helper.finish(stats)
     else:
-        diff_y, sy = _y_sweep(fld.data, model, grid, bc, scheme, theta, eps0,
-                              robust, stats)
-    return -(diff_x + np.swapaxes(diff_y, 0, 1)), sx, sy
+        diff_y, sy = _y_sweep(fld.data, model, geoms[1], bc, scheme, theta,
+                              eps0, robust, stats)
+    tendency = np.add(diff_x, np.swapaxes(diff_y, 0, 1))
+    return np.negative(tendency, out=tendency), sx, sy
 
 
 @dataclass
@@ -330,13 +352,16 @@ def run(config):
         # processes map, so no stage copies it
         work = Field(grid, model.d, None if helper is None else helper.data)
 
+        geoms = [line_geometry(model, grid, direction)
+                 for direction in "xy"[:grid.dimension]]
+
         def rhs(values, robust=None):
             work.interior[...] = values
             if robust is not None:
                 stats["stage_recomputes"] += 1
             tendency, sx, sy = spatial_rhs(
                 work, model, config.bc, config.scheme, config.theta,
-                config.eps0, robust, stats, helper)
+                config.eps0, robust, stats, helper, geoms)
             speeds.append((sx, sy))
             return tendency
 

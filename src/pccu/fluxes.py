@@ -30,18 +30,19 @@ def local_speeds(lam):
     reconstructed interface states.  a_lo = min(lam_0^-, lam_0^+, 0) and
     a_hi = max(lam_k^-, lam_k^+, 0) come from the outermost fields only.
     """
-    a_lo = np.minimum(np.minimum(lam[0, ..., 0], lam[1, ..., 0]), 0.0)
-    a_hi = np.maximum(np.maximum(lam[0, ..., -1], lam[1, ..., -1]), 0.0)
-    return a_lo, a_hi
+    a_lo = np.minimum(lam[0, ..., 0], lam[1, ..., 0])
+    a_hi = np.maximum(lam[0, ..., -1], lam[1, ..., -1])
+    return np.minimum(a_lo, 0.0, out=a_lo), np.maximum(a_hi, 0.0, out=a_hi)
 
 
 def field_speeds(lam):
     """Fieldwise one-sided speeds (lam_lo, lam_hi) of the speed pair lam of
     local_speeds: lam_hi_i = max(lam_i^-, lam_i^+, 0) and lam_lo_i =
     min(lam_i^-, lam_i^+, 0), each (L, nf, k)."""
-    lam_hi = np.maximum(np.maximum(lam[0], lam[1]), 0.0)
-    lam_lo = np.minimum(np.minimum(lam[0], lam[1]), 0.0)
-    return lam_lo, lam_hi
+    lam_hi = np.maximum(lam[0], lam[1])
+    lam_lo = np.minimum(lam[0], lam[1])
+    return (np.minimum(lam_lo, 0.0, out=lam_lo),
+            np.maximum(lam_hi, 0.0, out=lam_hi))
 
 
 def split_weights(lam, a_lo, a_hi, eps0):
@@ -57,28 +58,39 @@ def split_weights(lam, a_lo, a_hi, eps0):
     """
     lam_lo, lam_hi = field_speeds(lam)
     # the fallback weights belong to the face, not the field: form them
-    # once per face and let np.where broadcast them over the fields
+    # once per face and let them broadcast over the fields
     agap = a_hi - a_lo
     gap = lam_hi - lam_lo
     field_ok = gap > np.maximum(SPLIT_TAU * agap, eps0)[..., None]
-    safe_gap = np.where(field_ok, gap, 1.0)
+    fallback = ~field_ok
+    np.copyto(gap, 1.0, where=fallback)         # gap is now the safe gap
     glob_ok = agap > eps0
-    safe_agap = np.where(glob_ok, agap, 1.0)
-    p_g = np.where(glob_ok, a_hi / safe_agap, 0.5)[..., None]
-    m_g = np.where(glob_ok, -a_lo / safe_agap, 0.5)[..., None]
-    q_g = np.where(glob_ok, a_hi * a_lo / safe_agap, 0.0)[..., None]
-    p = np.where(field_ok, lam_hi / safe_gap, p_g)
-    m = np.where(field_ok, -lam_lo / safe_gap, m_g)
-    q = np.where(field_ok, lam_hi * lam_lo / safe_gap, q_g)
+    np.copyto(agap, 1.0, where=~glob_ok)        # and agap the safe one
+    p_g = np.where(glob_ok, a_hi / agap, 0.5)[..., None]
+    m_g = np.where(glob_ok, -a_lo / agap, 0.5)[..., None]
+    q_g = np.where(glob_ok, a_hi * a_lo / agap, 0.0)[..., None]
+    q = np.multiply(lam_hi, lam_lo)
+    q /= gap
+    p = np.divide(lam_hi, gap, out=lam_hi)
+    m = np.negative(lam_lo, out=lam_lo)
+    m /= gap
+    for weight, face_weight in ((p, p_g), (m, m_g), (q, q_g)):
+        np.copyto(weight, face_weight, where=fallback)
     return p, m, q
 
 
 def _dot(row, comps):
-    """sum_j coef_j comps[j] over a sparse row {j: coef_j} (None for 1)."""
-    out = None
+    """sum_j coef_j comps[j] over a sparse row {j: coef_j} (None for 1);
+    comps are only read, the sum is accumulated in an array formed here."""
+    out, owned = None, False
     for j, coef in row.items():
         term = comps[j] if coef is None else coef * comps[j]
-        out = term if out is None else out + term
+        if out is None:
+            out, owned = term, coef is not None
+        elif owned:
+            out += term
+        else:
+            out, owned = out + term, True
     return out
 
 
@@ -100,8 +112,11 @@ def characteristic_flux(vectors, p, m, q, k_minus, k_plus, du):
     is nothing to correct.
     """
     mid = p.shape[-1] // 2
-    flux = (p[..., mid:mid + 1] * k_minus + m[..., mid:mid + 1] * k_plus
-            + q[..., mid:mid + 1] * du)
+    flux = p[..., mid:mid + 1] * k_minus
+    term = m[..., mid:mid + 1] * k_plus
+    flux += term
+    flux += np.multiply(q[..., mid:mid + 1], du, out=term)
+    del term
     if mid == 0:
         return flux
     inv_rows, rows = vectors
@@ -109,9 +124,13 @@ def characteristic_flux(vectors, p, m, q, k_minus, k_plus, du):
     amps = {}
     for k, field in ((0, 0), (-1, len(rows) - 1)):
         proj = [_dot(inv_rows[field], c) for c in comps]
-        amps[field] = ((p[..., k] - p[..., mid]) * proj[0]
-                       + (m[..., k] - m[..., mid]) * proj[1]
-                       + (q[..., k] - q[..., mid]) * proj[2])
+        amp = np.subtract(p[..., k], p[..., mid])
+        amp *= proj[0]
+        term = np.subtract(m[..., k], m[..., mid])
+        amp += np.multiply(term, proj[1], out=term)
+        np.subtract(q[..., k], q[..., mid], out=term)
+        amp += np.multiply(term, proj[2], out=term)
+        amps[field] = amp
     for i, row in enumerate(rows):
         column = {f: row[f] for f in amps if f in row}
         if column:
@@ -131,7 +150,15 @@ def central_upwind_flux(a_lo, a_hi, k_minus, k_plus, du, eps0):
     safe = np.where(ok, agap, 1.0)[..., None]
     hi = a_hi[..., None]
     lo = a_lo[..., None]
-    upwind = (hi * k_minus - lo * k_plus) / safe + (hi * lo / safe) * du
-    if ok.all():
-        return upwind
-    return np.where(ok[..., None], upwind, 0.5 * (k_minus + k_plus))
+    upwind = hi * k_minus
+    term = lo * k_plus
+    upwind -= term
+    upwind /= safe
+    coef = hi * lo
+    coef /= safe
+    upwind += np.multiply(coef, du, out=term)
+    if not ok.all():
+        average = np.add(k_minus, k_plus, out=term)
+        average *= 0.5
+        np.copyto(upwind, average, where=~ok[..., None])
+    return upwind

@@ -77,16 +77,31 @@ class Multifluid:
     # ---- thermodynamics -------------------------------------------------
 
     def primitives(self, state):
-        """(rho, u, v, p, gamma, pi_inf); v is zeros in 1-D."""
+        """(rho, u, v, p, gamma, pi_inf); v is zeros in 1-D.
+
+        In 1-D the kinetic energy drops the v terms: u^2 + 0 * 0 is u^2
+        bitwise, u^2 being no -0.0.
+        """
         rho = state[..., 0]
-        u = state[..., 1] / rho
-        v = state[..., 2] / rho if self.dimension == 2 else np.zeros_like(u)
-        g_coef = state[..., self.ig]
+        # for a single state (d,) ufuncs return scalars; out= keeps arrays
+        u = np.divide(state[..., 1], rho, out=np.empty_like(rho))
+        kinetic = np.multiply(u, u, out=np.empty_like(u))
+        scratch = np.empty_like(u)
+        if self.dimension == 2:
+            v = state[..., 2] / rho
+            kinetic += np.multiply(v, v, out=scratch)
+        else:
+            v = np.zeros_like(u)
+        kinetic *= np.multiply(rho, 0.5, out=scratch)
         p_coef = state[..., self.ip]
-        kinetic = 0.5 * rho * (u * u + v * v)
-        p = (state[..., self.ie] - kinetic - p_coef) / g_coef
-        gamma = 1.0 / g_coef + 1.0
-        pi_inf = p_coef / (g_coef + 1.0)
+        g_coef = state[..., self.ig]
+        p = np.subtract(state[..., self.ie], kinetic, out=kinetic)
+        p -= p_coef
+        p /= g_coef
+        gamma = np.divide(1.0, g_coef, out=np.empty_like(u))
+        gamma += 1.0
+        pi_inf = np.add(g_coef, 1.0, out=scratch)
+        np.divide(p_coef, pi_inf, out=pi_inf)
         return rho, u, v, p, gamma, pi_inf
 
     def admissible(self, state):
@@ -97,7 +112,8 @@ class Multifluid:
         """
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             rho, _, _, p, _, pi_inf = self.primitives(state)
-            return _inside(rho, state[..., self.ig], p + pi_inf)
+            return _inside(rho, state[..., self.ig],
+                           np.add(p, pi_inf, out=p))
 
     def validate(self, state, where="state"):
         check_admissible(self, state, where)
@@ -106,19 +122,20 @@ class Multifluid:
 
     def flux(self, state, direction):
         rho = state[..., 0]
-        mom = state[..., self.momentum_index(direction)]
-        w = mom / rho
-        g_coef = state[..., self.ig]
-        p_coef = state[..., self.ip]
+        ia = self.momentum_index(direction)
+        w = state[..., ia] / rho
+        kinetic = np.square(state[..., 1], out=np.empty_like(rho))
         if self.dimension == 2:
-            kinetic = 0.5 * (state[..., 1] ** 2 + state[..., 2] ** 2) / rho
-        else:
-            kinetic = 0.5 * state[..., 1] ** 2 / rho
-        p = (state[..., self.ie] - kinetic - p_coef) / g_coef
+            kinetic += np.square(state[..., 2])
+        kinetic *= 0.5
+        kinetic /= rho
+        p = np.subtract(state[..., self.ie], kinetic, out=kinetic)
+        p -= state[..., self.ip]
+        p /= state[..., self.ig]
         out = np.empty_like(state)
         np.multiply(state[..., :self.ig], w[..., None], out=out[..., :self.ig])
-        out[..., self.momentum_index(direction)] += p
-        out[..., self.ie] += p * w
+        out[..., ia] += p
+        out[..., self.ie] += np.multiply(p, w, out=p)
         out[..., self.noncons_rows] = 0.0
         return out
 
@@ -127,13 +144,14 @@ class Multifluid:
         field between the two acoustic ones moves with w."""
         rho, u, v, p, gamma, pi_inf = self.primitives(state)
         w = u if direction == "x" else v
-        margin = p + pi_inf
+        margin = np.add(p, pi_inf, out=p)
         if not np.all(_inside(rho, state[..., self.ig], margin)):
             raise AdmissibilityError(
                 "wave-speed evaluation needs p + pi_inf > 0, rho > 0 and "
                 "G > 0 (min p + pi_inf %.3e)" % float(margin.min()))
-        c = np.sqrt(gamma * margin / rho)
-        return ordered_speeds(w, c)
+        c = np.multiply(gamma, margin, out=gamma)
+        c /= rho
+        return ordered_speeds(w, np.sqrt(c, out=c))
 
     def noncons_increment(self, state_a, state_b, direction):
         """Path increment of B u_xi across the segment from a to b, on the
@@ -144,10 +162,15 @@ class Multifluid:
         (-u_mid dG, -u_mid dP), shape (..., 2).
         """
         ia = self.momentum_index(direction)
-        u_mid = ((0.5 * (state_a[..., ia] + state_b[..., ia]))
-                 / (0.5 * (state_a[..., 0] + state_b[..., 0])))
+        u_mid = np.add(state_a[..., ia], state_b[..., ia])
+        u_mid *= 0.5
+        rho_mid = np.add(state_a[..., 0], state_b[..., 0])
+        rho_mid *= 0.5
+        u_mid /= rho_mid
         rows = self.noncons_rows
-        return -u_mid[..., None] * (state_b[..., rows] - state_a[..., rows])
+        out = np.subtract(state_b[..., rows], state_a[..., rows])
+        out *= -u_mid[..., None]
+        return out
 
     def lcd_matrices(self, cells, direction):
         """Sparse rows of R^-1 and of R at the faces between consecutive
@@ -205,34 +228,3 @@ class Multifluid:
             rows[it] = {0: t, 1: t, 2: None, kr: t}
             rows[ie][2] = t
         return [left, contact] + shear + materials + [right], rows
-
-    def quasilinear_matrix(self, state, direction):
-        """Full Jacobian-plus-B matrix A of the quasilinear form."""
-        rho, u, v, p, gamma, pi_inf = self.primitives(state)
-        w, t = (u, v) if direction == "x" else (v, u)
-        ia, it = self._indices(direction)
-        ie, ig, ip = self.ie, self.ig, self.ip
-        c2 = gamma * (p + pi_inf) / rho
-        mat = np.zeros(state.shape[:-1] + (self.d, self.d))
-        g1 = gamma - 1.0
-        q2 = w * w + t * t
-        mat[..., 0, ia] = 1.0
-        mat[..., ia, 0] = 0.5 * (gamma - 3.0) * w * w + 0.5 * g1 * t * t
-        mat[..., ia, ia] = (3.0 - gamma) * w
-        mat[..., ia, ie] = g1
-        mat[..., ia, ig] = -g1 * p
-        mat[..., ia, ip] = -g1
-        mat[..., ie, 0] = -w * c2 / g1 + (0.5 * gamma - 1.0) * w * q2
-        mat[..., ie, ia] = c2 / g1 + (1.5 - gamma) * w * w + 0.5 * t * t
-        mat[..., ie, ie] = gamma * w
-        mat[..., ie, ig] = -g1 * p * w
-        mat[..., ie, ip] = -g1 * w
-        mat[..., ig, ig] = w
-        mat[..., ip, ip] = w
-        if it is not None:
-            mat[..., ia, it] = -g1 * t
-            mat[..., it, 0] = -w * t
-            mat[..., it, ia] = t
-            mat[..., it, it] = w
-            mat[..., ie, it] = -g1 * w * t
-        return mat

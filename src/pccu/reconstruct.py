@@ -18,10 +18,12 @@ def _minmod3(a, b, c):
 
     fmax(lo, 0) + fmin(hi, 0) gives it in one sum; fmax and fmin may
     return -0.0 for a -0.0 argument, so adding +0.0 makes every zero
-    result +0.0.
+    result +0.0.  Only the two arrays formed here are written.
     """
-    lo = np.minimum(np.minimum(a, b), c)
-    hi = np.maximum(np.maximum(a, b), c)
+    lo = np.minimum(a, b)
+    np.minimum(lo, c, out=lo)
+    hi = np.maximum(a, b)
+    np.maximum(hi, c, out=hi)
     out = np.fmax(lo, 0.0, out=lo)
     out += np.fmin(hi, 0.0, out=hi)
     out += 0.0
@@ -34,10 +36,15 @@ def limited_half_slopes(values, theta):
     values: (..., n, d) cell averages; returns (..., n-2, d) for the inner
     cells: minmod(theta/2 dl, (dl+dr)/4, theta/2 dr) with dl, dr the
     one-sided average differences (scaling by powers of two is exact).
+    dl and dr are views of one difference array, scaled by theta/2 in
+    place once (dl+dr)/4 is formed.
     """
-    dl = values[..., 1:-1, :] - values[..., :-2, :]
-    dr = values[..., 2:, :] - values[..., 1:-1, :]
-    return _minmod3(0.5 * theta * dl, 0.25 * (dl + dr), 0.5 * theta * dr)
+    diff = values[..., 1:, :] - values[..., :-1, :]
+    dl, dr = diff[..., :-1, :], diff[..., 1:, :]
+    mid = dl + dr
+    mid *= 0.25
+    diff *= 0.5 * theta
+    return _minmod3(dl, mid, dr)
 
 
 def interface_values(lines, theta):
@@ -52,16 +59,18 @@ def interface_values(lines, theta):
     return edge_values(lines, half), half
 
 
-def edge_values(lines, half):
+def edge_values(lines, half, out=None):
     """(U_minus, U_plus) at interfaces 0..n from averages and half slopes,
-    as one (2, L, n+1, d) array, component-major like the lines.
+    as one (2, L, n+1, d) array, component-major like the lines; out, if
+    given, is that array.
 
     half covers the padded cells 1..n+2.  U_minus at interface f is the
     right edge of padded cell f+1 (half index f) and U_plus the left edge
     of padded cell f+2 (half index f+1).
     """
     nl, cells, d = half.shape
-    pair = np.empty((2, d, nl, cells - 1)).transpose(0, 2, 3, 1)
+    pair = (np.empty((2, d, nl, cells - 1)).transpose(0, 2, 3, 1)
+            if out is None else out)
     np.add(lines[:, GHOST - 1:-GHOST, :], half[:, :-1, :], out=pair[0])
     np.subtract(lines[:, GHOST:-GHOST + 1, :], half[:, 1:, :], out=pair[1])
     return pair
@@ -96,21 +105,29 @@ def reconstruct_equilibrium(lines, model, direction, theta, r_center, r_face):
     Returns one (4, L, n+1, d) array of U_minus, U_plus, U_breve_minus
     and U_breve_plus: its first two slabs are the pair of edge_values.
     """
-    e_cells = model.equilibrium_values(lines, r_center, direction)
-    half = limited_half_slopes(e_cells, theta)
-    e_pair = edge_values(e_cells, half)
-
-    h_left = lines[:, GHOST - 1:-GHOST, 0]
-    h_right = lines[:, GHOST:-GHOST + 1, 0]
-    h_shared = 0.5 * (h_left + h_right)
-
     # Batch the four inversions (U-, U+, and the two breve recoveries) on
     # a leading axis of one call; the breve pair shares per-interface
     # buoyancy (the mean of slot 2 of E-, E+) and thickness guess so equal
-    # targets give bitwise-equal states.
-    targets = np.concatenate([e_pair, e_pair])
-    targets[2:, ..., 2] = 0.5 * (e_pair[0, ..., 2] + e_pair[1, ..., 2])
-    guesses = np.stack([h_left, h_right, h_shared, h_shared])
+    # targets give bitwise-equal states.  E's cell values and slopes are
+    # freed before the inversion, the peak of the sweep.
+    e_cells = model.equilibrium_values(lines, r_center, direction)
+    half = limited_half_slopes(e_cells, theta)
+    nl, faces = half.shape[0], half.shape[1] - 1
+    targets = np.empty((4, e_cells.shape[-1], nl, faces)).transpose(0, 2, 3, 1)
+    edge_values(e_cells, half, out=targets[:2])
+    del e_cells, half
+    targets[2:] = targets[:2]
+    buoyancy = np.add(targets[0, ..., 2], targets[1, ..., 2],
+                      out=targets[2, ..., 2])
+    buoyancy *= 0.5
+    targets[3, ..., 2] = buoyancy
+
+    guesses = np.empty((4, nl, faces))
+    guesses[0] = lines[:, GHOST - 1:-GHOST, 0]
+    guesses[1] = lines[:, GHOST:-GHOST + 1, 0]
+    shared = np.add(guesses[0], guesses[1], out=guesses[2])
+    shared *= 0.5
+    guesses[3] = shared
     try:
         return model.equilibrium_invert(targets, r_face, guesses, direction)
     except ReconstructionError as exc:

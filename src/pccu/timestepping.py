@@ -32,9 +32,22 @@ def ssprk3_step(u, dt, rhs, rhs0=None, stage_check=None, admissible=None):
     redo fails only in cells already flagged, AdmissibilityError names
     the stage and the first such cell (its index over the cell axes).
     """
-    stages = (lambda v, k: v + dt * k,
-              lambda v, k: 0.75 * u + 0.25 * (v + dt * k),
-              lambda v, k: u / 3.0 + (2.0 / 3.0) * (v + dt * k))
+    def euler(v, k):
+        """v + dt k in a new array laid out like u; v and k are only read."""
+        out = np.multiply(dt, k, out=np.empty_like(u))
+        out += v
+        return out
+
+    def blend(v, k, weight, base):
+        """base + weight (v + dt k), summed in euler's new array."""
+        out = euler(v, k)
+        out *= weight
+        out += base
+        return out
+
+    stages = (euler,
+              lambda v, k: blend(v, k, 0.25, 0.75 * u),
+              lambda v, k: blend(v, k, 2.0 / 3.0, u / 3.0))
     v = u
     for stage, combine in enumerate(stages, 1):
         try:

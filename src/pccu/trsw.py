@@ -74,17 +74,27 @@ def _moving_root(m, phi, b, guess, moving):
     # 27 b m^4 / (8 phi^3), so kappa >= -1 is psi_min <= phi; phi <= 0
     # gives NaN or -inf, which fails it too.
     with np.errstate(divide="ignore", invalid="ignore"):
-        a = 2.0 * ph / bb
-        r = np.sqrt(a / 3.0)
-        kappa = -1.5 * m2 / ph / r
+        a = np.multiply(2.0, ph)
+        a /= bb
+        r = np.divide(a, 3.0)
+        np.sqrt(r, out=r)
+        kappa = np.multiply(-1.5, m2)
+        kappa /= ph
+        kappa /= r
     short = ~(kappa >= -1.0)
     if np.any(short):
         raise _below_critical(m, phi, b, np.flatnonzero(moving)[short])
+    del short
     # cos(t) via tan(t/2): numpy's float64 tan is vectorised, its cos is not
     # (numpy 2.4 on AVX-512 x86: 67 against 370 us per 23k values).
-    tau = np.tan(np.arccos(kappa) / 6.0) ** 2
-    hh = 2.0 * r * (1.0 - tau) / (1.0 + tau)
-    del r, kappa, short, tau        # dead before the polish, the peak
+    tau = np.arccos(kappa, out=kappa)
+    tau /= 6.0
+    np.tan(tau, out=tau)
+    np.square(tau, out=tau)
+    hh = np.multiply(2.0, r, out=r)
+    hh *= np.subtract(1.0, tau)
+    hh /= np.add(1.0, tau, out=tau)
+    del r, kappa, tau               # dead before the polish, the peak
     gg = guess[moving]
     lower = bb * gg * gg * gg < m2              # guess < h_crit
     if np.any(lower):
@@ -92,18 +102,41 @@ def _moving_root(m, phi, b, guess, moving):
         hu = hh[lower]
         hh[lower] = 4.0 * m2[lower] / bb[lower] / (
             hu * (hu + np.sqrt(4.0 * a[lower] - 3.0 * hu * hu)))
-    res = m2 / hh + 0.5 * bb * hh * hh - ph
+    del gg, lower, a
+    # residual of psi(h) - phi at hh, and the Newton step from it
+    res = _residual(hh, m2, bb, ph)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        polished = hh - res / (bb * hh - m2 / (hh * hh))
-        res_polished = m2 / polished + 0.5 * bb * polished * polished - ph
+        polished = np.multiply(bb, hh)
+        slope_term = np.multiply(hh, hh)
+        np.divide(m2, slope_term, out=slope_term)
+        polished -= slope_term
+        np.divide(res, polished, out=polished)
+        np.subtract(hh, polished, out=polished)
+        res_polished = _residual(polished, m2, bb, ph, out=slope_term)
     # psi' ~ 0 next to the double root makes the step noise there: keep
     # it only where the residual does not grow.
-    better = np.abs(res_polished) <= np.abs(res)
-    worst = np.max(np.where(better, np.abs(res_polished), np.abs(res)) / ph)
+    np.abs(res_polished, out=res_polished)
+    np.abs(res, out=res)
+    better = res_polished <= res
+    np.copyto(res, res_polished, where=better)
+    res /= ph
+    worst = np.max(res)
     if worst > RESIDUAL_TOL:
         raise ReconstructionError(
             "thickness root inaccurate (relative residual %.3e)" % worst)
-    return np.where(better, polished, hh)
+    np.copyto(hh, polished, where=better)
+    return hh
+
+
+def _residual(h, m2, b, phi, out=None):
+    """m^2/h + b h^2/2 - phi, in out if given."""
+    res = np.divide(m2, h, out=out)
+    term = np.multiply(0.5, b)
+    term *= h
+    term *= h
+    res += term
+    res -= phi
+    return res
 
 
 def _below_critical(m, phi, b, failed):
@@ -207,25 +240,6 @@ class ThermalShallowWater:
         rows[3] = {0: None, 1: None, 3: None}
         return inv_rows, rows
 
-    def quasilinear_matrix(self, state, direction):
-        ia, it = self._indices(direction)
-        h = state[..., 0]
-        w = state[..., ia] / h
-        t = state[..., it] / h
-        b = state[..., 3] / h
-        mat = np.zeros(state.shape[:-1] + (4, 4))
-        mat[..., 0, ia] = 1.0
-        mat[..., ia, 0] = 0.5 * b * h - w * w
-        mat[..., ia, ia] = 2.0 * w
-        mat[..., ia, 3] = 0.5 * h
-        mat[..., it, 0] = -w * t
-        mat[..., it, ia] = t
-        mat[..., it, it] = w
-        mat[..., 3, 0] = -b * w
-        mat[..., 3, ia] = b
-        mat[..., 3, 3] = w
-        return mat
-
     # ---- equilibrium reconstruction hooks --------------------------------
 
     def equilibrium_values(self, lines, r_center, direction):
@@ -236,9 +250,14 @@ class ThermalShallowWater:
         hb = lines[..., 3]
         out = np.empty_like(lines)
         out[..., 0] = m
-        out[..., 1] = m * (m / h) + 0.5 * hb * h + r_center
-        out[..., 2] = hb / h
-        out[..., 3] = lines[..., it] / h
+        e2 = np.divide(m, h, out=out[..., 1])
+        e2 *= m
+        pressure = np.multiply(hb, 0.5, out=out[..., 2])   # b h^2/2 = hb h/2
+        pressure *= h
+        e2 += pressure
+        e2 += r_center
+        np.divide(hb, h, out=out[..., 2])
+        np.divide(lines[..., it], h, out=out[..., 3])
         return out
 
     def equilibrium_invert(self, e_values, r_values, h_guess, direction):
@@ -248,43 +267,50 @@ class ThermalShallowWater:
         b = e_values[..., 2]
         phi = e_values[..., 1] - r_values
         h = invert_momentum_flux(m, phi, b, h_guess)
+        del phi
         out = np.empty_like(e_values)
         out[..., 0] = h
         out[..., ia] = m
-        out[..., it] = h * e_values[..., 3]
-        out[..., 3] = h * b
+        np.multiply(h, e_values[..., 3], out=out[..., it])
+        np.multiply(h, b, out=out[..., 3])
         return out
 
     # ---- source integrals -------------------------------------------------
+
+    def topography_half_jumps(self, geom):
+        """Half of each center-to-center jump of Z along the lines of geom,
+        per padded face (the end faces repeat their neighbours): a run
+        forms them once per sweep direction (driver.line_geometry)."""
+        centers = geom.coords
+        if self.dimension == 1:
+            z_c = self.topography(centers)
+        elif geom.direction == "x":
+            z_c = self.topography(centers[None, :], geom.transverse[:, None])
+        else:
+            z_c = self.topography(geom.transverse[:, None], centers[None, :])
+        dz = 0.5 * np.diff(z_c, axis=-1)
+        return np.concatenate([dz[..., :1], dz, dz[..., -1:]], axis=-1)
 
     def source_half_increments(self, lines, geom):
         """Half-cell integrals of the source terms, from cell averages.
 
         Topography: -<hb> dZ over each half cell, with Z sampled at cell
         centers and each face value the mean of its two center values (the
-        end faces extrapolate linearly).  Then the two half cells next to a
-        face add up to -<hb>_mean dZ across it, which balances the jump of
-        b h^2/2 whenever h + Z and b are constant: the discrete lake at rest
-        is exact.  Coriolis: along x the momentum source is +f(y) h v with
+        end faces extrapolate linearly); the half-jumps are geom.dz, or
+        formed here for a geometry built without them.  Then the two half
+        cells next to a face add up to -<hb>_mean dZ across it, which
+        balances the jump of b h^2/2 whenever h + Z and b are constant: the
+        discrete lake at rest is exact.  Coriolis: along x the momentum source is +f(y) h v with
         f constant on the line; along y it is -f(y) h u integrated exactly
         for affine f (midpoint rule per half cell).  Returns (half_left,
         half_right) on the momentum row along the sweep: (L, n + 2g, 1).
         """
         it = self._indices(geom.direction)[1]
         half_l, half_r = np.zeros((2,) + lines.shape[:-1] + (1,))
-        centers = geom.coords
         if self.topography is not None:
-            if self.dimension == 1:
-                z_c = self.topography(centers)
-            elif geom.direction == "x":
-                z_c = self.topography(centers[None, :],
-                                      geom.transverse[:, None])
-            else:
-                z_c = self.topography(geom.transverse[:, None],
-                                      centers[None, :])
-            # Half of each center-to-center jump, per face.
-            dz = 0.5 * np.diff(z_c, axis=-1)
-            dz = np.concatenate([dz[..., :1], dz, dz[..., -1:]], axis=-1)
+            dz = geom.dz
+            if dz is None:
+                dz = self.topography_half_jumps(geom)
             hb = lines[..., 3]
             half_l[..., 0] -= hb * dz[..., :-1]
             half_r[..., 0] -= hb * dz[..., 1:]
@@ -293,8 +319,8 @@ class ThermalShallowWater:
                 # +f h v: subtracting -f adds f exactly
                 f_lo = f_hi = -self.coriolis(geom.transverse)[:, None]
             else:
-                f_lo = self.coriolis(centers - 0.25 * geom.dx)
-                f_hi = self.coriolis(centers + 0.25 * geom.dx)
+                f_lo = self.coriolis(geom.coords - 0.25 * geom.dx)
+                f_hi = self.coriolis(geom.coords + 0.25 * geom.dx)
             seg = 0.5 * geom.dx
             half_l[..., 0] -= lines[..., it] * f_lo * seg
             half_r[..., 0] -= lines[..., it] * f_hi * seg

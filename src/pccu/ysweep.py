@@ -26,7 +26,7 @@ from multiprocessing.reduction import recv_handle, send_handle
 
 import numpy as np
 
-from .driver import _y_sweep
+from .driver import _y_sweep, line_geometry
 from .grid import GHOST
 
 _helper = None                      # this process's SweepHelper, once forked
@@ -159,9 +159,9 @@ class _Shared:
 
 
 def _serve(conn, caller_end):
-    """The helper's loop: a run's static inputs and memory file, then one
-    answer per wake-up, for one run after another, until the caller's end
-    closes."""
+    """The helper's loop: a run's static inputs and memory file, from which
+    it builds the run's y geometry, then one answer per wake-up, for one
+    run after another, until the caller's end closes."""
     caller_end.close()
     signal.signal(signal.SIGINT, signal.SIG_IGN)   # the caller handles ^C
     with conn:
@@ -169,10 +169,11 @@ def _serve(conn, caller_end):
             while True:
                 message = conn.recv()
                 if message is not None:
-                    static = message
+                    model, grid, *rest = message
                     fd = recv_handle(conn)
-                    shared = _Shared(fd, static[1], static[0].d)
+                    shared = _Shared(fd, grid, model.d)
                     os.close(fd)
+                    static = (model, line_geometry(model, grid, "y"), *rest)
                     continue
                 stats = {"slope_drops": 0}
                 try:

@@ -1,10 +1,15 @@
-"""Shared fixtures: a scalar-advection toy model and random state factories."""
+"""Shared fixtures: a scalar-advection toy model, random state factories,
+catalog sweep lines and the quasilinear-matrix oracle."""
 
 import numpy as np
 import pytest
 
+from pccu.catalog import EXAMPLES, make_config
+from pccu.driver import line_geometry
 from pccu.errors import check_admissible
+from pccu.grid import GHOST, fill_ghosts, init_from_function
 from pccu.multifluid import Multifluid, conservative_state
+from pccu.trsw import ThermalShallowWater
 
 
 class ScalarAdvection:
@@ -68,6 +73,61 @@ def dense_eigensystem(model, left, right, direction):
     return _dense(rows, left.shape[:-1]), _dense(inv_rows, left.shape[:-1])
 
 
+def quasilinear_matrix(model, state, direction):
+    """Full Jacobian-plus-B matrix A of a model's quasilinear form, the
+    oracle of the eigensystem tests."""
+    if isinstance(model, ThermalShallowWater):
+        return _trsw_quasilinear_matrix(model, state, direction)
+    rho, u, v, p, gamma, pi_inf = model.primitives(state)
+    w, t = (u, v) if direction == "x" else (v, u)
+    ia, it = model._indices(direction)
+    ie, ig, ip = model.ie, model.ig, model.ip
+    c2 = gamma * (p + pi_inf) / rho
+    mat = np.zeros(state.shape[:-1] + (model.d, model.d))
+    g1 = gamma - 1.0
+    q2 = w * w + t * t
+    mat[..., 0, ia] = 1.0
+    mat[..., ia, 0] = 0.5 * (gamma - 3.0) * w * w + 0.5 * g1 * t * t
+    mat[..., ia, ia] = (3.0 - gamma) * w
+    mat[..., ia, ie] = g1
+    mat[..., ia, ig] = -g1 * p
+    mat[..., ia, ip] = -g1
+    mat[..., ie, 0] = -w * c2 / g1 + (0.5 * gamma - 1.0) * w * q2
+    mat[..., ie, ia] = c2 / g1 + (1.5 - gamma) * w * w + 0.5 * t * t
+    mat[..., ie, ie] = gamma * w
+    mat[..., ie, ig] = -g1 * p * w
+    mat[..., ie, ip] = -g1 * w
+    mat[..., ig, ig] = w
+    mat[..., ip, ip] = w
+    if it is not None:
+        mat[..., ia, it] = -g1 * t
+        mat[..., it, 0] = -w * t
+        mat[..., it, ia] = t
+        mat[..., it, it] = w
+        mat[..., ie, it] = -g1 * w * t
+    return mat
+
+
+def _trsw_quasilinear_matrix(model, state, direction):
+    ia, it = model._indices(direction)
+    h = state[..., 0]
+    w = state[..., ia] / h
+    t = state[..., it] / h
+    b = state[..., 3] / h
+    mat = np.zeros(state.shape[:-1] + (4, 4))
+    mat[..., 0, ia] = 1.0
+    mat[..., ia, 0] = 0.5 * b * h - w * w
+    mat[..., ia, ia] = 2.0 * w
+    mat[..., ia, 3] = 0.5 * h
+    mat[..., it, 0] = -w * t
+    mat[..., it, ia] = t
+    mat[..., it, it] = w
+    mat[..., 3, 0] = -b * w
+    mat[..., 3, ia] = b
+    mat[..., 3, 3] = w
+    return mat
+
+
 def extremal_weights(a_lo, a_hi, n, eps0):
     """Weights giving all n speeds the extremal ones a_lo/a_hi.
 
@@ -93,6 +153,24 @@ def expand_fields(speeds, d):
     return np.concatenate([speeds[..., :1]]
                           + [speeds[..., 1:2]] * (d - 2)
                           + [speeds[..., 2:]], axis=-1)
+
+
+def catalog_lines(name, direction):
+    """(model, lines, geom) of one sweep of a catalog example's initial
+    data on a small grid, the lines viewed as spatial_rhs hands them on
+    and geom as a run builds it."""
+    grid_size = {} if EXAMPLES[name]["dimension"] == 1 else dict(nx=20,
+                                                                 ny=20)
+    config = make_config(name, **grid_size)
+    model, grid = config.model, config.grid
+    fld = init_from_function(grid, model.d, config.ic)
+    fill_ghosts(fld, config.bc, model)
+    geom = line_geometry(model, grid, direction)
+    if grid.dimension == 1:
+        return model, fld.data[None], geom
+    if direction == "x":
+        return model, fld.data[GHOST:-GHOST], geom
+    return model, np.swapaxes(fld.data[:, GHOST:-GHOST], 0, 1), geom
 
 
 @pytest.fixture

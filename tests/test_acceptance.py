@@ -22,7 +22,8 @@ from pccu.trsw import ThermalShallowWater
 from pccu.output import schlieren_shade
 from pccu.catalog import make_config
 from conftest import random_multifluid_states, random_trsw_states, \
-    dense_eigensystem, expand_fields, extremal_weights, face_vectors
+    dense_eigensystem, expand_fields, extremal_weights, face_vectors, \
+    quasilinear_matrix
 
 EPS0 = 1e-18
 
@@ -92,7 +93,7 @@ def test_criterion_03_eigensystem_oracles(rng):
                 [hat[..., :1], hat[..., :1] * hat[..., 1:]], axis=-1)
         r_mat, r_inv = dense_eigensystem(model, left, right, direction)
         lam = expand_fields(model.eigenvalues(hat_state, direction), model.d)
-        a_mat = model.quasilinear_matrix(hat_state, direction)
+        a_mat = quasilinear_matrix(model, hat_state, direction)
         resid = np.einsum('...ij,...jk->...ik', a_mat, r_mat) \
             - r_mat * lam[..., None, :]
         worst_diag = max(worst_diag, np.abs(resid).max())

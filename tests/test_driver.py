@@ -12,12 +12,12 @@ import pccu.driver as driver
 from pccu.errors import AdmissibilityError, ConfigError
 from pccu.grid import GHOST, Grid, Field, BoundaryCondition, fill_ghosts, \
     init_from_function
-from pccu.driver import LineGeometry, RunConfig, run, spatial_rhs, \
-    _padded_centers, _sweep
+from pccu.driver import RunConfig, line_geometry, run, spatial_rhs, _sweep
 from pccu.multifluid import Multifluid, conservative_state
 from pccu.catalog import EXAMPLES, make_config
 from pccu.output import write_outputs
 from pccu.timestepping import ssprk3_step
+from conftest import catalog_lines
 
 
 def _scalar_field(values):
@@ -83,33 +83,13 @@ def test_scalar_variants_coincide(scalar_model):
     assert np.abs(t_pccu - t_lcd).max() <= 1e-12 * np.abs(t_pccu).max()
 
 
-def _catalog_lines(name, direction):
-    """(model, lines, geom) of one sweep of a catalog example's initial
-    data on a small grid, the lines viewed as spatial_rhs hands them on."""
-    grid_size = {} if EXAMPLES[name]["dimension"] == 1 else dict(nx=20,
-                                                                 ny=20)
-    config = make_config(name, **grid_size)
-    model, grid = config.model, config.grid
-    fld = init_from_function(grid, model.d, config.ic)
-    fill_ghosts(fld, config.bc, model)
-    x_coords = _padded_centers(grid.x_min, grid.nx, grid.dx)
-    if grid.dimension == 1:
-        return model, fld.data[None], LineGeometry("x", grid.dx, x_coords)
-    if direction == "x":
-        return model, fld.data[GHOST:-GHOST], LineGeometry(
-            "x", grid.dx, x_coords, grid.y_centers())
-    y_coords = _padded_centers(grid.y_min, grid.ny, grid.dy)
-    return model, np.swapaxes(fld.data[:, GHOST:-GHOST], 0, 1), \
-        LineGeometry("y", grid.dy, y_coords, grid.x_centers())
-
-
 @pytest.mark.parametrize("scheme", ["pccu", "lcd"])
 @pytest.mark.parametrize("name, direction", [
     ("ex1", "x"), ("ex4", "x"), ("ex4", "y"), ("ex8", "x"), ("ex8", "y")])
 def test_sweep_is_bitwise_blind_to_memory_layout(name, direction, scheme):
     # _sweep copies its lines component-major, so C-order lines, a
     # swapped view of them and a Fortran-order copy give the same bytes
-    model, lines, geom = _catalog_lines(name, direction)
+    model, lines, geom = catalog_lines(name, direction)
     c_order = np.ascontiguousarray(lines)
     layouts = [c_order,
                np.swapaxes(np.ascontiguousarray(np.swapaxes(c_order, 0, 1)),
@@ -125,23 +105,24 @@ def test_sweep_is_bitwise_blind_to_memory_layout(name, direction, scheme):
 
 @pytest.mark.parametrize("name, nx, ny, scheme, bound", [
     ("ex4", 192, 48, "lcd", 680), ("ex4", 192, 48, "pccu", 500),
-    ("ex8", 80, 80, "pccu", 820)])
+    ("ex8", 80, 80, "pccu", 820), ("ex10", 225, 38, "pccu", 530)])
 def test_x_sweep_working_set_per_cell(name, nx, ny, scheme, bound):
     # tracemalloc peak of one x-sweep a few steps in, in bytes per cell:
-    # 613, 452 and 743 with numpy 2.4, and each bound leaves about 10%.
-    # Face states kept alive through the flux assembly, or the whole
-    # thickness inversion alive at its scatter, read 887, 605 and 867.
-    config = make_config(name, nx=nx, ny=ny, t_final=0.01, snapshots=(),
-                         scheme=scheme)
+    # 581, 436, 502 and 484 with numpy 2.4.  The first three bounds date
+    # from 613, 452 and 743; ex10's leaves about 10%.  Face states kept
+    # alive through the flux assembly, or the whole thickness inversion
+    # alive at its scatter, read 887, 605 and 867; ex10 read 714 with E's
+    # cells, slopes and pair alive through the inversion and a new array
+    # for every step of the root.
+    config = make_config(name, nx=nx, ny=ny, snapshots=(), scheme=scheme,
+                         t_final=0.3 if name == "ex10" else 0.01)
     report = run(config)
     assert report.steps >= 3
     model, grid = config.model, config.grid
     fld = Field(grid, model.d)
     fld.interior[...] = report.states[-1]
     fill_ghosts(fld, config.bc, model)
-    geom = LineGeometry("x", grid.dx,
-                        _padded_centers(grid.x_min, grid.nx, grid.dx),
-                        grid.y_centers())
+    geom = line_geometry(model, grid, "x")
     lines = fld.data[GHOST:-GHOST]
     _sweep(model, lines, geom, scheme, config.theta, config.eps0)  # warm-up
     tracemalloc.start()

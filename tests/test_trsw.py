@@ -8,7 +8,8 @@ from pccu.catalog import TOPOGRAPHIES
 from pccu.grid import Grid, BoundaryCondition, init_from_function
 from pccu.trsw import ThermalShallowWater, invert_momentum_flux
 from pccu.driver import RunConfig, run, spatial_rhs
-from conftest import random_trsw_states, dense_eigensystem, expand_fields
+from conftest import random_trsw_states, dense_eigensystem, \
+    expand_fields, quasilinear_matrix
 
 
 # ---- fluxes -------------------------------------------------------------------
@@ -88,7 +89,7 @@ def test_eigen_identities_against_quasilinear_matrix(rng, dimension,
                           hat[..., 0] * hat[..., 2],
                           hat[..., 0] * hat[..., 3]], axis=-1)
     lam = expand_fields(model.eigenvalues(hat_state, direction), model.d)
-    a_mat = model.quasilinear_matrix(hat_state, direction)
+    a_mat = quasilinear_matrix(model, hat_state, direction)
     resid = np.einsum('...ij,...jk->...ik', a_mat, r_mat) \
         - r_mat * lam[..., None, :]
     assert np.abs(resid).max() <= 1e-11
