@@ -223,7 +223,7 @@ def spatial_rhs(fld, model, bc, scheme, theta, eps0, robust=None,
         diff, sx = _located_sweep(model, fld.data[None], geoms[0], scheme,
                                   theta, eps0, None if robust is None
                                   else robust[None], x_periodic, stats)
-        return np.negative(diff[0], out=diff[0]), sx, 0.0
+        return -diff[0], sx, 0.0
     if helper is not None:
         helper.start(fld.data, robust)
     try:
@@ -238,8 +238,7 @@ def spatial_rhs(fld, model, bc, scheme, theta, eps0, robust=None,
     else:
         diff_y, sy = _y_sweep(fld.data, model, geoms[1], bc, scheme, theta,
                               eps0, robust, stats)
-    tendency = np.add(diff_x, np.swapaxes(diff_y, 0, 1))
-    return np.negative(tendency, out=tendency), sx, sy
+    return -(diff_x + np.swapaxes(diff_y, 0, 1)), sx, sy
 
 
 @dataclass

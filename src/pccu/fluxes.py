@@ -30,19 +30,18 @@ def local_speeds(lam):
     reconstructed interface states.  a_lo = min(lam_0^-, lam_0^+, 0) and
     a_hi = max(lam_k^-, lam_k^+, 0) come from the outermost fields only.
     """
-    a_lo = np.minimum(lam[0, ..., 0], lam[1, ..., 0])
-    a_hi = np.maximum(lam[0, ..., -1], lam[1, ..., -1])
-    return np.minimum(a_lo, 0.0, out=a_lo), np.maximum(a_hi, 0.0, out=a_hi)
+    a_lo = np.minimum(np.minimum(lam[0, ..., 0], lam[1, ..., 0]), 0.0)
+    a_hi = np.maximum(np.maximum(lam[0, ..., -1], lam[1, ..., -1]), 0.0)
+    return a_lo, a_hi
 
 
 def field_speeds(lam):
     """Fieldwise one-sided speeds (lam_lo, lam_hi) of the speed pair lam of
     local_speeds: lam_hi_i = max(lam_i^-, lam_i^+, 0) and lam_lo_i =
     min(lam_i^-, lam_i^+, 0), each (L, nf, k)."""
-    lam_hi = np.maximum(lam[0], lam[1])
-    lam_lo = np.minimum(lam[0], lam[1])
-    return (np.minimum(lam_lo, 0.0, out=lam_lo),
-            np.maximum(lam_hi, 0.0, out=lam_hi))
+    lam_hi = np.maximum(np.maximum(lam[0], lam[1]), 0.0)
+    lam_lo = np.minimum(np.minimum(lam[0], lam[1]), 0.0)
+    return lam_lo, lam_hi
 
 
 def split_weights(lam, a_lo, a_hi, eps0):
@@ -80,17 +79,11 @@ def split_weights(lam, a_lo, a_hi, eps0):
 
 
 def _dot(row, comps):
-    """sum_j coef_j comps[j] over a sparse row {j: coef_j} (None for 1);
-    comps are only read, the sum is accumulated in an array formed here."""
-    out, owned = None, False
+    """sum_j coef_j comps[j] over a sparse row {j: coef_j} (None for 1)."""
+    out = None
     for j, coef in row.items():
         term = comps[j] if coef is None else coef * comps[j]
-        if out is None:
-            out, owned = term, coef is not None
-        elif owned:
-            out += term
-        else:
-            out, owned = out + term, True
+        out = term if out is None else out + term
     return out
 
 
@@ -124,13 +117,9 @@ def characteristic_flux(vectors, p, m, q, k_minus, k_plus, du):
     amps = {}
     for k, field in ((0, 0), (-1, len(rows) - 1)):
         proj = [_dot(inv_rows[field], c) for c in comps]
-        amp = np.subtract(p[..., k], p[..., mid])
-        amp *= proj[0]
-        term = np.subtract(m[..., k], m[..., mid])
-        amp += np.multiply(term, proj[1], out=term)
-        np.subtract(q[..., k], q[..., mid], out=term)
-        amp += np.multiply(term, proj[2], out=term)
-        amps[field] = amp
+        amps[field] = ((p[..., k] - p[..., mid]) * proj[0]
+                       + (m[..., k] - m[..., mid]) * proj[1]
+                       + (q[..., k] - q[..., mid]) * proj[2])
     for i, row in enumerate(rows):
         column = {f: row[f] for f in amps if f in row}
         if column:

@@ -112,8 +112,7 @@ class Multifluid:
         """
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             rho, _, _, p, _, pi_inf = self.primitives(state)
-            return _inside(rho, state[..., self.ig],
-                           np.add(p, pi_inf, out=p))
+            return _inside(rho, state[..., self.ig], p + pi_inf)
 
     def validate(self, state, where="state"):
         check_admissible(self, state, where)
@@ -144,14 +143,13 @@ class Multifluid:
         field between the two acoustic ones moves with w."""
         rho, u, v, p, gamma, pi_inf = self.primitives(state)
         w = u if direction == "x" else v
-        margin = np.add(p, pi_inf, out=p)
+        margin = p + pi_inf
         if not np.all(_inside(rho, state[..., self.ig], margin)):
             raise AdmissibilityError(
                 "wave-speed evaluation needs p + pi_inf > 0, rho > 0 and "
                 "G > 0 (min p + pi_inf %.3e)" % float(margin.min()))
-        c = np.multiply(gamma, margin, out=gamma)
-        c /= rho
-        return ordered_speeds(w, np.sqrt(c, out=c))
+        c = np.sqrt(gamma * margin / rho)
+        return ordered_speeds(w, c)
 
     def noncons_increment(self, state_a, state_b, direction):
         """Path increment of B u_xi across the segment from a to b, on the
@@ -162,15 +160,10 @@ class Multifluid:
         (-u_mid dG, -u_mid dP), shape (..., 2).
         """
         ia = self.momentum_index(direction)
-        u_mid = np.add(state_a[..., ia], state_b[..., ia])
-        u_mid *= 0.5
-        rho_mid = np.add(state_a[..., 0], state_b[..., 0])
-        rho_mid *= 0.5
-        u_mid /= rho_mid
+        u_mid = ((0.5 * (state_a[..., ia] + state_b[..., ia]))
+                 / (0.5 * (state_a[..., 0] + state_b[..., 0])))
         rows = self.noncons_rows
-        out = np.subtract(state_b[..., rows], state_a[..., rows])
-        out *= -u_mid[..., None]
-        return out
+        return -u_mid[..., None] * (state_b[..., rows] - state_a[..., rows])
 
     def lcd_matrices(self, cells, direction):
         """Sparse rows of R^-1 and of R at the faces between consecutive

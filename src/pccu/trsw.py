@@ -296,12 +296,12 @@ class ThermalShallowWater:
 
         Topography: -<hb> dZ over each half cell, with Z sampled at cell
         centers and each face value the mean of its two center values (the
-        end faces extrapolate linearly); the half-jumps are geom.dz, or
-        formed here for a geometry built without them.  Then the two half
-        cells next to a face add up to -<hb>_mean dZ across it, which
-        balances the jump of b h^2/2 whenever h + Z and b are constant: the
-        discrete lake at rest is exact.  Coriolis: along x the momentum source is +f(y) h v with
-        f constant on the line; along y it is -f(y) h u integrated exactly
+        end faces extrapolate linearly); the half-jumps are geom.dz, formed
+        once per run by driver.line_geometry.  Then the two half cells next
+        to a face add up to -<hb>_mean dZ across it, which balances the jump
+        of b h^2/2 whenever h + Z and b are constant: the discrete lake at
+        rest is exact.  Coriolis: along x the momentum source is +f(y) h v
+        with f constant on the line; along y it is -f(y) h u integrated exactly
         for affine f (midpoint rule per half cell).  Returns (half_left,
         half_right) on the momentum row along the sweep: (L, n + 2g, 1).
         """
@@ -309,8 +309,6 @@ class ThermalShallowWater:
         half_l, half_r = np.zeros((2,) + lines.shape[:-1] + (1,))
         if self.topography is not None:
             dz = geom.dz
-            if dz is None:
-                dz = self.topography_half_jumps(geom)
             hb = lines[..., 3]
             half_l[..., 0] -= hb * dz[..., :-1]
             half_r[..., 0] -= hb * dz[..., 1:]

@@ -144,6 +144,7 @@ def test_topography_cell_increment_oracle():
     n, dx = 5, 1.0
     lines = _const_trsw_lines(n, 1.0, 1.0)
     geom = LineGeometry("x", dx, (np.arange(-GHOST, n + GHOST) + 0.5) * dx)
+    geom.dz = model.topography_half_jumps(geom)
     half_l, half_r = model.source_half_increments(lines, geom)
     assert half_l.shape == half_r.shape == (1, n + 2 * GHOST, 1)
     cell_total = half_l[0, :, 0] + half_r[0, :, 0]
