@@ -8,7 +8,9 @@ f = 0..n of a line sits between padded cells f+1 and f+2.
 The two sweeps of a 2-D stage read the same ghost-filled averages and
 write separate differences, so a 2-D run hands each stage's y-sweep to
 a helper process (pccu.ysweep) while this process runs the x-sweep;
-every number is the same as with both sweeps here.
+every number is the same as with both sweeps here.  Once the run is
+over, the same helper formats every other block of its large CSV tables
+(pccu.output).
 """
 
 import contextlib
@@ -37,14 +39,18 @@ SCHEMES = ("pccu", "lcd")
 @dataclass
 class LineGeometry:
     """Per-sweep geometry: padded center coordinates along the sweep axis,
-    the (fixed) transverse coordinate of each line and, for a model with
-    topography, its half-jumps at the padded faces (dz, see
-    ThermalShallowWater.topography_half_jumps)."""
+    the (fixed) transverse coordinate of each line, for a model with
+    topography its half-jumps at the padded faces (dz, see
+    ThermalShallowWater.topography_half_jumps) and for a rotating one
+    the Coriolis parameter of each half cell (f_lo, f_hi, see
+    ThermalShallowWater.coriolis_half_values)."""
     direction: str
     dx: float
     coords: np.ndarray
     transverse: np.ndarray | None = None
     dz: np.ndarray | None = None
+    f_lo: np.ndarray | None = None
+    f_hi: np.ndarray | None = None
 
 
 def line_geometry(model, grid, direction):
@@ -60,6 +66,8 @@ def line_geometry(model, grid, direction):
                             grid.x_centers())
     if getattr(model, "topography", None) is not None:
         geom.dz = model.topography_half_jumps(geom)
+    if getattr(model, "f0", 0.0) != 0.0 or getattr(model, "beta", 0.0) != 0.0:
+        geom.f_lo, geom.f_hi = model.coriolis_half_values(geom)
     return geom
 
 

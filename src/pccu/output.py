@@ -5,10 +5,15 @@ round-trip precision for doubles), LF line endings, no timestamps.  A CSV
 table holds the bytes of np.savetxt(fmt="%.17g", delimiter=","); its x and
 y columns repeat a few cell centres on every row, so each distinct
 coordinate is formatted once and its text reused on every row that holds it.
+Rows are formatted in blocks; in a process that has run a 2-D problem, the
+idle y-sweep helper (pccu.ysweep) formats every other block of a table
+while this process formats the rest, and the file's bytes stay the same.
 """
 
+import contextlib
 import json
 import os
+import sys
 
 import numpy as np
 
@@ -30,28 +35,65 @@ class _CoordinateText(dict):
         return text
 
 
+def _format_block(text, coord_bits, values):
+    """CSV rows of a block: per row the coordinate text (from text, a
+    _CoordinateText) of the int64 views coord_bits of its coordinate
+    columns, then the row of values (rows, d) in %.17g."""
+    rows, d = values.shape
+    nc = len(coord_bits)
+    # the block's format: per row the coordinate text, then a %.17g for
+    # each value
+    parts = [",".join(["%.17g"] * d) + "\n"] * ((nc + 1) * rows)
+    for c, bits in enumerate(coord_bits):
+        parts[c::nc + 1] = map(text.__getitem__, bits.tolist())
+    return "".join(parts) % tuple(values.ravel().tolist())
+
+
+def _idle_helper(blocks):
+    """The y-sweep helper (pccu.ysweep) while it is idle, for a table of
+    more than one block; else a context that gives None.  Only a process
+    that has run a 2-D problem has loaded that module."""
+    ysweep = sys.modules.get(__package__ + ".ysweep")
+    if blocks < 2 or ysweep is None:
+        return contextlib.nullcontext()
+    return ysweep.idle()
+
+
 def _write_table(path, coords, values):
     """CSV of columns x[, y] and a (rows, d) table of values under a header
-    line, in the bytes of np.savetxt(fmt="%.17g", delimiter=",")."""
+    line, in the bytes of np.savetxt(fmt="%.17g", delimiter=",").
+
+    With an idle y-sweep helper, the helper formats every other block of
+    _BLOCK_ROWS rows while this process formats the others; the blocks are
+    written in order, so the bytes are the same.  At most one block is
+    with the helper at a time, and this process reads its reply before it
+    sends the next.  Should the helper fail, the blocks left are formatted
+    here.
+    """
     rows, d = values.shape
-    nc = len(coords)
-    header = ["x", "y"][:nc] + ["comp_%d" % c for c in range(d)]
+    header = ["x", "y"][:len(coords)] + ["comp_%d" % c for c in range(d)]
     coord_bits = [np.asarray(col, dtype=np.float64).view(np.int64)
                   for col in coords]
     text = _CoordinateText()
-    tail = ",".join(["%.17g"] * d) + "\n"
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
+
+    def block(i):
+        span = slice(i * _BLOCK_ROWS, (i + 1) * _BLOCK_ROWS)
+        return [bits[span] for bits in coord_bits], values[span]
+
+    blocks = -(-rows // _BLOCK_ROWS)
+    with open(path, "w", encoding="ascii", newline="\n") as fh, \
+            _idle_helper(blocks) as helper:
         fh.write(",".join(header) + "\n")
-        for start in range(0, rows, _BLOCK_ROWS):
-            stop = min(start + _BLOCK_ROWS, rows)
-            # the block's format: per row the coordinate text, then a %.17g
-            # for each value
-            parts = [tail] * ((nc + 1) * (stop - start))
-            for c, bits in enumerate(coord_bits):
-                parts[c::nc + 1] = map(text.__getitem__,
-                                       bits[start:stop].tolist())
-            line = "".join(parts)
-            fh.write(line % tuple(values[start:stop].ravel().tolist()))
+        for i in range(0, blocks, 2):
+            if helper is not None and i + 1 < blocks:
+                helper.format_block(i == 0, *block(i + 1))
+            fh.write(_format_block(text, *block(i)))
+            if i + 1 < blocks:
+                part = None if helper is None else helper.formatted()
+                if part is None:            # the helper ended or failed
+                    helper = None
+                    part = _format_block(text, *block(i + 1))
+                fh.write(part)
 
 
 def write_field_csv(path, grid, interior):

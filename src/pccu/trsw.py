@@ -291,6 +291,19 @@ class ThermalShallowWater:
         dz = 0.5 * np.diff(z_c, axis=-1)
         return np.concatenate([dz[..., :1], dz, dz[..., -1:]], axis=-1)
 
+    def coriolis_half_values(self, geom):
+        """(f_lo, f_hi) that source_half_increments multiplies into the
+        left and right half cells of the lines of geom: along x, -f(y) of
+        each line, (L, 1), on both; along y, f at the midpoints of the two
+        halves of each padded cell, (n + 2g,).  A run forms them once per
+        sweep direction (driver.line_geometry)."""
+        if geom.direction == "x":
+            # +f h v: subtracting -f adds f exactly
+            f = -self.coriolis(geom.transverse)[:, None]
+            return f, f
+        return (self.coriolis(geom.coords - 0.25 * geom.dx),
+                self.coriolis(geom.coords + 0.25 * geom.dx))
+
     def source_half_increments(self, lines, geom):
         """Half-cell integrals of the source terms, from cell averages.
 
@@ -302,7 +315,8 @@ class ThermalShallowWater:
         of b h^2/2 whenever h + Z and b are constant: the discrete lake at
         rest is exact.  Coriolis: along x the momentum source is +f(y) h v
         with f constant on the line; along y it is -f(y) h u integrated exactly
-        for affine f (midpoint rule per half cell).  Returns (half_left,
+        for affine f (midpoint rule per half cell); geom.f_lo and geom.f_hi
+        hold f per half cell (coriolis_half_values).  Returns (half_left,
         half_right) on the momentum row along the sweep: (L, n + 2g, 1).
         """
         it = self._indices(geom.direction)[1]
@@ -313,13 +327,7 @@ class ThermalShallowWater:
             half_l[..., 0] -= hb * dz[..., :-1]
             half_r[..., 0] -= hb * dz[..., 1:]
         if self.f0 != 0.0 or self.beta != 0.0:
-            if geom.direction == "x":
-                # +f h v: subtracting -f adds f exactly
-                f_lo = f_hi = -self.coriolis(geom.transverse)[:, None]
-            else:
-                f_lo = self.coriolis(geom.coords - 0.25 * geom.dx)
-                f_hi = self.coriolis(geom.coords + 0.25 * geom.dx)
             seg = 0.5 * geom.dx
-            half_l[..., 0] -= lines[..., it] * f_lo * seg
-            half_r[..., 0] -= lines[..., it] * f_hi * seg
+            half_l[..., 0] -= lines[..., it] * geom.f_lo * seg
+            half_r[..., 0] -= lines[..., it] * geom.f_hi * seg
         return half_l, half_r

@@ -1,5 +1,6 @@
 """One helper process per Python process that runs the y-sweep of 2-D
-stages while the caller runs the x-sweep.
+stages while the caller runs the x-sweep, and formats every other block
+of a finished run's large CSV tables while the caller formats the rest.
 
 The two sweeps of a stage read the same ghost-filled averages and write
 separate differences, so the split gives the same numbers as running both
@@ -11,7 +12,8 @@ in a memory file shared for the run, so no stage copies the field or
 waits for the other process to read an array from a pipe, and the pipe
 carries only wake-ups and replies.  The helper exits when the caller's
 end of the pipe closes, so it does not outlive the process that forked
-it.  driver.run loads this module only for a 2-D run.
+it.  driver.run loads this module only for a 2-D run; output finds it
+loaded, and so takes an idle helper, only in a process that ran one.
 """
 
 import contextlib
@@ -28,6 +30,7 @@ import numpy as np
 
 from .driver import _y_sweep, line_geometry
 from .grid import GHOST
+from .output import _CoordinateText, _format_block
 
 _helper = None                      # this process's SweepHelper, once forked
 _helper_lock = threading.Lock()     # held by the run that uses _helper
@@ -42,7 +45,8 @@ class SweepHelper:
     field, when it is another array) and wakes the helper, which runs the
     y-sweep; finish() waits for the largest speed and the slope-drop
     count, with the y-differences in the shared memory, or re-raises the
-    sweep's error.
+    sweep's error.  Between runs, format_block() sends it a block of CSV
+    rows and formatted() gives back their text.
     """
 
     def __init__(self):
@@ -55,11 +59,11 @@ class SweepHelper:
         child.close()
         self._owner = os.getpid()
         self._shared = None
-        self._pending = False       # a stage was started and not resolved
+        self._pending = False       # a reply is due and was not read
 
     def usable(self):
         """Whether this process forked the helper, which is alive, and
-        every stage started was resolved."""
+        every reply due (to a stage or a CSV block) was read."""
         return (self._owner == os.getpid() and not self._conn.closed
                 and not self._pending and self.process.is_alive())
 
@@ -97,9 +101,25 @@ class SweepHelper:
             stats["slope_drops"] += drops
         return np.moveaxis(self._shared.diff, 0, -1), speed
 
+    def format_block(self, fresh, coord_bits, values):
+        """Send a block of CSV rows to format (output._format_block), the
+        first of a table when fresh; formatted() gives its text."""
+        self._pending = True
+        with contextlib.suppress(RuntimeError):    # formatted() gives None
+            self._talk(self._conn.send, ("csv", fresh, coord_bits, values))
+
+    def formatted(self):
+        """The text of the block sent last, or None when the helper failed
+        on it or has ended."""
+        try:
+            reply = self.wait()
+        except RuntimeError:
+            return None
+        return None if isinstance(reply, Exception) else reply
+
     def wait(self):
-        """The reply to the stage in flight: its largest speed and
-        slope-drop count, or its error."""
+        """The reply to the stage or CSV block in flight: its largest
+        speed and slope-drop count, or the block's text, or its error."""
         reply = self._talk(self._conn.recv)
         self._pending = False
         return reply
@@ -159,31 +179,40 @@ class _Shared:
 
 
 def _serve(conn, caller_end):
-    """The helper's loop: a run's static inputs and memory file, from which
-    it builds the run's y geometry, then one answer per wake-up, for one
-    run after another, until the caller's end closes."""
+    """The helper's loop, until the caller's end closes.  Three messages:
+    ("run", static inputs) with the run's memory file, from which it
+    builds the run's y geometry; None, a stage's wake-up, answered with
+    the largest speed and slope-drop count; ("csv", fresh, coordinate
+    bits, values), a block of rows answered with its text.  An error is
+    sent back in place of the answer."""
     caller_end.close()
     signal.signal(signal.SIGINT, signal.SIG_IGN)   # the caller handles ^C
     with conn:
         try:
             while True:
                 message = conn.recv()
-                if message is not None:
-                    model, grid, *rest = message
+                if message is not None and message[0] == "run":
+                    _, model, grid, *rest = message
                     fd = recv_handle(conn)
                     shared = _Shared(fd, grid, model.d)
                     os.close(fd)
                     static = (model, line_geometry(model, grid, "y"), *rest)
                     continue
-                stats = {"slope_drops": 0}
                 try:
-                    diff, speed = _y_sweep(shared.data, *static,
-                                           shared.robust(), stats)
-                    np.copyto(shared.diff, np.moveaxis(diff, -1, 0))
+                    if message is None:
+                        stats = {"slope_drops": 0}
+                        diff, speed = _y_sweep(shared.data, *static,
+                                               shared.robust(), stats)
+                        np.copyto(shared.diff, np.moveaxis(diff, -1, 0))
+                        reply = (speed, stats["slope_drops"])
+                    else:
+                        _, fresh, *block = message
+                        if fresh:           # a table's coordinate text
+                            text = _CoordinateText()
+                        reply = _format_block(text, *block)
                 except Exception as exc:        # re-raised by the caller
-                    conn.send(exc)
-                    continue
-                conn.send((speed, stats["slope_drops"]))
+                    reply = exc
+                conn.send(reply)
         except (EOFError, OSError):     # the caller is gone
             return
 
@@ -214,7 +243,7 @@ def claim(config):
     unresolved is replaced."""
     global _helper
     try:
-        static = pickle.dumps((config.model, config.grid, config.bc,
+        static = pickle.dumps(("run", config.model, config.grid, config.bc,
                                config.scheme, config.theta, config.eps0))
     except (pickle.PicklingError, AttributeError, TypeError):
         static = None
@@ -232,5 +261,19 @@ def claim(config):
         if _helper is not None:
             _helper.setup(static, config.grid, config.model.d)
         yield _helper
+    finally:
+        _helper_lock.release()
+
+
+@contextlib.contextmanager
+def idle():
+    """This process's SweepHelper while no run holds it, or None: no
+    helper, a run in another thread holds it, or it is not usable (the
+    next claim replaces it).  Never forks one."""
+    if not _helper_lock.acquire(blocking=False):
+        yield None
+        return
+    try:
+        yield _helper if _helper is not None and _helper.usable() else None
     finally:
         _helper_lock.release()

@@ -1,9 +1,11 @@
 """Shared fixtures: a scalar-advection toy model, random state factories,
-catalog sweep lines and the quasilinear-matrix oracle."""
+catalog sweep lines, the quasilinear-matrix oracle and the y-sweep
+helper's CSV replies."""
 
 import numpy as np
 import pytest
 
+from pccu import driver, ysweep
 from pccu.catalog import EXAMPLES, make_config
 from pccu.driver import line_geometry
 from pccu.errors import check_admissible
@@ -210,3 +212,22 @@ def mf1():
 @pytest.fixture
 def mf2():
     return Multifluid(2)
+
+
+@pytest.fixture
+def helper_replies(monkeypatch):
+    """The block texts the y-sweep helper formats, once a small 2-D run has
+    forked it."""
+    if ysweep._usable_cpus() < 2:
+        pytest.skip("the helper needs two CPUs and Linux")
+    driver.run(make_config("ex4", nx=24, ny=8, t_final=0.001, snapshots=()))
+    assert ysweep._helper.usable()
+    replies = []
+    formatted = ysweep.SweepHelper.formatted
+
+    def kept(self):
+        replies.append(formatted(self))
+        return replies[-1]
+
+    monkeypatch.setattr(ysweep.SweepHelper, "formatted", kept)
+    return replies

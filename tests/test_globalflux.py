@@ -160,6 +160,7 @@ def test_coriolis_y_sweep_increment_oracle():
     lines = np.tile(state, (3, n + 2 * GHOST, 1))
     coords = (np.arange(-GHOST, n + GHOST) + 0.5) * dy
     geom = LineGeometry("y", dy, coords, transverse=np.zeros(3))
+    geom.f_lo, geom.f_hi = model.coriolis_half_values(geom)
     half_l, half_r = model.source_half_increments(lines, geom)
     # one row: the hv momentum of the y-sweep
     assert half_l.shape == half_r.shape == (3, n + 2 * GHOST, 1)

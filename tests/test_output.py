@@ -81,6 +81,25 @@ def test_write_table_matches_savetxt(tmp_path, rng, rows):
             "x,y,comp_0,comp_1,comp_2", [x, y, values])
 
 
+@pytest.mark.parametrize("rows", [1024, 2048, 3000])
+def test_write_table_through_the_helper_matches_savetxt(tmp_path, rng, rows,
+                                                        helper_replies):
+    # one block, all formatted here; two, the second by the helper; three,
+    # the middle one by the helper.  Each table starts the helper's
+    # coordinate text afresh.
+    values = rng.choice(_HARD, size=(rows, 3)) * rng.choice([1.0, 1.0 / 7],
+                                                             size=(rows, 3))
+    values[-1] = _HARD[-3:]
+    path = tmp_path / "table.csv"
+    for x, y in [(rng.normal(size=rows), rng.choice(_HARD, size=rows)),
+                 _grid_coordinates(rows)]:
+        _write_table(path, [x, y], values)
+        assert path.read_bytes() == _savetxt_bytes(
+            "x,y,comp_0,comp_1,comp_2", [x, y, values])
+    assert len(helper_replies) == 2 * (-(-rows // 1024) // 2)
+    assert None not in helper_replies
+
+
 def _product_bytes(name, tmp_path, grid, state):
     path = tmp_path / (name + ".csv")
     PRODUCTS[name][2](path, grid, state)

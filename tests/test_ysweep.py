@@ -3,6 +3,7 @@ fallbacks and the helper's lifetime."""
 
 import contextlib
 import dataclasses
+import errno
 import hashlib
 import multiprocessing
 import os
@@ -19,7 +20,7 @@ import numpy as np
 import pytest
 
 import pccu.cli as cli
-from pccu import driver, ysweep
+from pccu import driver, output, ysweep
 from pccu.catalog import make_config
 from pccu.errors import AdmissibilityError, ReconstructionError
 from pccu.grid import Field, Grid, BoundaryCondition
@@ -255,6 +256,111 @@ def test_no_fork_while_other_threads_run(monkeypatch):
     assert not waiter.is_alive()
 
 
+# ---- CSV blocks of a finished run -------------------------------------------
+
+def _ex8():
+    return make_config("ex8", nx=40, ny=40, t_final=0.01, snapshots=())
+
+
+def _table():
+    """A 5-block table: the helper gets blocks 1 and 3."""
+    rng = np.random.default_rng(11)
+    values = rng.normal(size=(5000, 4))
+    values[0] = [-0.0, 0.0, 5e-324, -5e-324]
+    x, y = np.meshgrid(np.linspace(-1.0, 1.0, 100), np.linspace(0.0, 3.0, 50))
+    return [x.ravel(), y.ravel()], values
+
+
+def _serial_bytes(path, coords, values):
+    with ysweep._helper_lock:       # held as by a run: no helper for it
+        output._write_table(path, coords, values)
+    return path.read_bytes()
+
+
+def test_outputs_through_the_helper_match_serial(tmp_path, monkeypatch,
+                                                 helper_replies):
+    # 64x32 cells: two blocks per field CSV
+    report = driver.run(make_config("ex4", nx=64, ny=32, t_final=0.003,
+                                    snapshots=(0.0,)))
+    pid = ysweep._helper.process.pid
+    with ysweep._helper_lock:
+        output.write_outputs(report, str(tmp_path / "serial"))
+    output.write_outputs(report, str(tmp_path / "helper"))
+    files = sorted(p.name for p in (tmp_path / "serial").iterdir())
+    assert files == ["field_000.csv", "field_001.csv", "run.json",
+                     "schlieren_000.pgm", "schlieren_001.pgm"]
+    for name in files:
+        assert ((tmp_path / "helper" / name).read_bytes()
+                == (tmp_path / "serial" / name).read_bytes())
+    assert len(helper_replies) == 2 and None not in helper_replies
+    assert ysweep._helper.usable() and ysweep._helper.process.pid == pid
+    after = _run_both(monkeypatch, _ex8)
+    assert after[1] == after[0]
+
+
+def test_helper_killed_mid_table_leaves_the_whole_file(tmp_path,
+                                                       monkeypatch):
+    expected = _run_both(monkeypatch, _ex8)[0]
+    coords, values = _table()
+    serial = _serial_bytes(tmp_path / "serial.csv", coords, values)
+    old = ysweep._helper.process
+    original = ysweep.SweepHelper.format_block
+    sent = []
+
+    def kill_before_the_second(self, *block):
+        sent.append(1)
+        if len(sent) == 2:
+            os.kill(self.process.pid, signal.SIGKILL)
+            self.process.join(10)
+        return original(self, *block)
+
+    monkeypatch.setattr(ysweep.SweepHelper, "format_block",
+                        kill_before_the_second)
+    output._write_table(tmp_path / "helper.csv", coords, values)
+    assert (tmp_path / "helper.csv").read_bytes() == serial
+    assert len(sent) == 2 and not old.is_alive()
+    assert _fingerprint(driver.run(_ex8())) == expected
+    assert ysweep._helper.process.pid != old.pid
+    assert ysweep._helper.usable()
+
+
+class _FullDisk:
+    """A text file whose fourth write fails as on a full disk: the header,
+    block 0 and the helper's block 1 are written, block 3 is with the
+    helper."""
+
+    def __init__(self, *args, **kwargs):
+        self._fh = open(*args, **kwargs)
+        self.writes = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def write(self, text):
+        self.writes += 1
+        if self.writes == 4:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return self._fh.write(text)
+
+
+def test_write_error_mid_table_replaces_the_helper(tmp_path, monkeypatch):
+    expected = _run_both(monkeypatch, _ex8)[0]
+    coords, values = _table()
+    old = ysweep._helper
+    with monkeypatch.context() as patch:
+        patch.setattr(output, "open", _FullDisk, raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            output._write_table(tmp_path / "t.csv", coords, values)
+    # block 3's reply is unread: the next run must not take it for its
+    # first stage's
+    assert not old.usable()
+    assert _fingerprint(driver.run(_ex8())) == expected
+    assert ysweep._helper is not old and ysweep._helper.usable()
+
+
 # ---- the helper's lifetime ------------------------------------------------
 
 CHILD = textwrap.dedent("""
@@ -293,3 +399,23 @@ def test_helper_ends_when_its_process_is_killed_mid_run():
             proc.kill()
             proc.wait(10)
     assert _wait_gone(pid, 5)
+
+
+ONE_D = textwrap.dedent("""
+    import sys, tempfile
+    sys.path.insert(0, {src!r})
+    from pccu import driver, output
+    from pccu.catalog import make_config
+    # 2100 cells: a three-block table
+    report = driver.run(make_config("ex1", nx=2100, t_final=0.0005,
+                                    snapshots=(0.0,)))
+    with tempfile.TemporaryDirectory() as out:
+        output.write_outputs(report, out)
+    print("pccu.ysweep" in sys.modules)
+""")
+
+
+def test_a_1d_process_never_loads_the_helper():
+    done = subprocess.run([sys.executable, "-c", ONE_D.format(src=SRC)],
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (0, "False\n")
