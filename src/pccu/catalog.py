@@ -459,11 +459,11 @@ def config_from_dict(raw, **overrides):
         model = Multifluid(dimension)
         ic = _initial_data(raw["ic"], piecewise_multifluid_ic, dimension)
     elif model_kind == "trsw":
-        if dimension == 1 and (f0 != 0.0 or beta != 0.0):
-            raise ConfigError("Coriolis (f0, beta) needs a 2-D grid: in "
-                              "1-D no sweep carries the f*hv term on hu")
-        model = ThermalShallowWater(dimension, topography=topo, f0=f0,
-                                    beta=beta)
+        try:
+            model = ThermalShallowWater(dimension, topography=topo, f0=f0,
+                                        beta=beta)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         ic = _initial_data(raw["ic"], piecewise_trsw_ic, dimension, topo)
     else:
         raise ConfigError(f"unknown model {model_kind!r}")

@@ -161,6 +161,9 @@ class ThermalShallowWater:
     def __init__(self, dimension, topography=None, f0=0.0, beta=0.0):
         if dimension not in (1, 2):
             raise ValueError("dimension must be 1 or 2")
+        if dimension == 1 and (f0 != 0.0 or beta != 0.0):
+            raise ValueError("Coriolis (f0, beta) needs a 2-D grid: in 1-D "
+                             "no sweep carries the f*hv term on hu")
         self.dimension = dimension
         self.topography = topography
         self.f0 = float(f0)

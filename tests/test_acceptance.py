@@ -17,7 +17,8 @@ from pccu.grid import Grid, Field, BoundaryCondition, init_from_function
 from pccu.driver import RunConfig, run, spatial_rhs
 from pccu.fluxes import local_speeds, split_weights, characteristic_flux, \
     central_upwind_flux
-from pccu.multifluid import Multifluid, conservative_state
+from pccu.multifluid import Multifluid, conservative_state, \
+    material_coeffs
 from pccu.trsw import ThermalShallowWater
 from pccu.output import schlieren_shade
 from pccu.catalog import make_config
@@ -213,6 +214,27 @@ def test_criterion_07_lcd_resolves_no_worse():
     ok = errs["lcd"] <= errs["pccu"] and elapsed < 300.0
     _report(f"criterion 7 (L1 density error pccu={errs['pccu']:.4e} "
             f"lcd={errs['lcd']:.4e}, {elapsed:.0f}s)", ok)
+
+
+def _mixed_cells(scheme):
+    """ex4 cells at 192x48, t=0.5, whose G lies 10-90% of the way from the
+    air value to the bubble value."""
+    config = make_config("ex4", nx=192, ny=48, t_final=0.5, snapshots=(),
+                         scheme=scheme)
+    g_coef = run(config).states[-1][..., config.model.ig]
+    g_air = material_coeffs(1.4, 0.0)[0]
+    g_bubble = material_coeffs(1.249, 0.0)[0]
+    frac = (g_coef - g_air) / (g_bubble - g_air)
+    return int(np.count_nonzero((frac > 0.1) & (frac < 0.9)))
+
+
+def test_criterion_07_lcd_mixes_no_more_cells_in_2d():
+    t0 = time.perf_counter()
+    mixed = {scheme: _mixed_cells(scheme) for scheme in ("pccu", "lcd")}
+    elapsed = time.perf_counter() - t0
+    ok = mixed["lcd"] <= mixed["pccu"]
+    _report(f"criterion 7, 2-D (ex4 mixed cells pccu={mixed['pccu']} "
+            f"lcd={mixed['lcd']}, {elapsed:.1f}s)", ok)
 
 
 # ---- 8. robustness runs ---------------------------------------------------------------------
