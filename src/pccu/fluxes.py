@@ -23,6 +23,14 @@ def ordered_speeds(w, s):
     return lam
 
 
+def face_mean(a):
+    """0.5 (a_i + a_(i+1)) over the last axis, in a new array: the mean of
+    each pair of neighbouring cells, at the face between them."""
+    out = np.add(a[..., :-1], a[..., 1:])
+    out *= 0.5
+    return out
+
+
 def local_speeds(lam):
     """The extremal one-sided speeds (a_lo, a_hi) of every face.
 
@@ -78,13 +86,9 @@ def split_weights(lam, a_lo, a_hi, eps0):
     return p, m, q
 
 
-def _dot(row, comps):
-    """sum_j coef_j comps[j] over a sparse row {j: coef_j} (None for 1)."""
-    out = None
-    for j, coef in row.items():
-        term = comps[j] if coef is None else coef * comps[j]
-        out = term if out is None else out + term
-    return out
+def _times(coef, values, out):
+    """coef * values in out, or values itself for a coef of None (1)."""
+    return values if coef is None else np.multiply(coef, values, out=out)
 
 
 def characteristic_flux(vectors, p, m, q, k_minus, k_plus, du):
@@ -100,9 +104,11 @@ def characteristic_flux(vectors, p, m, q, k_minus, k_plus, du):
                + (M_k - M_w) l_k K^+ + (Q_k - Q_w) l_k du]
 
     over the two acoustic fields k, with l_k their rows of R^-1 and r_k
-    their columns of R from vectors, the (rows of R^-1, rows of R) that
-    model.lcd_matrices returns.  With a single speed, (L, nf, 1), there
-    is nothing to correct.
+    their columns of R from vectors = ((left, right, shared), columns), as
+    model.lcd_matrices returns them.  Each projection l_k V sums the row's
+    own entries, then the shared ones, in the maps' order; every shared
+    product is formed once per vector V and serves both rows.  With a
+    single speed, (L, nf, 1), there is nothing to correct.
     """
     mid = p.shape[-1] // 2
     flux = p[..., mid:mid + 1] * k_minus
@@ -112,18 +118,30 @@ def characteristic_flux(vectors, p, m, q, k_minus, k_plus, du):
     del term
     if mid == 0:
         return flux
-    inv_rows, rows = vectors
-    comps = [v.transpose(2, 0, 1) for v in (k_minus, k_plus, du)]
-    amps = {}
-    for k, field in ((0, 0), (-1, len(rows) - 1)):
-        proj = [_dot(inv_rows[field], c) for c in comps]
-        amps[field] = ((p[..., k] - p[..., mid]) * proj[0]
-                       + (m[..., k] - m[..., mid]) * proj[1]
-                       + (q[..., k] - q[..., mid]) * proj[2])
-    for i, row in enumerate(rows):
-        column = {f: row[f] for f in amps if f in row}
-        if column:
-            flux[..., i] += _dot(column, amps)
+    (left, right, shared), columns = vectors
+    work = np.empty((4 + len(shared),) + flux.shape[:-1])
+    amps, (proj, scratch), shared_terms = work[:2], work[2:4], work[4:]
+    for n, (weights, values) in enumerate(((p, k_minus), (m, k_plus),
+                                           (q, du))):
+        for term, (j, coef) in zip(shared_terms, shared.items()):
+            np.multiply(coef, values[..., j], out=term)
+        for amp, row, k in zip(amps, (left, right), (0, -1)):
+            # the amplitude takes its first term in place, later ones via proj
+            acc = proj if n else amp
+            for i, (j, coef) in enumerate(row.items()):
+                if i == 0:
+                    np.multiply(coef, values[..., j], out=acc)
+                else:
+                    acc += np.multiply(coef, values[..., j], out=scratch)
+            for term in shared_terms:
+                acc += term
+            acc *= np.subtract(weights[..., k], weights[..., mid],
+                               out=scratch)
+            if n:
+                amp += acc
+    for i, (lo, hi) in columns.items():
+        flux[..., i] += np.add(_times(lo, amps[0], proj),
+                               _times(hi, amps[1], scratch), out=proj)
     return flux
 
 

@@ -16,7 +16,7 @@ likewise for P.  Everything else is a plain Euler flux.
 import numpy as np
 
 from .errors import AdmissibilityError, check_admissible
-from .fluxes import ordered_speeds
+from .fluxes import face_mean, ordered_speeds
 
 RHO_MIN = 1e-12
 
@@ -166,58 +166,62 @@ class Multifluid:
         return -u_mid[..., None] * (state_b[..., rows] - state_a[..., rows])
 
     def lcd_matrices(self, cells, direction):
-        """Sparse rows of R^-1 and of R at the faces between consecutive
-        cells, as lists of {slot: coef} maps (coef None for 1), from the
-        means of the two cells' primitives.
+        """The acoustic pair of the eigensystem at the faces between
+        consecutive cells, from the means of the two cells' primitives, as
+        ((left, right, shared), columns).
 
-        The characteristic fields are the w - c wave, the contact, in 2-D
-        the shear wave, the G and P material waves and the w + c wave, in
-        that order (1-D has no shear slot); w is the velocity along the
-        sweep (slot ia), t the one across it (slot it).  The acoustic rows
-        of R^-1 are (X +- Y) / (2 c^2), X = (gamma - 1)(kin V0 - w Va -
-        t Vt + Ve - p VG - VP), Y = c (w V0 - Va); the contact is
-        V0 - X / c^2.
+        left and right are the w - c and w + c rows of R^-1, each a
+        {slot: coef} map of the entries it has alone (slots 0 and ia);
+        shared holds the entries both rows have (E, G, P and in 2-D the
+        transverse slot it).  columns maps each row of R with acoustic
+        entries to its pair (w - c column, w + c column), coef None for 1.
+        w is the velocity along the sweep (slot ia), t the one across it.
+        The rows are (X +- Y) / (2 c^2), X = (gamma - 1)(kin V0 - w Va -
+        t Vt + Ve - p VG - VP), Y = c (w V0 - Va).  In 1-D the t terms are
+        all zero and left out (w^2 + 0 * 0 is w^2 bitwise).
         """
-        rho, u, v, p, gamma, pi_inf = (0.5 * (a[..., :-1] + a[..., 1:])
-                                       for a in self.primitives(cells))
-        csq = gamma * (p + pi_inf) / rho
+        rho, u, v, p, gamma, pi_inf = self.primitives(cells)
+        w, t = (u, v) if direction == "x" else (v, u)
+        rho, w, p, gamma, pi_inf = (face_mean(a)
+                                    for a in (rho, w, p, gamma, pi_inf))
+        csq = np.add(p, pi_inf)
+        csq *= gamma
+        csq /= rho
         if np.any(csq <= 0.0) or not np.all(np.isfinite(csq)):
             raise AdmissibilityError(
                 "characteristic decomposition needs p + pi_inf > 0")
-        w, t = (u, v) if direction == "x" else (v, u)
         ia, it = self._indices(direction)
-        ie, ig, ip = self.ie, self.ig, self.ip
-        g = gamma - 1.0
-        c = np.sqrt(csq)
-        c2 = c * c
-        inv2c2 = 0.5 / c2
-        kin = 0.5 * (w * w + t * t)
-        gi = g * inv2c2
-        gp = g * p * inv2c2
-        left = {0: (g * kin + w * c) * inv2c2, ia: (-c - g * w) * inv2c2,
-                ie: gi, ig: -gp, ip: -gi}
-        right = {**left, 0: (g * kin - w * c) * inv2c2,
-                 ia: (c - g * w) * inv2c2}
-        contact = {0: (2.0 * c2 - 2.0 * g * kin) * inv2c2,
-                   ia: 2.0 * g * w * inv2c2, ie: -2.0 * gi, ig: 2.0 * gp,
-                   ip: 2.0 * gi}
-        shear = []
+        g = np.subtract(gamma, 1.0, out=gamma)
+        c = np.sqrt(csq, out=csq)
+        c2 = np.multiply(c, c, out=pi_inf)
+        kin = np.multiply(w, w)
         if it is not None:
-            gt = g * t * inv2c2
-            left[it] = right[it] = -gt
-            contact[it] = 2.0 * gt
-            shear = [{0: -t, it: None}]
-        materials = [{ig: None, ip: 1.0 / p}, {ip: -1.0 / p}]
-
-        kr, kg, kp = self.d - 1, self.d - 3, self.d - 2
-        enth = c2 / g + kin
-        rows = [None] * self.d
-        rows[0] = {0: None, 1: None, kr: None}
-        rows[ia] = {0: w - c, 1: w, kr: w + c}
-        rows[ie] = {0: enth - w * c, 1: kin, kg: p, kr: enth + w * c}
-        rows[ig] = {kg: None, kp: None}
-        rows[ip] = {kp: -p}
+            t = face_mean(t)
+            kin += np.multiply(t, t, out=rho)
+        kin *= 0.5
+        enth = np.divide(c2, g)
+        enth += kin
+        inv2c2 = np.divide(0.5, c2, out=c2)
+        wc = np.multiply(w, c)
+        gw = np.multiply(g, w)
+        gk = np.multiply(g, kin, out=kin)
+        left = {0: np.add(gk, wc), ia: np.negative(c)}
+        right = {0: np.subtract(gk, wc, out=gk), ia: np.subtract(c, gw)}
+        left[ia] -= gw
+        for row in (left, right):
+            for coef in row.values():
+                coef *= inv2c2
+        gi = np.multiply(g, inv2c2)
+        gp = np.multiply(g, p, out=p)
+        gp *= inv2c2
+        shared = {self.ie: gi, self.ig: np.negative(gp, out=gp),
+                  self.ip: np.negative(gi)}
+        columns = {0: (None, None),
+                   ia: (np.subtract(w, c), np.add(w, c, out=c)),
+                   self.ie: (np.subtract(enth, wc), np.add(enth, wc, out=wc))}
         if it is not None:
-            rows[it] = {0: t, 1: t, 2: None, kr: t}
-            rows[ie][2] = t
-        return [left, contact] + shear + materials + [right], rows
+            gt = np.multiply(g, t, out=gw)
+            gt *= inv2c2
+            shared[it] = np.negative(gt, out=gt)
+            columns[it] = (t, t)
+        return (left, right, shared), columns

@@ -25,7 +25,7 @@ the interface).  That is a root of a depressed cubic, taken in closed form
 import numpy as np
 
 from .errors import AdmissibilityError, ReconstructionError, check_admissible
-from .fluxes import ordered_speeds
+from .fluxes import face_mean, ordered_speeds
 
 H_MIN = 1e-10
 RESIDUAL_TOL = 1e-12
@@ -216,32 +216,43 @@ class ThermalShallowWater:
         return ordered_speeds(w, s)
 
     def lcd_matrices(self, cells, direction):
-        """Sparse rows of R^-1 and of R at the faces between consecutive
-        cells, as lists of {slot: coef} maps (coef None for 1), from the
-        means of the two cells' h, w, t and b: w the velocity along the
-        sweep (slot ia), t the one across it (slot it).  The characteristic
-        fields are the (w - s) wave, the buoyancy and shear materials and
-        the (w + s) wave, in that order, with s = sqrt(b h)."""
+        """The acoustic pair of the eigensystem at the faces between
+        consecutive cells, from the means of the two cells' h, w, t and b,
+        as ((left, right, shared), columns): w the velocity along the sweep
+        (slot ia), t the one across it (slot it), s = sqrt(b h).
+
+        left and right are the (w - s) and (w + s) rows of R^-1, each a
+        {slot: coef} map of the entries it has alone (slots 0 and ia);
+        shared holds the 0.25 on hb that both rows have.  columns maps each
+        row of R to its pair ((w - s) column, (w + s) column), coef None
+        for 1."""
         ia, it = self._indices(direction)
         h = cells[..., 0]
-        h, w, t, b = (0.5 * (v[..., :-1] + v[..., 1:]) for v in (
-            h, cells[..., ia] / h, cells[..., it] / h, cells[..., 3] / h))
+        w, t, b = (np.divide(cells[..., j], h) for j in (ia, it, 3))
+        h, w, t, b = (face_mean(a) for a in (h, w, t, b))
         if np.any(b <= 0.0) or np.any(h <= 0.0):
             raise AdmissibilityError(
                 "characteristic decomposition needs h > 0 and b > 0")
-        kap = np.sqrt(b / h)
-        s = np.sqrt(b * h)
-        inv_b = 1.0 / b
-        inv_rows = [{0: 0.25 * (b + 2.0 * w * kap), ia: -0.5 * kap, 3: 0.25},
-                    {0: -0.5 * b, 3: 0.5},
-                    {0: -0.5 * t, it: None, 3: -0.5 * t * inv_b},
-                    {0: 0.25 * (b - 2.0 * w * kap), ia: 0.5 * kap, 3: 0.25}]
-        rows = [None] * 4
-        rows[0] = {0: inv_b, 1: -inv_b, 3: inv_b}
-        rows[ia] = {0: (w - s) * inv_b, 1: -w * inv_b, 3: (w + s) * inv_b}
-        rows[it] = {0: t * inv_b, 2: None, 3: t * inv_b}
-        rows[3] = {0: None, 1: None, 3: None}
-        return inv_rows, rows
+        kap = np.divide(b, h)
+        np.sqrt(kap, out=kap)
+        s = np.multiply(b, h, out=h)
+        np.sqrt(s, out=s)
+        inv_b = np.divide(1.0, b)
+        two_wk = np.multiply(2.0, w)
+        two_wk *= kap
+        left = {0: np.add(b, two_wk), ia: np.multiply(-0.5, kap)}
+        right = {0: np.subtract(b, two_wk, out=two_wk),
+                 ia: np.multiply(0.5, kap, out=kap)}
+        left[0] *= 0.25
+        right[0] *= 0.25
+        t_b = np.multiply(t, inv_b, out=t)
+        w_lo = np.subtract(w, s, out=b)
+        w_lo *= inv_b
+        w_hi = np.add(w, s, out=s)
+        w_hi *= inv_b
+        columns = {0: (inv_b, inv_b), ia: (w_lo, w_hi), it: (t_b, t_b),
+                   3: (None, None)}
+        return (left, right, {3: 0.25}), columns
 
     # ---- equilibrium reconstruction hooks --------------------------------
 

@@ -1,6 +1,6 @@
 """Shared fixtures: a scalar-advection toy model, random state factories,
-catalog sweep lines, the quasilinear-matrix oracle and the y-sweep
-helper's CSV replies."""
+catalog sweep lines, the eigensystem and quasilinear-matrix oracles and
+the y-sweep helper's CSV replies."""
 
 import numpy as np
 import pytest
@@ -46,33 +46,168 @@ class ScalarAdvection:
         return np.zeros_like(state_a)
 
     def lcd_matrices(self, cells, direction):
-        return [{0: None}], [{0: None}]
+        return ({0: 1.0}, {0: 1.0}, {}), {0: (None, None)}
 
 
-def _dense(rows, shape):
-    """Dense (..., d, d) matrix from sparse {slot: coef} rows."""
-    mat = np.zeros(shape + (len(rows), len(rows)))
-    for i, row in enumerate(rows):
-        for j, coef in row.items():
-            mat[..., i, j] = 1.0 if coef is None else coef
-    return mat
+def _at_face(coef):
+    """A hook coefficient of a two-cell line without its one face axis."""
+    return coef[..., 0] if isinstance(coef, np.ndarray) else coef
 
 
 def face_vectors(model, left, right, direction):
-    """model.lcd_matrices at the faces between paired states (..., d), the
-    rows of R^-1 and of R: each pair is a two-cell line, whose one face
-    axis each coefficient array loses."""
-    return tuple(
-        [{j: c[..., 0] if isinstance(c, np.ndarray) else c
-          for j, c in row.items()} for row in rows]
-        for rows in model.lcd_matrices(np.stack([left, right], axis=-2),
-                                       direction))
+    """model.lcd_matrices at the faces between paired states (..., d):
+    ((left row, right row, shared entries), columns), each pair a two-cell
+    line whose one face axis each coefficient array loses."""
+    (lo, hi, shared), columns = model.lcd_matrices(
+        np.stack([left, right], axis=-2), direction)
+    rows = tuple({j: _at_face(c) for j, c in row.items()}
+                 for row in (lo, hi, shared))
+    return rows, {i: tuple(_at_face(c) for c in pair)
+                  for i, pair in columns.items()}
+
+
+def acoustic_pair(model, left, right, direction):
+    """The hook's acoustic pair, dense: its two rows of R^-1, (2, ..., d),
+    and its two columns of R, (..., d, 2)."""
+    (lo, hi, shared), columns = face_vectors(model, left, right, direction)
+    shape = left.shape[:-1]
+    rows = np.zeros((2,) + shape + (model.d,))
+    for row, own in zip(rows, (lo, hi)):
+        for j, coef in {**own, **shared}.items():
+            row[..., j] = coef
+    cols = np.zeros(shape + (model.d, 2))
+    for i, pair in columns.items():
+        for k, coef in enumerate(pair):
+            cols[..., i, k] = 1.0 if coef is None else coef
+    return rows, cols
+
+
+def acoustic_projector(rows, cols):
+    """P = I - r_- l_- - r_+ l_+ from an acoustic pair: the projection onto
+    the middle fields, which all move with w, so A P = w P."""
+    outer = sum(cols[..., :, k, None] * rows[k][..., None, :]
+                for k in range(2))
+    return np.eye(rows.shape[-1]) - outer
+
+
+def acoustic_pair_checks(model, left, right, direction, r_mat, r_inv,
+                         a_mat, w):
+    """(whether the hook's acoustic pair is the oracle's first and last
+    rows of R^-1 and columns of R, bitwise; the largest |A P - w P| of
+    its projector P), with A the quasilinear matrix and w the middle
+    speed at the faces' averaged state."""
+    rows, cols = acoustic_pair(model, left, right, direction)
+    same = all(np.ascontiguousarray(got).tobytes()
+               == np.ascontiguousarray(want).tobytes()
+               for got, want in ((rows[0], r_inv[..., 0, :]),
+                                 (rows[1], r_inv[..., -1, :]),
+                                 (cols, r_mat[..., [0, -1]])))
+    proj = acoustic_projector(rows, cols)
+    resid = np.einsum('...ij,...jk->...ik', a_mat, proj) \
+        - w[..., None, None] * proj
+    return same, np.abs(resid).max()
 
 
 def dense_eigensystem(model, left, right, direction):
-    """(R, R^-1) at each face, dense, from the model's sparse rows."""
-    inv_rows, rows = face_vectors(model, left, right, direction)
-    return _dense(rows, left.shape[:-1]), _dense(inv_rows, left.shape[:-1])
+    """Oracle (R, R^-1) at each face between paired states (..., d), dense
+    and complete, from the means of the two states' primitives: every
+    field's eigenvector, where model.lcd_matrices returns only the acoustic
+    pair.  Its acoustic entries use the hooks' arithmetic, so they match
+    the hooks bitwise."""
+    if isinstance(model, ThermalShallowWater):
+        return _trsw_eigensystem(model, left, right, direction)
+    rho, u, v, p, gamma, pi_inf = (
+        0.5 * (a + b)
+        for a, b in zip(model.primitives(left), model.primitives(right)))
+    w, t = (u, v) if direction == "x" else (v, u)
+    ia, it = model._indices(direction)
+    ie, ig, ip, d = model.ie, model.ig, model.ip, model.d
+    g = gamma - 1.0
+    c = np.sqrt(gamma * (p + pi_inf) / rho)
+    c2 = c * c
+    inv2c2 = 0.5 / c2
+    kin = 0.5 * (w * w + t * t)
+    gi = g * inv2c2
+    gp = g * p * inv2c2
+    gt = g * t * inv2c2
+    enth = c2 / g + kin
+    r_inv = np.zeros(w.shape + (d, d))
+    r_mat = np.zeros(w.shape + (d, d))
+    # the fields: w - c, contact, (2-D) shear, G and P materials, w + c
+    kc, kg, kp, kr = 1, d - 3, d - 2, d - 1
+    for k in (0, kr):
+        r_inv[..., k, ie] = gi
+        r_inv[..., k, ig] = -gp
+        r_inv[..., k, ip] = -gi
+    r_inv[..., 0, 0] = (g * kin + w * c) * inv2c2
+    r_inv[..., 0, ia] = (-c - g * w) * inv2c2
+    r_inv[..., kr, 0] = (g * kin - w * c) * inv2c2
+    r_inv[..., kr, ia] = (c - g * w) * inv2c2
+    r_inv[..., kc, 0] = (2.0 * c2 - 2.0 * g * kin) * inv2c2
+    r_inv[..., kc, ia] = 2.0 * g * w * inv2c2
+    r_inv[..., kc, ie] = -2.0 * gi
+    r_inv[..., kc, ig] = 2.0 * gp
+    r_inv[..., kc, ip] = 2.0 * gi
+    r_inv[..., kg, ig] = 1.0
+    r_inv[..., kg, ip] = 1.0 / p
+    r_inv[..., kp, ip] = -1.0 / p
+    r_mat[..., 0, (0, kc, kr)] = 1.0
+    r_mat[..., ia, 0] = w - c
+    r_mat[..., ia, kc] = w
+    r_mat[..., ia, kr] = w + c
+    r_mat[..., ie, 0] = enth - w * c
+    r_mat[..., ie, kc] = kin
+    r_mat[..., ie, kg] = p
+    r_mat[..., ie, kr] = enth + w * c
+    r_mat[..., ig, (kg, kp)] = 1.0
+    r_mat[..., ip, kp] = -p
+    if it is not None:
+        for k in (0, kr):
+            r_inv[..., k, it] = -gt
+        r_inv[..., kc, it] = 2.0 * gt
+        r_inv[..., 2, 0] = -t
+        r_inv[..., 2, it] = 1.0
+        for k in (0, kc, kr):
+            r_mat[..., it, k] = t
+        r_mat[..., it, 2] = 1.0
+        r_mat[..., ie, 2] = t
+    return r_mat, r_inv
+
+
+def _trsw_eigensystem(model, left, right, direction):
+    ia, it = model._indices(direction)
+
+    def prim(state):
+        h = state[..., 0]
+        return h, state[..., ia] / h, state[..., it] / h, state[..., 3] / h
+
+    h, w, t, b = (0.5 * (a + z) for a, z in zip(prim(left), prim(right)))
+    kap = np.sqrt(b / h)
+    s = np.sqrt(b * h)
+    inv_b = 1.0 / b
+    r_inv = np.zeros(h.shape + (4, 4))
+    r_mat = np.zeros(h.shape + (4, 4))
+    # the fields: w - s, buoyancy and shear materials, w + s
+    r_inv[..., 0, 0] = 0.25 * (b + 2.0 * w * kap)
+    r_inv[..., 0, ia] = -0.5 * kap
+    r_inv[..., 3, 0] = 0.25 * (b - 2.0 * w * kap)
+    r_inv[..., 3, ia] = 0.5 * kap
+    r_inv[..., (0, 3), 3] = 0.25
+    r_inv[..., 1, 0] = -0.5 * b
+    r_inv[..., 1, 3] = 0.5
+    r_inv[..., 2, 0] = -0.5 * t
+    r_inv[..., 2, it] = 1.0
+    r_inv[..., 2, 3] = -0.5 * t * inv_b
+    for k in (0, 3):
+        r_mat[..., 0, k] = inv_b
+        r_mat[..., it, k] = t * inv_b
+    r_mat[..., 0, 1] = -inv_b
+    r_mat[..., ia, 0] = (w - s) * inv_b
+    r_mat[..., ia, 1] = -w * inv_b
+    r_mat[..., ia, 3] = (w + s) * inv_b
+    r_mat[..., it, 2] = 1.0
+    r_mat[..., 3, (0, 1, 3)] = 1.0
+    return r_mat, r_inv
 
 
 def quasilinear_matrix(model, state, direction):

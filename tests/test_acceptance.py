@@ -23,7 +23,7 @@ from pccu.trsw import ThermalShallowWater
 from pccu.output import schlieren_shade
 from pccu.catalog import make_config
 from conftest import random_multifluid_states, random_trsw_states, \
-    dense_eigensystem, expand_fields, extremal_weights, face_vectors, \
+    acoustic_pair_checks, dense_eigensystem, expand_fields, extremal_weights, face_vectors, \
     quasilinear_matrix
 
 EPS0 = 1e-18
@@ -75,7 +75,8 @@ def test_criterion_03_eigensystem_oracles(rng):
              (ThermalShallowWater(2), "x", None),
              (ThermalShallowWater(2), "y", None)]
     t0 = time.perf_counter()
-    worst_diag = worst_inv = worst_spec = 0.0
+    worst_diag = worst_inv = worst_spec = worst_proj = 0.0
+    pair_same = True
     for model, direction, dim in cases:
         if dim is not None:
             left = random_multifluid_states(rng, 1000, dim)[None]
@@ -93,7 +94,8 @@ def test_criterion_03_eigensystem_oracles(rng):
             hat_state = np.concatenate(
                 [hat[..., :1], hat[..., :1] * hat[..., 1:]], axis=-1)
         r_mat, r_inv = dense_eigensystem(model, left, right, direction)
-        lam = expand_fields(model.eigenvalues(hat_state, direction), model.d)
+        speeds = model.eigenvalues(hat_state, direction)
+        lam = expand_fields(speeds, model.d)
         a_mat = quasilinear_matrix(model, hat_state, direction)
         resid = np.einsum('...ij,...jk->...ik', a_mat, r_mat) \
             - r_mat * lam[..., None, :]
@@ -105,11 +107,19 @@ def test_criterion_03_eigensystem_oracles(rng):
         spec = np.sort(np.real(np.linalg.eigvals(a_mat)), axis=-1)
         worst_spec = max(worst_spec,
                          np.abs(spec - np.sort(lam, axis=-1)).max())
+        # the hook's acoustic pair against the oracle, and A P = w P
+        same, proj = acoustic_pair_checks(model, left, right, direction,
+                                          r_mat, r_inv, a_mat, speeds[..., 1])
+        pair_same = pair_same and same
+        worst_proj = max(worst_proj, proj)
     elapsed = time.perf_counter() - t0
     ok = worst_diag <= 1e-11 and worst_inv <= 1e-11 \
-        and worst_spec <= 1e-9 and elapsed < 5.0
+        and worst_spec <= 1e-9 and pair_same and worst_proj <= 1e-11 \
+        and elapsed < 5.0
     _report(f"criterion 3 (diag {worst_diag:.2e}, inverse {worst_inv:.2e}, "
-            f"spectrum {worst_spec:.2e}, {elapsed:.1f}s)", ok)
+            f"spectrum {worst_spec:.2e}, hook pair "
+            f"{'bitwise' if pair_same else 'differs'}, projector "
+            f"{worst_proj:.2e}, {elapsed:.1f}s)", ok)
 
 
 # ---- 4. weight identities and CU equivalence --------------------------------------------

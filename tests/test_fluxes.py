@@ -152,14 +152,16 @@ def test_characteristic_assembly_reduces_to_central_upwind(rng, mf1):
 
 
 def _scaled(vectors, dscale):
-    """Rows of R^-1 and R with column j of R times dscale[..., j] and row j
-    of R^-1 divided by it."""
-    inv_rows, rows = vectors
+    """The acoustic pair with each acoustic column of R times its
+    dscale[..., k] and its row of R^-1 divided by it; the rows then share
+    no entry."""
+    (left, right, shared), columns = vectors
     value = lambda coef: 1.0 if coef is None else coef
-    return ([{j: value(c) / dscale[..., i] for j, c in row.items()}
-             for i, row in enumerate(inv_rows)],
-            [{j: value(c) * dscale[..., j] for j, c in row.items()}
-             for row in rows])
+    rows = tuple({j: value(c) / scale for j, c in {**row, **shared}.items()}
+                 for row, scale in zip((left, right), dscale))
+    return rows + ({},), {i: tuple(value(c) * scale
+                                   for c, scale in zip(pair, dscale))
+                          for i, pair in columns.items()}
 
 
 def test_assembly_invariant_under_eigenvector_scaling(rng, mf1):
@@ -171,8 +173,8 @@ def test_assembly_invariant_under_eigenvector_scaling(rng, mf1):
     k_minus, k_plus = mf1.flux(left, "x"), mf1.flux(right, "x")
     du = right - left
     base = characteristic_flux(vectors, p, m, q, k_minus, k_plus, du)
-    # rescale the eigenvector columns by random positive factors
-    dscale = rng.uniform(0.2, 5.0, size=left.shape)
+    # rescale the two acoustic eigenvectors by random positive factors
+    dscale = rng.uniform(0.2, 5.0, size=(2,) + left.shape[:-1])
     scaled = characteristic_flux(_scaled(vectors, dscale), p, m, q,
                                  k_minus, k_plus, du)
     assert np.abs(scaled - base).max() <= 1e-11 * max(np.abs(base).max(), 1.0)

@@ -5,8 +5,8 @@ import pytest
 
 from pccu.errors import AdmissibilityError
 from pccu.multifluid import Multifluid, conservative_state, material_coeffs
-from conftest import random_multifluid_states, dense_eigensystem, \
-    expand_fields, quasilinear_matrix
+from conftest import random_multifluid_states, acoustic_pair, \
+    acoustic_pair_checks, dense_eigensystem, expand_fields, quasilinear_matrix
 
 
 # ---- EOS and primitive recovery ---------------------------------------------
@@ -136,7 +136,8 @@ def test_eigen_identities_against_quasilinear_matrix(rng, dimension,
     hat = [0.5 * (a + b) for a, b in zip(prim_l, prim_r)]
     hat_state = conservative_state(hat[0], hat[1], hat[2], hat[3],
                                    hat[4], hat[5], dimension)
-    lam = expand_fields(model.eigenvalues(hat_state, direction), model.d)
+    speeds = model.eigenvalues(hat_state, direction)
+    lam = expand_fields(speeds, model.d)
     a_mat = quasilinear_matrix(model, hat_state, direction)
     resid = np.einsum('...ij,...jk->...ik', a_mat, r_mat) \
         - r_mat * lam[..., None, :]
@@ -144,6 +145,12 @@ def test_eigen_identities_against_quasilinear_matrix(rng, dimension,
     eye = np.einsum('...ij,...jk->...ik', r_mat, r_inv)
     ident = np.eye(model.d)
     assert np.abs(eye - ident).max() <= 1e-11
+    # the hook returns exactly the oracle's acoustic pair, and its
+    # projector onto the middle fields is what characteristic_flux folds
+    same, worst = acoustic_pair_checks(model, left, right, direction, r_mat,
+                                       r_inv, a_mat, speeds[..., 1])
+    assert same
+    assert worst <= 1e-11
 
 
 def test_1d_eigensystem_is_the_2d_one_without_shear(rng, mf1, mf2):
@@ -156,6 +163,11 @@ def test_1d_eigensystem_is_the_2d_one_without_shear(rng, mf1, mf2):
     r2, r2_inv = dense_eigensystem(mf2, embed(left), embed(right), "x")
     assert np.array_equal(r1, drop(r2))
     assert np.array_equal(r1_inv, drop(r2_inv))
+    # the hooks: the 1-D pair leaves out the all-zero transverse terms
+    rows1, cols1 = acoustic_pair(mf1, left, right, "x")
+    rows2, cols2 = acoustic_pair(mf2, embed(left), embed(right), "x")
+    assert np.array_equal(rows1, np.delete(rows2, 2, axis=-1))
+    assert np.array_equal(cols1, np.delete(cols2, 2, axis=-2))
     a1 = quasilinear_matrix(mf1, left, "x")
     a2 = quasilinear_matrix(mf2, embed(left), "x")
     assert np.array_equal(a1, drop(a2))

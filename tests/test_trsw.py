@@ -12,8 +12,8 @@ from pccu.grid import GHOST, Grid, BoundaryCondition, Field, fill_ghosts, \
     init_from_function
 from pccu.trsw import ThermalShallowWater, invert_momentum_flux
 from pccu.driver import RunConfig, line_geometry, run, spatial_rhs
-from conftest import random_trsw_states, dense_eigensystem, \
-    expand_fields, quasilinear_matrix
+from conftest import random_trsw_states, acoustic_pair_checks, \
+    dense_eigensystem, expand_fields, quasilinear_matrix
 
 
 # ---- fluxes -------------------------------------------------------------------
@@ -102,13 +102,18 @@ def test_eigen_identities_against_quasilinear_matrix(rng, dimension,
     hat_state = np.stack([hat[..., 0], hat[..., 0] * hat[..., 1],
                           hat[..., 0] * hat[..., 2],
                           hat[..., 0] * hat[..., 3]], axis=-1)
-    lam = expand_fields(model.eigenvalues(hat_state, direction), model.d)
+    speeds = model.eigenvalues(hat_state, direction)
+    lam = expand_fields(speeds, model.d)
     a_mat = quasilinear_matrix(model, hat_state, direction)
     resid = np.einsum('...ij,...jk->...ik', a_mat, r_mat) \
         - r_mat * lam[..., None, :]
     assert np.abs(resid).max() <= 1e-11
     eye = np.einsum('...ij,...jk->...ik', r_mat, r_inv)
     assert np.abs(eye - np.eye(4)).max() <= 1e-11
+    same, worst = acoustic_pair_checks(model, left, right, direction, r_mat,
+                                       r_inv, a_mat, speeds[..., 1])
+    assert same
+    assert worst <= 1e-11
 
 
 # ---- equilibrium map and its inverse -------------------------------------------
