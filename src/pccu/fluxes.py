@@ -128,11 +128,10 @@ def characteristic_flux(vectors, p, m, q, k_minus, k_plus, du):
         for amp, row, k in zip(amps, (left, right), (0, -1)):
             # the amplitude takes its first term in place, later ones via proj
             acc = proj if n else amp
-            for i, (j, coef) in enumerate(row.items()):
-                if i == 0:
-                    np.multiply(coef, values[..., j], out=acc)
-                else:
-                    acc += np.multiply(coef, values[..., j], out=scratch)
+            (j, coef), *rest = row.items()
+            np.multiply(coef, values[..., j], out=acc)
+            for j, coef in rest:
+                acc += np.multiply(coef, values[..., j], out=scratch)
             for term in shared_terms:
                 acc += term
             acc *= np.subtract(weights[..., k], weights[..., mid],

@@ -82,27 +82,21 @@ def acoustic_pair(model, left, right, direction):
     return rows, cols
 
 
-def acoustic_projector(rows, cols):
-    """P = I - r_- l_- - r_+ l_+ from an acoustic pair: the projection onto
-    the middle fields, which all move with w, so A P = w P."""
-    outer = sum(cols[..., :, k, None] * rows[k][..., None, :]
-                for k in range(2))
-    return np.eye(rows.shape[-1]) - outer
-
-
 def acoustic_pair_checks(model, left, right, direction, r_mat, r_inv,
                          a_mat, w):
     """(whether the hook's acoustic pair is the oracle's first and last
-    rows of R^-1 and columns of R, bitwise; the largest |A P - w P| of
-    its projector P), with A the quasilinear matrix and w the middle
-    speed at the faces' averaged state."""
+    rows of R^-1 and columns of R, bitwise; the largest |A P - w P|), with
+    A the quasilinear matrix and w the middle speed at the faces' averaged
+    state.  P = I - r_- l_- - r_+ l_+, built from the hook's pair, projects
+    onto the middle fields, which all move with w."""
     rows, cols = acoustic_pair(model, left, right, direction)
     same = all(np.ascontiguousarray(got).tobytes()
                == np.ascontiguousarray(want).tobytes()
                for got, want in ((rows[0], r_inv[..., 0, :]),
                                  (rows[1], r_inv[..., -1, :]),
                                  (cols, r_mat[..., [0, -1]])))
-    proj = acoustic_projector(rows, cols)
+    proj = np.eye(model.d) - sum(cols[..., :, k, None] * rows[k][..., None, :]
+                                 for k in range(2))
     resid = np.einsum('...ij,...jk->...ik', a_mat, proj) \
         - w[..., None, None] * proj
     return same, np.abs(resid).max()

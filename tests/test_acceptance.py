@@ -23,8 +23,8 @@ from pccu.trsw import ThermalShallowWater
 from pccu.output import schlieren_shade
 from pccu.catalog import make_config
 from conftest import random_multifluid_states, random_trsw_states, \
-    acoustic_pair_checks, dense_eigensystem, expand_fields, extremal_weights, face_vectors, \
-    quasilinear_matrix
+    acoustic_pair_checks, dense_eigensystem, expand_fields, \
+    extremal_weights, face_vectors, quasilinear_matrix
 
 EPS0 = 1e-18
 
