@@ -224,6 +224,12 @@ _TRSW_EX6_REGIONS = [
     {"state": {"h": 1.0, "v": 0.0, "b": 4.0}},
 ]
 
+# ex6 with a small thickness bump: h 2.0 + 0.1 there, b unchanged
+_TRSW_EX6P_REGIONS = [
+    {"where": {"kind": "band", "axis": "x", "min": -1.8, "max": -1.7},
+     "state": {"h": 2.1, "v": 0.0, "b": 1.0}},
+] + _TRSW_EX6_REGIONS
+
 _TRSW_EX7_REGIONS = [
     {"where": {"kind": "halfplane", "axis": "x", "op": "<", "value": 0.0},
      "state": {"surface": 5.0, "v": 0.0, "b": 1.0}},
@@ -244,19 +250,6 @@ _TRSW_EX9_REGIONS = [
      "state": {"h": 1.5, "b": 1.0}},
     {"state": {"h": 1.2, "b": 1.5}},
 ]
-
-
-def _ex6p_ic():
-    base = piecewise_trsw_ic(_TRSW_EX6_REGIONS, 1)
-
-    def ic(x):
-        out = base(x)
-        bump = (x >= -1.8) & (x <= -1.7)
-        b = out[..., 3] / out[..., 0]
-        out[..., 0] = np.where(bump, out[..., 0] + 0.1, out[..., 0])
-        out[..., 3] = out[..., 0] * b
-        return out
-    return ic
 
 
 def _ex10_ic():
@@ -315,7 +308,7 @@ EXAMPLES = {
         note="constant-pressure equilibrium with a buoyancy jump"),
     "ex6p": dict(
         model="trsw", dimension=1, domain=[-5.0, 5.0], nx=200,
-        t_final=1.6, bc="free", ic="ex6p",
+        t_final=1.6, bc="free", ic={"regions": _TRSW_EX6P_REGIONS},
         snapshots=[1.2, 1.6], outputs=["csv"],
         note="small thickness bump on the ex6 equilibrium"),
     "ex7": dict(
@@ -348,7 +341,7 @@ def example_names():
 
 
 # initial data that regions cannot express, by "ic" id
-IC_FACTORIES = {"ex6p": _ex6p_ic, "ex10": _ex10_ic}
+IC_FACTORIES = {"ex10": _ex10_ic}
 
 
 def make_config(name, **overrides):

@@ -39,35 +39,32 @@ SCHEMES = ("pccu", "lcd")
 @dataclass
 class LineGeometry:
     """Per-sweep geometry: padded center coordinates along the sweep axis,
-    the (fixed) transverse coordinate of each line, for a model with
-    topography its half-jumps at the padded faces (dz, see
-    ThermalShallowWater.topography_half_jumps) and for a rotating one
-    the Coriolis parameter of each half cell (f_lo, f_hi, see
-    ThermalShallowWater.coriolis_half_values)."""
+    the (fixed) transverse coordinate of each line, whether the sweep's
+    boundaries are periodic and, for an equilibrium model, the source data
+    its source_half_increments reads (see
+    ThermalShallowWater.source_geometry)."""
     direction: str
     dx: float
     coords: np.ndarray
     transverse: np.ndarray | None = None
-    dz: np.ndarray | None = None
-    f_lo: np.ndarray | None = None
-    f_hi: np.ndarray | None = None
+    periodic: bool = False
+    sources: tuple | None = None
 
 
-def line_geometry(model, grid, direction):
+def line_geometry(model, grid, bc, direction):
     """The LineGeometry of one sweep direction of a run; a run builds each
     direction's once."""
     if direction == "x":
         geom = LineGeometry("x", grid.dx,
                             _padded_centers(grid.x_min, grid.nx, grid.dx),
-                            grid.y_centers() if grid.dimension == 2 else None)
+                            grid.y_centers() if grid.dimension == 2 else None,
+                            bc.left == "periodic")
     else:
         geom = LineGeometry("y", grid.dy,
                             _padded_centers(grid.y_min, grid.ny, grid.dy),
-                            grid.x_centers())
-    if getattr(model, "topography", None) is not None:
-        geom.dz = model.topography_half_jumps(geom)
-    if getattr(model, "f0", 0.0) != 0.0 or getattr(model, "beta", 0.0) != 0.0:
-        geom.f_lo, geom.f_hi = model.coriolis_half_values(geom)
+                            grid.x_centers(), bc.bottom == "periodic")
+    if model.reconstruction == "equilibrium":
+        geom.sources = model.source_geometry(geom)
     return geom
 
 
@@ -181,25 +178,26 @@ def _padded_centers(lo, n, step):
     return lo + (np.arange(-GHOST, n + GHOST) + 0.5) * step
 
 
-def _located_sweep(model, lines, geom, scheme, theta, eps0, cells, periodic,
-                   stats):
-    """_sweep with the robust faces of the flagged cells (L, n) or None; an
+def _field_sweep(data, model, geom, scheme, theta, eps0, robust, stats):
+    """_sweep of geometry geom over a ghost-filled field's data; robust, a
+    mask over the interior cells or None, puts the robust flux on the
+    faces of the flagged cells.  Returns (diff, speed); diff is (1, n, d)
+    in 1-D, and in 2-D (ny, nx, d) along x and (nx, ny, d) along y.  An
     error raised in the sweep leaves with its direction set."""
-    faces = None if cells is None else _face_flags(cells, periodic)
+    g = GHOST
+    if data.ndim == 2:                  # 1-D: one line
+        lines, cells = data[None], None if robust is None else robust[None]
+    elif geom.direction == "x":
+        lines, cells = data[g:-g], robust
+    else:
+        lines = np.swapaxes(data[:, g:-g], 0, 1)
+        cells = None if robust is None else robust.T
+    faces = None if cells is None else _face_flags(cells, geom.periodic)
     try:
         return _sweep(model, lines, geom, scheme, theta, eps0, faces, stats)
     except (AdmissibilityError, ReconstructionError, NumericalError) as exc:
         exc.direction = geom.direction
         raise
-
-
-def _y_sweep(data, model, geom, bc, scheme, theta, eps0, robust, stats):
-    """(diff, speed) of the y-sweep, of geometry geom, over a ghost-filled
-    2-D field's data; diff is (nx, ny, d)."""
-    return _located_sweep(model, np.swapaxes(data[:, GHOST:-GHOST], 0, 1),
-                          geom, scheme, theta, eps0,
-                          None if robust is None else robust.T,
-                          bc.bottom == "periodic", stats)
 
 
 def spatial_rhs(fld, model, bc, scheme, theta, eps0, robust=None,
@@ -213,7 +211,7 @@ def spatial_rhs(fld, model, bc, scheme, theta, eps0, robust=None,
     ReconstructionError or NumericalError raised in a sweep leaves with
     its direction ("x" or "y") set; one for an inadmissible cell average
     names the first such cell in grid order, (k, j) or (j,), and its state.
-    helper, a ysweep.SweepHelper set up for this model, grid, bc, scheme,
+    helper, a ysweep.SweepHelper set up for this model, geoms[1], scheme,
     theta and eps0, runs a 2-D y-sweep while this process runs the
     x-sweep; when both sweeps fail, the x-sweep's error is raised, as
     without it.  geoms holds the line_geometry of each direction of the
@@ -222,30 +220,24 @@ def spatial_rhs(fld, model, bc, scheme, theta, eps0, robust=None,
     """
     fill_ghosts(fld, bc, model)
     grid = fld.grid
-    g = GHOST
     if geoms is None:
-        geoms = [line_geometry(model, grid, direction)
+        geoms = [line_geometry(model, grid, bc, direction)
                  for direction in "xy"[:grid.dimension]]
-    x_periodic = bc.left == "periodic"
-    if grid.dimension == 1:
-        diff, sx = _located_sweep(model, fld.data[None], geoms[0], scheme,
-                                  theta, eps0, None if robust is None
-                                  else robust[None], x_periodic, stats)
-        return -diff[0], sx, 0.0
+    rest = (scheme, theta, eps0, robust, stats)
     if helper is not None:
         helper.start(fld.data, robust)
     try:
-        diff_x, sx = _located_sweep(model, fld.data[g:-g], geoms[0], scheme,
-                                    theta, eps0, robust, x_periodic, stats)
+        diff_x, sx = _field_sweep(fld.data, model, geoms[0], *rest)
     except BaseException:
         if helper is not None:
             helper.wait()
         raise
+    if grid.dimension == 1:
+        return -diff_x[0], sx, 0.0
     if helper is not None:
         diff_y, sy = helper.finish(stats)
     else:
-        diff_y, sy = _y_sweep(fld.data, model, geoms[1], bc, scheme, theta,
-                              eps0, robust, stats)
+        diff_y, sy = _field_sweep(fld.data, model, geoms[1], *rest)
     return -(diff_x + np.swapaxes(diff_y, 0, 1)), sx, sy
 
 
@@ -299,12 +291,12 @@ class RunReport:
     stage_recomputes: int = 0       # lcd stage tendencies redone
 
 
-def _y_helper(config):
-    """ysweep.claim(config) for a 2-D run, which loads the helper's module
-    on first use; else a context that gives None."""
+def _y_helper(config, geoms):
+    """ysweep.claim(config, geoms[1]) for a 2-D run, which loads the
+    helper's module on first use; else a context that gives None."""
     if config.grid.dimension == 2:
         from . import ysweep
-        return ysweep.claim(config)
+        return ysweep.claim(config, geoms[1])
     return contextlib.nullcontext()
 
 
@@ -354,13 +346,12 @@ def run(config):
     # candidates push out of the admissible set
     admissible = model.admissible if config.scheme == "lcd" else None
 
-    with _y_helper(config) as helper:
+    geoms = [line_geometry(model, grid, config.bc, direction)
+             for direction in "xy"[:grid.dimension]]
+    with _y_helper(config, geoms) as helper:
         # with a helper, the ghost-filled field is the memory both
         # processes map, so no stage copies it
         work = Field(grid, model.d, None if helper is None else helper.data)
-
-        geoms = [line_geometry(model, grid, direction)
-                 for direction in "xy"[:grid.dimension]]
 
         def rhs(values, robust=None):
             work.interior[...] = values

@@ -291,57 +291,56 @@ class ThermalShallowWater:
 
     # ---- source integrals -------------------------------------------------
 
-    def topography_half_jumps(self, geom):
-        """Half of each center-to-center jump of Z along the lines of geom,
-        per padded face (the end faces repeat their neighbours): a run
-        forms them once per sweep direction (driver.line_geometry)."""
-        centers = geom.coords
-        if self.dimension == 1:
-            z_c = self.topography(centers)
-        elif geom.direction == "x":
-            z_c = self.topography(centers[None, :], geom.transverse[:, None])
-        else:
-            z_c = self.topography(geom.transverse[:, None], centers[None, :])
-        dz = 0.5 * np.diff(z_c, axis=-1)
-        return np.concatenate([dz[..., :1], dz, dz[..., -1:]], axis=-1)
-
-    def coriolis_half_values(self, geom):
-        """(f_lo, f_hi) that source_half_increments multiplies into the
-        left and right half cells of the lines of geom: along x, -f(y) of
-        each line, (L, 1), on both; along y, f at the midpoints of the two
-        halves of each padded cell, (n + 2g,).  A run forms them once per
-        sweep direction (driver.line_geometry)."""
-        if geom.direction == "x":
-            # +f h v: subtracting -f adds f exactly
-            f = -self.coriolis(geom.transverse)[:, None]
-            return f, f
-        return (self.coriolis(geom.coords - 0.25 * geom.dx),
-                self.coriolis(geom.coords + 0.25 * geom.dx))
+    def source_geometry(self, geom):
+        """(dz, f_lo, f_hi) of the lines of geom, None for a term this
+        model lacks, formed once per run and direction (driver.line_geometry)
+        for source_half_increments.  dz: half of each center-to-center jump
+        of Z per padded face, the end faces repeating their neighbours.
+        f_lo, f_hi: along x, -f(y) of each line, (L, 1), on both halves;
+        along y, f at the midpoints of the two halves of each padded cell."""
+        dz = f_lo = f_hi = None
+        c, t = geom.coords, geom.transverse
+        if self.topography is not None:
+            if self.dimension == 1:
+                z_c = self.topography(c)
+            elif geom.direction == "x":
+                z_c = self.topography(c[None, :], t[:, None])
+            else:
+                z_c = self.topography(t[:, None], c[None, :])
+            dz = 0.5 * np.diff(z_c, axis=-1)
+            dz = np.concatenate([dz[..., :1], dz, dz[..., -1:]], axis=-1)
+        if self.f0 != 0.0 or self.beta != 0.0:
+            if geom.direction == "x":
+                # +f h v: subtracting -f adds f exactly
+                f_lo = f_hi = -self.coriolis(t)[:, None]
+            else:
+                f_lo = self.coriolis(c - 0.25 * geom.dx)
+                f_hi = self.coriolis(c + 0.25 * geom.dx)
+        return dz, f_lo, f_hi
 
     def source_half_increments(self, lines, geom):
-        """Half-cell integrals of the source terms, from cell averages.
+        """Half-cell integrals of the source terms, from cell averages and
+        geom.sources (source_geometry).
 
         Topography: -<hb> dZ over each half cell, with Z sampled at cell
         centers and each face value the mean of its two center values (the
-        end faces extrapolate linearly); the half-jumps are geom.dz, formed
-        once per run by driver.line_geometry.  Then the two half cells next
+        end faces extrapolate linearly).  Then the two half cells next
         to a face add up to -<hb>_mean dZ across it, which balances the jump
         of b h^2/2 whenever h + Z and b are constant: the discrete lake at
         rest is exact.  Coriolis: along x the momentum source is +f(y) h v
         with f constant on the line; along y it is -f(y) h u integrated exactly
-        for affine f (midpoint rule per half cell); geom.f_lo and geom.f_hi
-        hold f per half cell (coriolis_half_values).  Returns (half_left,
+        for affine f (midpoint rule per half cell).  Returns (half_left,
         half_right) on the momentum row along the sweep: (L, n + 2g, 1).
         """
         it = self._indices(geom.direction)[1]
+        dz, f_lo, f_hi = geom.sources
         half_l, half_r = np.zeros((2,) + lines.shape[:-1] + (1,))
-        if self.topography is not None:
-            dz = geom.dz
+        if dz is not None:
             hb = lines[..., 3]
             half_l[..., 0] -= hb * dz[..., :-1]
             half_r[..., 0] -= hb * dz[..., 1:]
-        if self.f0 != 0.0 or self.beta != 0.0:
+        if f_lo is not None:
             seg = 0.5 * geom.dx
-            half_l[..., 0] -= lines[..., it] * geom.f_lo * seg
-            half_r[..., 0] -= lines[..., it] * geom.f_hi * seg
+            half_l[..., 0] -= lines[..., it] * f_lo * seg
+            half_r[..., 0] -= lines[..., it] * f_hi * seg
         return half_l, half_r

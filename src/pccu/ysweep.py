@@ -6,7 +6,8 @@ The two sweeps of a stage read the same ghost-filled averages and write
 separate differences, so the split gives the same numbers as running both
 in the caller.  The helper is forked (``multiprocessing``'s ``fork``
 context, daemon) by the first run that claims it and serves every later
-run of the process.  A run sends its static inputs once.  The run's
+run of the process.  A run sends its static inputs once, among them the
+LineGeometry of its y-sweep as the caller built it.  The run's
 ghost-filled field, each stage's robust mask and the y-differences live
 in a memory file shared for the run, so no stage copies the field or
 waits for the other process to read an array from a pipe, and the pipe
@@ -28,7 +29,7 @@ from multiprocessing.reduction import recv_handle, send_handle
 
 import numpy as np
 
-from .driver import _y_sweep, line_geometry
+from .driver import _field_sweep
 from .grid import GHOST
 from .output import _CoordinateText, _format_block
 
@@ -39,11 +40,11 @@ _helper_lock = threading.Lock()     # held by the run that uses _helper
 class SweepHelper:
     """The helper process and the caller's end of its pipe.
 
-    setup() sends a run's pickled static inputs (model, grid, bc, scheme,
-    theta, eps0) and the run's memory file, whose field the run fills as
-    its data.  Each stage, start() copies the robust mask there (and the
-    field, when it is another array) and wakes the helper, which runs the
-    y-sweep; finish() waits for the largest speed and the slope-drop
+    setup() sends a run's pickled static inputs (model, grid, y geometry,
+    scheme, theta, eps0) and the run's memory file, whose field the run
+    fills as its data.  Each stage, start() copies the robust mask there
+    (and the field, when it is another array) and wakes the helper, which
+    runs the y-sweep; finish() waits for the largest speed and the slope-drop
     count, with the y-differences in the shared memory, or re-raises the
     sweep's error.  Between runs, format_block() sends it a block of CSV
     rows and formatted() gives back their text.
@@ -180,9 +181,9 @@ class _Shared:
 
 def _serve(conn, caller_end):
     """The helper's loop, until the caller's end closes.  Three messages:
-    ("run", static inputs) with the run's memory file, from which it
-    builds the run's y geometry; None, a stage's wake-up, answered with
-    the largest speed and slope-drop count; ("csv", fresh, coordinate
+    ("run", static inputs) with the run's memory file, the inputs holding
+    the y geometry the caller built; None, a stage's wake-up, answered
+    with the largest speed and slope-drop count; ("csv", fresh, coordinate
     bits, values), a block of rows answered with its text.  An error is
     sent back in place of the answer."""
     caller_end.close()
@@ -196,13 +197,13 @@ def _serve(conn, caller_end):
                     fd = recv_handle(conn)
                     shared = _Shared(fd, grid, model.d)
                     os.close(fd)
-                    static = (model, line_geometry(model, grid, "y"), *rest)
+                    static = (model, *rest)
                     continue
                 try:
                     if message is None:
                         stats = {"slope_drops": 0}
-                        diff, speed = _y_sweep(shared.data, *static,
-                                               shared.robust(), stats)
+                        diff, speed = _field_sweep(shared.data, *static,
+                                                   shared.robust(), stats)
                         np.copyto(shared.diff, np.moveaxis(diff, -1, 0))
                         reply = (speed, stats["slope_drops"])
                     else:
@@ -233,17 +234,18 @@ def _usable_cpus():
 
 
 @contextlib.contextmanager
-def claim(config):
-    """This process's SweepHelper set up for config's 2-D run, or None
-    when the run stays serial: fewer than two usable CPUs, static inputs
-    that do not pickle, a daemonic multiprocessing process (which may
-    not start children), the helper busy with another thread's run, or
-    no helper yet in a process with more than one thread, which fork()
-    would leave half copied.  A helper that died or was left with a stage
+def claim(config, geom_y):
+    """This process's SweepHelper set up for config's 2-D run, whose
+    y-sweep has the LineGeometry geom_y, or None when the run stays
+    serial: fewer than two usable CPUs, static inputs that do not pickle,
+    a daemonic multiprocessing process (which may not start children),
+    the helper busy with another thread's run, or no helper yet in a
+    process with more than one thread, which fork() would leave half
+    copied.  A helper that died or was left with a stage
     unresolved is replaced."""
     global _helper
     try:
-        static = pickle.dumps(("run", config.model, config.grid, config.bc,
+        static = pickle.dumps(("run", config.model, config.grid, geom_y,
                                config.scheme, config.theta, config.eps0))
     except (pickle.PicklingError, AttributeError, TypeError):
         static = None

@@ -296,7 +296,7 @@ def catalog_lines(name, direction):
     model, grid = config.model, config.grid
     fld = init_from_function(grid, model.d, config.ic)
     fill_ghosts(fld, config.bc, model)
-    geom = line_geometry(model, grid, direction)
+    geom = line_geometry(model, grid, config.bc, direction)
     if grid.dimension == 1:
         return model, fld.data[None], geom
     if direction == "x":

@@ -124,7 +124,7 @@ def test_x_sweep_working_set_per_cell(name, nx, ny, scheme, bound):
     fld = Field(grid, model.d)
     fld.interior[...] = report.states[-1]
     fill_ghosts(fld, config.bc, model)
-    geom = line_geometry(model, grid, "x")
+    geom = line_geometry(model, grid, config.bc, "x")
     lines = fld.data[GHOST:-GHOST]
     _sweep(model, lines, geom, scheme, config.theta, config.eps0)  # warm-up
     tracemalloc.start()

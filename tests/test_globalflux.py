@@ -132,6 +132,7 @@ def test_source_increments_vanish_on_flat_bottom_no_rotation():
     model = ThermalShallowWater(1, topography=None)
     lines = _const_trsw_lines(6, 2.0, 1.0)
     geom = LineGeometry("x", 0.1, (np.arange(-GHOST, 6 + GHOST) + 0.5) * 0.1)
+    geom.sources = model.source_geometry(geom)
     half_l, half_r = model.source_half_increments(lines, geom)
     assert np.all(half_l == 0.0)
     assert np.all(half_r == 0.0)
@@ -144,7 +145,7 @@ def test_topography_cell_increment_oracle():
     n, dx = 5, 1.0
     lines = _const_trsw_lines(n, 1.0, 1.0)
     geom = LineGeometry("x", dx, (np.arange(-GHOST, n + GHOST) + 0.5) * dx)
-    geom.dz = model.topography_half_jumps(geom)
+    geom.sources = model.source_geometry(geom)
     half_l, half_r = model.source_half_increments(lines, geom)
     assert half_l.shape == half_r.shape == (1, n + 2 * GHOST, 1)
     cell_total = half_l[0, :, 0] + half_r[0, :, 0]
@@ -160,7 +161,7 @@ def test_coriolis_y_sweep_increment_oracle():
     lines = np.tile(state, (3, n + 2 * GHOST, 1))
     coords = (np.arange(-GHOST, n + GHOST) + 0.5) * dy
     geom = LineGeometry("y", dy, coords, transverse=np.zeros(3))
-    geom.f_lo, geom.f_hi = model.coriolis_half_values(geom)
+    geom.sources = model.source_geometry(geom)
     half_l, half_r = model.source_half_increments(lines, geom)
     # one row: the hv momentum of the y-sweep
     assert half_l.shape == half_r.shape == (3, n + 2 * GHOST, 1)

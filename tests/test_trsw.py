@@ -272,7 +272,7 @@ def _moving_water(nx, m=0.5, b=1.0, h_far=2.0):
     model = ThermalShallowWater(1, topography=_cos_bump)
     grid = Grid(-1.0, 1.0, nx)
     bc = BoundaryCondition.from_spec("free", 1)
-    geom = line_geometry(model, grid, "x")
+    geom = line_geometry(model, grid, bc, "x")
     fld = Field(grid, model.d)
     level = m * m / h_far + 0.5 * b * h_far ** 2
     h = np.full(nx, h_far)
@@ -303,7 +303,7 @@ def _geostrophic_jet(n, b=1.0, h_far=1.0):
     model = ThermalShallowWater(2, f0=1.0, beta=0.5)
     grid = Grid(0.0, 1.0, 8, -8.0, 8.0, n)
     bc = BoundaryCondition("periodic", "periodic", "free", "free")
-    geom = line_geometry(model, grid, "y")
+    geom = line_geometry(model, grid, bc, "y")
     fld = Field(grid, model.d)
     y = grid.y_centers()[:, None]
     fld.interior[..., 0] = h_far

@@ -43,7 +43,7 @@ def _fingerprint(report):
 def _serial(monkeypatch):
     """Keep driver.run's 2-D runs off the helper."""
     monkeypatch.setattr(driver, "_y_helper",
-                        lambda config: contextlib.nullcontext())
+                        lambda config, geoms: contextlib.nullcontext())
 
 
 def _run_both(monkeypatch, config_of):
@@ -101,6 +101,10 @@ def _stage_fixture(scheme):
     return config, fld
 
 
+def _geom_y(config):
+    return driver.line_geometry(config.model, config.grid, config.bc, "y")
+
+
 def _rhs(config, fld, robust, helper):
     stats = {"slope_drops": 0}
     tendency, sx, sy = driver.spatial_rhs(
@@ -114,12 +118,42 @@ def test_robust_mask_stage_matches_serial():
     config, fld = _stage_fixture("lcd")
     robust = np.random.default_rng(7).random(fld.interior.shape[:2]) < 0.05
     serial = _rhs(config, fld, robust, None)
-    with ysweep.claim(config) as helper:
+    with ysweep.claim(config, _geom_y(config)) as helper:
         assert helper is not None
         assert _rhs(config, fld, robust, helper) == serial
         # the next stage without a mask must not see this one's
         assert _rhs(config, fld, None, helper) == _rhs(config, fld, None,
                                                        None)
+
+
+def test_source_geometry_is_formed_once_per_run_and_direction(monkeypatch,
+                                                              tmp_path):
+    # every call, in whichever process, appends that process's pid
+    log = tmp_path / "calls"
+    log.touch()
+    original = ThermalShallowWater.source_geometry
+
+    def counted(self, geom):
+        with open(log, "a", encoding="ascii") as fh:
+            fh.write("%d\n" % os.getpid())
+        return original(self, geom)
+
+    monkeypatch.setattr(ThermalShallowWater, "source_geometry", counted)
+    monkeypatch.setattr(ysweep, "_helper", None)    # fork one that counts
+    try:
+        report = driver.run(make_config("ex8", nx=20, ny=20, t_final=0.02,
+                                        snapshots=()))
+        assert ysweep._helper.usable()
+    finally:
+        if ysweep._helper is not None:
+            ysweep._helper.close()
+    assert report.steps >= 3
+    assert log.read_text().split() == [str(os.getpid())] * 2
+    log.write_text("")
+    report = driver.run(make_config("ex7", nx=50, t_final=0.03,
+                                    snapshots=()))
+    assert report.steps >= 3
+    assert log.read_text().split() == [str(os.getpid())]
 
 
 def test_x_error_wins_when_both_sweeps_fail():
@@ -131,7 +165,7 @@ def test_x_error_wins_when_both_sweeps_fail():
     fld = Field(grid, model.d)
     fld.interior[...] = conservative_state(1.0, 0.5, -0.2, 1.0, 1.4, 0.0, 2)
     fld.interior[13, 24, 0] = -1.0        # out in both sweeps' lines
-    with ysweep.claim(config) as helper:
+    with ysweep.claim(config, _geom_y(config)) as helper:
         with pytest.raises(AdmissibilityError) as info:
             driver.spatial_rhs(fld, model, config.bc, "pccu", 1.3, 1e-18,
                                helper=helper)
