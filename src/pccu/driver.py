@@ -335,7 +335,7 @@ def run(config):
 
     events = sorted(set(float(s) for s in config.snapshots) | {config.t_final})
     times, states = [], []
-    if events and events[0] == 0.0:
+    if events[0] == 0.0:
         times.append(0.0)
         states.append(fld.interior.copy())
         events = events[1:]

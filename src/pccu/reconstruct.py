@@ -53,7 +53,7 @@ def interface_values(lines, theta):
     lines: (L, n + 2*GHOST, d) cell averages with ghosts filled.
     Returns (pair, half): pair holds U_minus and U_plus, (2, L, n+1, d)
     over interfaces 0..n (see edge_values), and half = (dx/2) * slope for
-    the cells 1..n+2 (used by in-cell path increments).
+    the cells 1..n+2 (for drop_inadmissible_slopes).
     """
     half = limited_half_slopes(lines, theta)
     return edge_values(lines, half), half

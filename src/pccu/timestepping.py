@@ -8,7 +8,8 @@ from .errors import AdmissibilityError, NumericalError, ReconstructionError
 def cfl_dt(speed_x, speed_y, dx, dy, cfl):
     """Time step from the CFL condition.
 
-    dt = cfl / (speed_x/dx + speed_y/dy); pass speed_y = 0, dy = 1 in 1-D.
+    dt = cfl / (speed_x/dx + speed_y/dy); in 1-D dy is None and speed_y
+    is ignored.
     Returns inf when both speeds vanish (caller clips to the next event).
     """
     rate = speed_x / dx + (speed_y / dy if dy is not None else 0.0)

@@ -19,7 +19,7 @@ and geostrophic-type steady states reconstruct exactly.  Recovering h from
 (m, E2, b, R) needs the positive root of psi(h) = m^2/h + b h^2/2 = phi on
 the monotone branch containing the guess (the cell average of h next to
 the interface).  That is a root of a depressed cubic, taken in closed form
-(Viete's trigonometric solution) and polished by one Newton step.
+(Viete's trigonometric solution) with no iteration and no at-rest case.
 """
 
 import numpy as np
@@ -36,54 +36,32 @@ def invert_momentum_flux(m, phi, b, guess):
 
     All inputs broadcast to a common shape.  Times 2h/b this is the cubic
     h^3 - a h + 2 m^2/b = 0 with a = 2 phi/b: Viete's formula gives its
-    upper (subcritical) root, deflation the lower one, and one Newton step
-    polishes either.  Cells with m == 0.0 take h = sqrt(2 phi / b).
+    upper (subcritical) root, deflation the lower one, in one closed-form
+    pass over every value.  At m == 0 (or m^2 underflowing) Viete's root
+    is sqrt(a), the at-rest thickness.
     """
     m, phi, b, guess = np.broadcast_arrays(
         np.asarray(m, float), np.asarray(phi, float),
         np.asarray(b, float), np.asarray(guess, float))
     if np.any(b <= 0.0):
         raise ReconstructionError("non-positive buoyancy at an interface")
-    h = np.array(guess, dtype=np.float64, copy=True)
-
-    # m*m == 0.0 also catches |m| small enough that m^2 underflows; the
-    # kinetic term is then far below any resolvable thickness and the
-    # at-rest closed form is the root of the relevant (upper) branch.
-    still = m * m == 0.0
-    if np.any(still):
-        phi0 = phi[still]
-        if np.any(phi0 <= 0.0):
-            raise ReconstructionError(
-                "no positive thickness root (phi <= 0 at rest)")
-        h[still] = np.sqrt(2.0 * phi0 / b[still])
-
-    moving = ~still
-    if np.any(moving):
-        h[moving] = _moving_root(m, phi, b, guess, moving)
-    return h
-
-
-def _moving_root(m, phi, b, guess, moving):
-    """The root of invert_momentum_flux at the values flagged by moving,
-    gathered flat; its temporaries are freed before the caller scatters
-    it back."""
-    bb = b[moving]
-    ph = phi[moving]
-    m2 = np.square(m[moving])
+    # each chain starts in an array of its own, so a single value (0-d)
+    # continues in place as well
+    m2 = np.square(m, out=np.empty_like(m))
     # h_up = 2 r cos(t), r = sqrt(a/3), cos(3t) = kappa.  kappa^2 is
     # 27 b m^4 / (8 phi^3), so kappa >= -1 is psi_min <= phi; phi <= 0
-    # gives NaN or -inf, which fails it too.
+    # gives NaN or -inf, which fails it too, at rest as well.
     with np.errstate(divide="ignore", invalid="ignore"):
-        a = np.multiply(2.0, ph)
-        a /= bb
-        r = np.divide(a, 3.0)
+        a = np.multiply(2.0, phi, out=np.empty_like(m))
+        a /= b
+        r = np.divide(a, 3.0, out=np.empty_like(m))
         np.sqrt(r, out=r)
-        kappa = np.multiply(-1.5, m2)
-        kappa /= ph
+        kappa = np.multiply(-1.5, m2, out=np.empty_like(m))
+        kappa /= phi
         kappa /= r
     short = ~(kappa >= -1.0)
     if np.any(short):
-        raise _below_critical(m, phi, b, np.flatnonzero(moving)[short])
+        raise _below_critical(m, phi, b, np.flatnonzero(short))
     del short
     # cos(t) via tan(t/2): numpy's float64 tan is vectorised, its cos is not
     # (numpy 2.4 on AVX-512 x86: 67 against 370 us per 23k values).
@@ -91,52 +69,30 @@ def _moving_root(m, phi, b, guess, moving):
     tau /= 6.0
     np.tan(tau, out=tau)
     np.square(tau, out=tau)
-    hh = np.multiply(2.0, r, out=r)
-    hh *= np.subtract(1.0, tau)
-    hh /= np.add(1.0, tau, out=tau)
-    del r, kappa, tau               # dead before the polish, the peak
-    gg = guess[moving]
-    lower = bb * gg * gg * gg < m2              # guess < h_crit
+    h = np.multiply(2.0, r, out=r)
+    h *= np.subtract(1.0, tau)
+    h /= np.add(1.0, tau, out=tau)
+    del r, kappa, tau
+    lower = b * guess * guess * guess < m2              # guess < h_crit
     if np.any(lower):
         # (sqrt(4a - 3 h_up^2) - h_up) / 2 without its cancellation
-        hu = hh[lower]
-        hh[lower] = 4.0 * m2[lower] / bb[lower] / (
+        hu = h[lower]
+        h[lower] = 4.0 * m2[lower] / b[lower] / (
             hu * (hu + np.sqrt(4.0 * a[lower] - 3.0 * hu * hu)))
-    del gg, lower, a
-    # residual of psi(h) - phi at hh, and the Newton step from it
-    res = _residual(hh, m2, bb, ph)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        polished = np.multiply(bb, hh)
-        slope_term = np.multiply(hh, hh)
-        np.divide(m2, slope_term, out=slope_term)
-        polished -= slope_term
-        np.divide(res, polished, out=polished)
-        np.subtract(hh, polished, out=polished)
-        res_polished = _residual(polished, m2, bb, ph, out=slope_term)
-    # psi' ~ 0 next to the double root makes the step noise there: keep
-    # it only where the residual does not grow.
-    np.abs(res_polished, out=res_polished)
-    np.abs(res, out=res)
-    better = res_polished <= res
-    np.copyto(res, res_polished, where=better)
-    res /= ph
-    worst = np.max(res)
-    if worst > RESIDUAL_TOL:
-        raise ReconstructionError(
-            "thickness root inaccurate (relative residual %.3e)" % worst)
-    np.copyto(hh, polished, where=better)
-    return hh
-
-
-def _residual(h, m2, b, phi, out=None):
-    """m^2/h + b h^2/2 - phi, in out if given."""
-    res = np.divide(m2, h, out=out)
+    del lower, a
+    res = np.divide(m2, h, out=m2)                      # psi(h) - phi
     term = np.multiply(0.5, b)
     term *= h
     term *= h
     res += term
     res -= phi
-    return res
+    np.abs(res, out=res)
+    res /= phi
+    worst = np.max(res, initial=0.0)
+    if worst > RESIDUAL_TOL:
+        raise ReconstructionError(
+            "thickness root inaccurate (relative residual %.3e)" % worst)
+    return h
 
 
 def _below_critical(m, phi, b, failed):

@@ -105,11 +105,13 @@ def test_sweep_is_bitwise_blind_to_memory_layout(name, direction, scheme):
 
 @pytest.mark.parametrize("name, nx, ny, scheme, bound", [
     ("ex4", 192, 48, "lcd", 495), ("ex4", 192, 48, "pccu", 480),
-    ("ex8", 80, 80, "pccu", 550), ("ex10", 225, 38, "pccu", 530)])
+    ("ex8", 80, 80, "pccu", 465), ("ex10", 225, 38, "pccu", 460)])
 def test_x_sweep_working_set_per_cell(name, nx, ny, scheme, bound):
     # tracemalloc peak of one x-sweep a few steps in, in bytes per cell:
-    # 451, 436, 502 and 484 with numpy 2.4; each bound leaves about 10%
-    # above its measured peak.  Face states kept
+    # 451, 436, 424 and 419 with numpy 2.4; each bound leaves about 10%
+    # above its measured peak.  ex8 and ex10 read 502 and 484 while the
+    # thickness inversion gathered its moving values apart from those at
+    # rest and polished their root by a Newton step.  Face states kept
     # alive through the flux assembly, or the whole thickness inversion
     # alive at its scatter, read 887, 605 and 867; ex10 read 714 with E's
     # cells, slopes and pair alive through the inversion and a new array

@@ -11,8 +11,9 @@ architecture and the SIMD features numpy dispatches on.  On that build
 every hash must match.  On another one the norms are compared at 1e-12
 relative instead of the hash.
 
-Regenerate with ``python tests/test_golden.py``, and only in a change
-that says in CHANGES.md which entries moved and why.
+Regenerate with ``python tests/test_golden.py``, which prints the legs
+whose entry changed, and only in a change that says in CHANGES.md which
+entries moved and why.
 """
 
 import hashlib
@@ -110,11 +111,17 @@ def test_golden_leg(name, scheme, golden):
 
 
 def main():
+    """Rewrite the golden file and print the legs whose entry changed."""
+    old = (json.loads(GOLDEN.read_text(encoding="utf-8"))["legs"]
+           if GOLDEN.exists() else {})
     legs = {_key(n, s): leg_record(n, s) for n, s in LEGS}
     golden = {"build": build_signature(), "legs": legs}
     GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n",
                       encoding="utf-8")
+    changed = sorted(k for k in legs.keys() | old.keys()
+                     if legs.get(k) != old.get(k))
     print(f"wrote {len(legs)} legs to {GOLDEN}")
+    print("changed: " + (", ".join(changed) if changed else "none"))
 
 
 if __name__ == "__main__":

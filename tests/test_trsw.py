@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from pccu.errors import AdmissibilityError
+from pccu.errors import AdmissibilityError, ReconstructionError
 from pccu.catalog import TOPOGRAPHIES, make_config
 from pccu.globalflux import interleave_cell_halves
 from pccu.grid import GHOST, Grid, BoundaryCondition, Field, fill_ghosts, \
@@ -122,6 +122,46 @@ def test_invert_momentum_flux_at_rest_closed_form():
     h = invert_momentum_flux(np.zeros(1), np.array([2.0]), np.ones(1),
                              np.array([1.5]))
     assert h[0] == pytest.approx(2.0, abs=1e-14)
+    assert invert_momentum_flux(0.0, 2.0, 1.0, 1.5).shape == ()
+
+
+def test_invert_momentum_flux_no_root_at_rest_names_its_value():
+    # phi <= 0 at rest has no positive root; the error indexes the value,
+    # so reconstruct_equilibrium can name its face and line
+    model = ThermalShallowWater(2)
+    e = np.zeros((4, 3, 5, 4))
+    e[..., 1] = 2.0
+    e[..., 2] = 1.0
+    e[1, 2, 3, 1] = -0.5
+    with pytest.raises(ReconstructionError, match="phi=-0.5") as info:
+        model.equilibrium_invert(e, np.zeros((3, 5)), np.ones((4, 3, 5)),
+                                 "x")
+    assert info.value.where == (1, 2, 3)
+
+
+def test_invert_momentum_flux_near_critical_and_extreme_froude(rng):
+    # phi from just above psi_min to 1e12 times it, guesses on either
+    # branch up to 1e6 times off h_crit, |m| from 1e-30 to 1e3, and |m|
+    # small enough that m^2 underflows; the worst relative residual
+    # measured is about 1.1e-15
+    n = 20000
+    m = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-30.0, 3.0, n)
+    b = 10.0 ** rng.uniform(-1.0, 1.0, n)
+    h_crit = np.cbrt(m * m / b)
+    psi_min = 1.5 * b * h_crit * h_crit
+    phi = psi_min * (1.0 + 10.0 ** rng.uniform(-13.0, 12.0, n))
+    guess = h_crit * 10.0 ** rng.uniform(-6.0, 6.0, n)
+    m_tiny = rng.choice([-1.0, 1.0], 1000) * 10.0 ** rng.uniform(
+        -200.0, -162.0, 1000)
+    assert np.any(m_tiny * m_tiny == 0.0)
+    m = np.concatenate([m, m_tiny])
+    b = np.concatenate([b, rng.uniform(0.1, 10.0, 1000)])
+    phi = np.concatenate([phi, rng.uniform(0.1, 10.0, 1000)])
+    guess = np.concatenate([guess, rng.uniform(0.1, 10.0, 1000)])
+    h = invert_momentum_flux(m, phi, b, guess)
+    assert np.all(h > 0.0)
+    residual = np.abs(m * m / h + 0.5 * b * h * h - phi) / phi
+    assert residual.max() <= 1e-14
 
 
 def _away_from_critical(h, m, b, margin=0.15):

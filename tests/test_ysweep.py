@@ -200,7 +200,7 @@ def test_located_abort_through_the_helper(monkeypatch, capsys, tmp_path):
     helped = _ex10_abort(capsys, tmp_path / "helper")
     assert helped == serial
     assert helped[0] == 3
-    assert "at U- of face 10 on line 13 (t=1.94417, stage 2, sweep y)" \
+    assert "at U+ of face 0 on line 13 (t=1.94417, stage 2, sweep y)" \
         in helped[1]
     # the same helper serves the next run, in step
     pid = ysweep._helper.process.pid
