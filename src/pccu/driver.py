@@ -76,9 +76,9 @@ def _face_states(model, lines, geom, theta, stats):
     the pair (U-, U+).  The reconstruction, its slopes and the W chain
     are locals here, so they are freed before the flux is assembled.
     stats["slope_drops"] counts the cells whose slope was zeroed to keep
-    their interface values admissible.
+    their interface values admissible.  An AdmissibilityError leaves
+    when an average is out, for _field_sweep to name its cell.
     """
-    g = GHOST
     direction = geom.direction
     if model.reconstruction == "equilibrium":
         w_center, w_face = interleave_cell_halves(
@@ -95,17 +95,10 @@ def _face_states(model, lines, geom, theta, stats):
             lam = model.eigenvalues(pair, direction)
         except AdmissibilityError:
             # the limited slopes pushed an edge value out of the set:
-            # drop them there, and raise if the averages are out too
+            # drop them there, and raise again if the averages are out too
             pair, half, dropped = drop_inadmissible_slopes(
                 lines, half, model.admissible)
-            try:
-                lam = model.eigenvalues(pair, direction)
-            except AdmissibilityError:  # an average is out: name the first
-                cells = lines[:, g:-g]
-                cells = cells.swapaxes(0, 1) if direction == "y" else cells
-                check_admissible(model, cells[0] if model.dimension == 1
-                                 else cells, "cell average")   # grid order
-                raise
+            lam = model.eigenvalues(pair, direction)
             if stats is not None:
                 stats["slope_drops"] += dropped
         u_minus, u_plus = breve = pair
@@ -179,11 +172,14 @@ def _padded_centers(lo, n, step):
 
 
 def _field_sweep(data, model, geom, scheme, theta, eps0, robust, stats):
-    """_sweep of geometry geom over a ghost-filled field's data; robust, a
-    mask over the interior cells or None, puts the robust flux on the
-    faces of the flagged cells.  Returns (diff, speed); diff is (1, n, d)
-    in 1-D, and in 2-D (ny, nx, d) along x and (nx, ny, d) along y.  An
-    error raised in the sweep leaves with its direction set."""
+    """_sweep of geometry geom over a ghost-filled field's data, and the
+    one map between the field's grid order and the sweep's lines; robust,
+    a mask over the interior cells or None, puts the robust flux on the
+    faces of the flagged cells.  Returns (diff, speed), diff in grid order:
+    (n, d) in 1-D, (ny, nx, d) in 2-D (along y a view of the sweep's
+    (nx, ny, d) result).  An AdmissibilityError first names the first
+    inadmissible cell average, if any; an error raised in the sweep
+    leaves with its direction set."""
     g = GHOST
     if data.ndim == 2:                  # 1-D: one line
         lines, cells = data[None], None if robust is None else robust[None]
@@ -194,10 +190,19 @@ def _field_sweep(data, model, geom, scheme, theta, eps0, robust, stats):
         cells = None if robust is None else robust.T
     faces = None if cells is None else _face_flags(cells, geom.periodic)
     try:
-        return _sweep(model, lines, geom, scheme, theta, eps0, faces, stats)
+        try:
+            diff, speed = _sweep(model, lines, geom, scheme, theta, eps0,
+                                 faces, stats)
+        except AdmissibilityError:      # an average may be out: name it
+            check_admissible(model, data[(slice(g, -g),) * (data.ndim - 1)],
+                             "cell average")
+            raise
     except (AdmissibilityError, ReconstructionError, NumericalError) as exc:
         exc.direction = geom.direction
         raise
+    if data.ndim == 2:
+        return diff[0], speed
+    return diff if geom.direction == "x" else diff.swapaxes(0, 1), speed
 
 
 def spatial_rhs(fld, model, bc, scheme, theta, eps0, robust=None,
@@ -233,12 +238,12 @@ def spatial_rhs(fld, model, bc, scheme, theta, eps0, robust=None,
             helper.wait()
         raise
     if grid.dimension == 1:
-        return -diff_x[0], sx, 0.0
+        return -diff_x, sx, 0.0
     if helper is not None:
         diff_y, sy = helper.finish(stats)
     else:
         diff_y, sy = _field_sweep(fld.data, model, geoms[1], *rest)
-    return -(diff_x + np.swapaxes(diff_y, 0, 1)), sx, sy
+    return -(diff_x + diff_y), sx, sy
 
 
 @dataclass
@@ -334,10 +339,13 @@ def run(config):
     sums0 = fld.interior.reshape(-1, model.d).sum(axis=0) * cellvol
 
     events = sorted(set(float(s) for s in config.snapshots) | {config.t_final})
+    # ssprk3_step returns a new array and never writes into its input,
+    # so every snapshot is the state array itself
+    cur = fld.interior.copy()
     times, states = [], []
     if events[0] == 0.0:
         times.append(0.0)
-        states.append(fld.interior.copy())
+        states.append(cur)
         events = events[1:]
 
     speeds = []
@@ -363,7 +371,6 @@ def run(config):
             speeds.append((sx, sy))
             return tendency
 
-        cur = fld.interior.copy()
         t, steps, dts, speed_max = 0.0, 0, [], 0.0
         t_start = time.perf_counter()
         for target in events:
@@ -393,7 +400,7 @@ def run(config):
                 dts.append(dt)
                 speed_max = max(speed_max, max(max(s) for s in speeds))
             times.append(target)
-            states.append(cur.copy())
+            states.append(cur)
     wall = time.perf_counter() - t_start
 
     sums1 = cur.reshape(-1, model.d).sum(axis=0) * cellvol

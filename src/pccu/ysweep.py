@@ -8,13 +8,14 @@ in the caller.  The helper is forked (``multiprocessing``'s ``fork``
 context, daemon) by the first run that claims it and serves every later
 run of the process.  A run sends its static inputs once, among them the
 LineGeometry of its y-sweep as the caller built it.  The run's
-ghost-filled field, each stage's robust mask and the y-differences live
-in a memory file shared for the run, so no stage copies the field or
-waits for the other process to read an array from a pipe, and the pipe
-carries only wake-ups and replies.  The helper exits when the caller's
-end of the pipe closes, so it does not outlive the process that forked
-it.  driver.run loads this module only for a 2-D run; output finds it
-loaded, and so takes an idle helper, only in a process that ran one.
+ghost-filled field and the y-differences live in a memory file shared
+for the run, so no stage copies the field or waits for the other process
+to read the differences from a pipe; the pipe carries only each stage's
+wake-up, which is its robust mask or None, and the replies.  The helper
+exits when the caller's end of the pipe closes, so it does not outlive
+the process that forked it.  driver.run loads this module only for a 2-D
+run; output finds it loaded, and so takes an idle helper, only in a
+process that ran one.
 """
 
 import contextlib
@@ -42,12 +43,13 @@ class SweepHelper:
 
     setup() sends a run's pickled static inputs (model, grid, y geometry,
     scheme, theta, eps0) and the run's memory file, whose field the run
-    fills as its data.  Each stage, start() copies the robust mask there
-    (and the field, when it is another array) and wakes the helper, which
-    runs the y-sweep; finish() waits for the largest speed and the slope-drop
-    count, with the y-differences in the shared memory, or re-raises the
-    sweep's error.  Between runs, format_block() sends it a block of CSV
-    rows and formatted() gives back their text.
+    fills as its data.  Each stage, start() copies the field there when it
+    is another array and wakes the helper with the stage's robust mask, or
+    None; the helper runs the y-sweep.  finish() waits for the largest
+    speed and the slope-drop count and returns the y-differences, in the
+    shared memory, or re-raises the sweep's error.  Between runs,
+    format_block() sends it a block of CSV rows and formatted() gives back
+    their text.
     """
 
     def __init__(self):
@@ -87,20 +89,21 @@ class SweepHelper:
         return self._shared.data
 
     def start(self, data, robust):
-        self._shared.put(data, robust)
+        if data is not self._shared.data:
+            np.copyto(self._shared.data, data)
         self._pending = True
-        self._talk(self._conn.send, None)
+        self._talk(self._conn.send, robust)
 
     def finish(self, stats):
         """(diff_y, sy) of the stage in flight, adding its slope drops to
-        stats; diff_y is valid until the next start()."""
+        stats; diff_y, in grid order, is valid until the next start()."""
         reply = self.wait()
         if isinstance(reply, Exception):
             raise reply
         speed, drops = reply
         if stats is not None:
             stats["slope_drops"] += drops
-        return np.moveaxis(self._shared.diff, 0, -1), speed
+        return self._shared.diff, speed
 
     def format_block(self, fresh, coord_bits, values):
         """Send a block of CSV rows to format (output._format_block), the
@@ -146,53 +149,40 @@ class SweepHelper:
 
 class _Shared:
     """A run's memory file, mapped: the ghost-filled field data
-    (ny + 2g, nx + 2g, d), the y-differences (d, nx, ny) in the sweep's own
-    component-major layout (so the caller's sums see the same memory order
-    as without the helper), the robust mask (ny, nx) and a flag saying
-    whether the stage has one."""
+    (ny + 2g, nx + 2g, d) and the y-differences, in grid order (ny, nx, d)
+    as a view of (d, nx, ny) memory, the sweep's own component-major
+    layout, so the caller's sums see the same memory order as without the
+    helper."""
 
     def __init__(self, fd, grid, d, create=False):
         shapes = ((grid.ny + 2 * GHOST, grid.nx + 2 * GHOST, d),
                   (d, grid.nx, grid.ny))
         sizes = [8 * math.prod(shape) for shape in shapes]
-        cells = grid.nx * grid.ny
-        total = sum(sizes) + cells + 1
         if create:
-            os.ftruncate(fd, total)
-        buf = mmap.mmap(fd, total)
-        self.data, self.diff = (
+            os.ftruncate(fd, sum(sizes))
+        buf = mmap.mmap(fd, sum(sizes))
+        self.data, diff = (
             np.frombuffer(buf, np.float64, math.prod(shape), offset)
             .reshape(shape)
             for shape, offset in zip(shapes, (0, sizes[0])))
-        self.mask = np.frombuffer(buf, bool, cells, sum(sizes)).reshape(
-            grid.ny, grid.nx)
-        self.flag = np.frombuffer(buf, bool, 1, sum(sizes) + cells)
-
-    def put(self, data, robust):
-        if data is not self.data:
-            np.copyto(self.data, data)
-        self.flag[0] = robust is not None
-        if robust is not None:
-            np.copyto(self.mask, robust)
-
-    def robust(self):
-        return self.mask if self.flag[0] else None
+        self.diff = diff.transpose(2, 1, 0)
 
 
 def _serve(conn, caller_end):
     """The helper's loop, until the caller's end closes.  Three messages:
     ("run", static inputs) with the run's memory file, the inputs holding
-    the y geometry the caller built; None, a stage's wake-up, answered
-    with the largest speed and slope-drop count; ("csv", fresh, coordinate
-    bits, values), a block of rows answered with its text.  An error is
-    sent back in place of the answer."""
+    the y geometry the caller built; a stage's wake-up, its robust mask or
+    None, answered with the largest speed and slope-drop count; ("csv",
+    fresh, coordinate bits, values), a block of rows answered with its
+    text.  An error is sent back in place of the answer."""
     caller_end.close()
     signal.signal(signal.SIGINT, signal.SIG_IGN)   # the caller handles ^C
     with conn:
         try:
             while True:
                 message = conn.recv()
-                if message is not None and message[0] == "run":
+                stage = not isinstance(message, tuple)
+                if not stage and message[0] == "run":
                     _, model, grid, *rest = message
                     fd = recv_handle(conn)
                     shared = _Shared(fd, grid, model.d)
@@ -200,11 +190,11 @@ def _serve(conn, caller_end):
                     static = (model, *rest)
                     continue
                 try:
-                    if message is None:
+                    if stage:
                         stats = {"slope_drops": 0}
                         diff, speed = _field_sweep(shared.data, *static,
-                                                   shared.robust(), stats)
-                        np.copyto(shared.diff, np.moveaxis(diff, -1, 0))
+                                                   message, stats)
+                        np.copyto(shared.diff, diff)
                         reply = (speed, stats["slope_drops"])
                     else:
                         _, fresh, *block = message

@@ -5,6 +5,7 @@ line next to the measured numbers and enforces the stated tolerance and,
 where bounded, the runtime.
 """
 
+import json
 import time
 
 import numpy as np
@@ -25,6 +26,7 @@ from pccu.catalog import make_config
 from conftest import random_multifluid_states, random_trsw_states, \
     acoustic_pair_checks, dense_eigensystem, expand_fields, \
     extremal_weights, face_vectors, quasilinear_matrix
+from test_golden import GOLDEN, REFERENCE
 
 EPS0 = 1e-18
 
@@ -273,9 +275,14 @@ def test_criterion_06_second_order_beyond_1d_multifluid(case, scheme):
 # ---- 7. sharper resolution of the characteristic variant ----------------------------------
 
 def test_criterion_07_lcd_resolves_no_worse():
+    """L1 density error of ex1 at nx=300 against the reference, ex1 at
+    nx=3000 under pccu averaged onto the same cells.  The reference is
+    stored in tests/golden.json (test_golden.REFERENCE); the ex1/pccu
+    golden hash guards it: a scheme change fails that hash, and
+    ``python tests/test_golden.py`` refreshes both."""
     t0 = time.perf_counter()
-    ref = run(make_config("ex1", nx=3000, snapshots=())).states[-1][:, 0]
-    ref_coarse = ref.reshape(300, 10).mean(axis=1)
+    ref_coarse = np.array(json.loads(GOLDEN.read_text(encoding="utf-8"))
+                          [REFERENCE])
     errs = {}
     for scheme in ("pccu", "lcd"):
         rho = run(make_config("ex1", scheme=scheme,

@@ -153,6 +153,46 @@ def test_inadmissible_average_names_its_sweep():
     assert str(fld.interior[3, 4].tolist()) in str(info.value)
 
 
+@pytest.mark.parametrize("scheme", ["pccu", "lcd"])
+def test_trsw_inadmissible_average_names_its_cell(scheme):
+    # h = -1 with b = hb / h = 1 passes the equilibrium inversion and fails
+    # the wave speeds; the abort names the average, not only the speeds
+    config = make_config("ex8", scheme=scheme, nx=10, ny=10, snapshots=())
+    fld = init_from_function(config.grid, config.model.d, config.ic)
+    fld.interior[3, 4] = [-1.0, 0.0, 0.0, -1.0]
+    with pytest.raises(AdmissibilityError) as info:
+        spatial_rhs(fld, config.model, config.bc, scheme, config.theta,
+                    config.eps0)
+    assert info.value.direction == "x" and info.value.where == (3, 4)
+    assert str(fld.interior[3, 4].tolist()) in str(info.value)
+
+
+@pytest.mark.parametrize("scheme", ["pccu", "lcd"])
+@pytest.mark.parametrize("name, nx, ny", [
+    ("ex1", 300, None), ("ex4", 24, 12), ("ex10", 40, 10)])
+def test_field_sweep_returns_grid_order(name, nx, ny, scheme):
+    # the differences come back shaped like the interior in every
+    # direction; along y as a swapped view of the sweep's own result
+    grid_size = dict(nx=nx) if ny is None else dict(nx=nx, ny=ny)
+    config = make_config(name, scheme=scheme, snapshots=(), **grid_size)
+    model, grid = config.model, config.grid
+    fld = init_from_function(grid, model.d, config.ic)
+    fill_ghosts(fld, config.bc, model)
+    for direction in "xy"[:grid.dimension]:
+        geom = line_geometry(model, grid, config.bc, direction)
+        diff, speed = driver._field_sweep(fld.data, model, geom, scheme,
+                                          config.theta, config.eps0, None,
+                                          None)
+        assert diff.shape == fld.interior.shape
+    if grid.dimension == 2:             # diff and geom are the y-sweep's
+        lines = np.swapaxes(fld.data[:, GHOST:-GHOST], 0, 1)
+        want, want_speed = _sweep(model, lines, geom, scheme, config.theta,
+                                  config.eps0)
+        want = np.swapaxes(want, 0, 1)
+        assert diff.strides == want.strides
+        assert diff.tobytes() == want.tobytes() and speed == want_speed
+
+
 def _counted(calls, key, fn):
     def wrapper(*args, **kwargs):
         calls[key] += 1
@@ -323,6 +363,20 @@ def test_run_lands_snapshots_exactly():
     report = run(config)
     assert report.times == [0.0, 0.01, 0.02]
     assert len(report.states) == 3
+
+
+def test_snapshots_share_no_memory_and_match_runs_that_stop_there():
+    # each snapshot is the stepped array itself, so no later step may
+    # write into an earlier one
+    snapshots = (0.0, 0.005, 0.01)
+    report = run(make_config("ex6", t_final=0.02, snapshots=snapshots))
+    states = report.states
+    assert len(states) == 4
+    assert not any(np.shares_memory(a, b)
+                   for i, a in enumerate(states) for b in states[i + 1:])
+    for k, t in enumerate(report.times):
+        alone = run(make_config("ex6", t_final=t, snapshots=snapshots[:k]))
+        assert alone.states[-1].tobytes() == states[k].tobytes()
 
 
 def test_run_is_deterministic():

@@ -11,9 +11,15 @@ architecture and the SIMD features numpy dispatches on.  On that build
 every hash must match.  On another one the norms are compared at 1e-12
 relative instead of the hash.
 
+Under REFERENCE the file also stores criterion 7's reference
+(test_acceptance.py): ex1 at nx=3000 under pccu, its final density
+averaged onto the nx=300 cells, at full precision.  The ex1/pccu hash
+guards it: a scheme change fails that hash, and the one regeneration
+refreshes both.
+
 Regenerate with ``python tests/test_golden.py``, which prints the legs
-whose entry changed, and only in a change that says in CHANGES.md which
-entries moved and why.
+whose entry changed and whether the reference moved, and only in a
+change that says in CHANGES.md which entries moved and why.
 """
 
 import hashlib
@@ -35,6 +41,7 @@ GOLDEN = Path(__file__).with_name("golden.json")
 SCHEMES = ("pccu", "lcd")
 NORM_RTOL = 1e-12
 GRID_2D = 32
+REFERENCE = "ex1_nx3000_density_means_300"
 
 # Final times: a few steps each.  ex2 runs 65 steps, into the shock-bubble
 # interaction; neither scheme needs a repair there (the lcd repairs are
@@ -70,6 +77,12 @@ def leg_record(name, scheme):
         "echo_sha256": _sha256(json.dumps(config.echo, sort_keys=True)
                                .encode("utf-8")),
     }
+
+
+def reference_means():
+    """Criterion 7's reference, computed by the code under test."""
+    ref = run(make_config("ex1", nx=3000, snapshots=())).states[-1][:, 0]
+    return [float(v) for v in ref.reshape(300, 10).mean(axis=1)]
 
 
 def build_signature():
@@ -111,17 +124,21 @@ def test_golden_leg(name, scheme, golden):
 
 
 def main():
-    """Rewrite the golden file and print the legs whose entry changed."""
-    old = (json.loads(GOLDEN.read_text(encoding="utf-8"))["legs"]
-           if GOLDEN.exists() else {})
+    """Rewrite the golden file and print the legs whose entry changed and
+    whether the reference moved."""
+    old = (json.loads(GOLDEN.read_text(encoding="utf-8"))
+           if GOLDEN.exists() else {"legs": {}})
     legs = {_key(n, s): leg_record(n, s) for n, s in LEGS}
-    golden = {"build": build_signature(), "legs": legs}
+    golden = {"build": build_signature(), "legs": legs,
+              REFERENCE: reference_means()}
     GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n",
                       encoding="utf-8")
-    changed = sorted(k for k in legs.keys() | old.keys()
-                     if legs.get(k) != old.get(k))
+    changed = sorted(k for k in legs.keys() | old["legs"].keys()
+                     if legs.get(k) != old["legs"].get(k))
     print(f"wrote {len(legs)} legs to {GOLDEN}")
     print("changed: " + (", ".join(changed) if changed else "none"))
+    moved = golden[REFERENCE] != old.get(REFERENCE)
+    print("reference: " + ("moved" if moved else "unchanged"))
 
 
 if __name__ == "__main__":

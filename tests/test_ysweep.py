@@ -177,6 +177,30 @@ def test_x_error_wins_when_both_sweeps_fail():
     assert good == _rhs(config, fld, None, None)
 
 
+@pytest.mark.parametrize("scheme", ["pccu", "lcd"])
+def test_trsw_inadmissible_average_through_the_helper(scheme):
+    # h = -1 with b = hb / h = 1 fails both sweeps' wave speeds; the
+    # helper's error names the same cell as the serial one, and the x
+    # one wins
+    config = make_config("ex8", scheme=scheme, nx=10, ny=10, snapshots=())
+    fld = Field(config.grid, config.model.d)
+    fld.interior[...] = driver.init_from_function(
+        config.grid, config.model.d, config.ic).interior
+    fld.interior[3, 4] = [-1.0, 0.0, 0.0, -1.0]
+    errors = []
+    with ysweep.claim(config, _geom_y(config)) as helper:
+        assert helper is not None
+        for used in (None, helper):
+            with pytest.raises(AdmissibilityError) as info:
+                _rhs(config, fld, None, used)
+            errors.append((str(info.value), info.value.where,
+                           info.value.direction))
+        assert helper.usable()
+    assert errors[0] == errors[1]
+    assert errors[0][1:] == ((3, 4), "x")
+    assert str(fld.interior[3, 4].tolist()) in errors[0][0]
+
+
 def test_located_errors_pickle_with_their_location():
     exc = ReconstructionError("no root", t=1.5, stage=2, where=(3, 4),
                               direction="y")
