@@ -3,7 +3,10 @@
 The spatial operator runs dimension-by-dimension on "stacked lines": in 2-D
 the x-sweep sees the field as (ny, nx + 2g, d) and the y-sweep as the
 transposed (nx, ny + 2g, d), so both reuse the same 1-D kernel.  Interface
-f = 0..n of a line sits between padded cells f+1 and f+2.
+f = 0..n of a line sits between padded cells f+1 and f+2.  A sweep keeps
+these logical shapes but lays its arrays out as (component, face, line) in
+memory (grid.sweep_empty), so a slice along the faces is one contiguous
+block per component however short the lines are.
 
 The two sweeps of a 2-D stage read the same ghost-filled averages and
 write separate differences, so a 2-D run hands each stage's y-sweep to
@@ -24,7 +27,7 @@ import numpy as np
 from .errors import ConfigError, AdmissibilityError, NumericalError, \
     ReconstructionError, check_admissible
 from .grid import GHOST, Grid, Field, BoundaryCondition, fill_ghosts, \
-    init_from_function
+    init_from_function, sweep_empty
 from .reconstruct import interface_values, reconstruct_equilibrium, \
     drop_inadmissible_slopes
 from .fluxes import local_speeds, split_weights, characteristic_flux, \
@@ -69,7 +72,8 @@ def line_geometry(model, grid, bc, direction):
 
 
 def _face_states(model, lines, geom, theta, stats):
-    """Face data of component-major stacked lines for the flux assembly.
+    """Face data of stacked lines, in the sweep's layout, for the flux
+    assembly.
 
     Returns (k, du, lam): k stacks K- and K+ = F - W at faces 0..n as one
     (2, L, n+1, d) array, du = Ŭ+ - Ŭ- and lam is model.eigenvalues of
@@ -125,13 +129,16 @@ def _sweep(model, lines, geom, scheme, theta, eps0, robust=None, stats=None):
     robust, an (L, n+1) face mask, puts the central-upwind flux on those
     faces under lcd.  stats as for _face_states.
 
-    The lines are copied component-major once, and ufunc outputs keep
-    their inputs' memory order, so every array derived from them runs
-    contiguously along the lines; the logical shapes stay (..., d).  The
-    face states come first (_face_states), then the flux is assembled
-    from them; the speeds go as soon as the weights exist.
+    The lines are copied once into the sweep's layout, (component, face,
+    line) in memory (grid.sweep_empty), and ufunc outputs keep their
+    inputs' memory order, so every array derived from them has each
+    component as one block of faces with the lines innermost; the logical
+    shapes stay (..., L, n, d).  The face states come first
+    (_face_states), then the flux is assembled from them; the speeds go
+    as soon as the weights exist.
     """
-    lines = np.ascontiguousarray(lines.transpose(2, 0, 1)).transpose(1, 2, 0)
+    lines, source = sweep_empty((), lines.shape), lines
+    lines[...] = source
     g = GHOST
     (k_minus, k_plus), du, lam = _face_states(model, lines, geom, theta,
                                               stats)
@@ -177,7 +184,8 @@ def _field_sweep(data, model, geom, scheme, theta, eps0, robust, stats):
     a mask over the interior cells or None, puts the robust flux on the
     faces of the flagged cells.  Returns (diff, speed), diff in grid order:
     (n, d) in 1-D, (ny, nx, d) in 2-D (along y a view of the sweep's
-    (nx, ny, d) result).  An AdmissibilityError first names the first
+    (nx, ny, d) result, which lies in memory as (d, ny, nx)).  An
+    AdmissibilityError or ReconstructionError first names the first
     inadmissible cell average, if any; an error raised in the sweep
     leaves with its direction set."""
     g = GHOST
@@ -193,7 +201,8 @@ def _field_sweep(data, model, geom, scheme, theta, eps0, robust, stats):
         try:
             diff, speed = _sweep(model, lines, geom, scheme, theta, eps0,
                                  faces, stats)
-        except AdmissibilityError:      # an average may be out: name it
+        except (AdmissibilityError, ReconstructionError):
+            # an average may be out: name it
             check_admissible(model, data[(slice(g, -g),) * (data.ndim - 1)],
                              "cell average")
             raise

@@ -6,6 +6,8 @@ L independent sweep lines, nf interfaces per line, d components.
 
 import numpy as np
 
+from .grid import sweep_empty
+
 # A field's fan counts as open when it is wider than SPLIT_TAU times the
 # face's extremal fan (and than eps0): round-off in a speed at rest must not
 # flip a field from the fallback to its one-sided weights.
@@ -14,9 +16,11 @@ SPLIT_TAU = 1e-12
 
 def ordered_speeds(w, s):
     """The distinct speeds (w - s, w, w + s) of a model's fan over a new
-    last axis, outermost in memory like the sweep's components; w and s
-    have the same shape, any number of axes."""
-    lam = np.empty((3,) + np.shape(w)).transpose(*range(1, np.ndim(w) + 1), 0)
+    last axis, laid out like the sweep's components (grid.sweep_empty,
+    with w's last two axes as lines and faces); w and s have the same
+    shape, with any number of axes (none for a single state)."""
+    shape = np.shape(w)
+    lam = sweep_empty(shape[:-2], shape[-2:] + (3,))
     np.subtract(w, s, out=lam[..., 0])
     lam[..., 1] = w
     np.add(w, s, out=lam[..., 2])
@@ -119,7 +123,7 @@ def characteristic_flux(vectors, p, m, q, k_minus, k_plus, du):
     if mid == 0:
         return flux
     (left, right, shared), columns = vectors
-    work = np.empty((4 + len(shared),) + flux.shape[:-1])
+    work = sweep_empty((4 + len(shared),), flux.shape[:-1])
     amps, (proj, scratch), shared_terms = work[:2], work[2:4], work[4:]
     for n, (weights, values) in enumerate(((p, k_minus), (m, k_plus),
                                            (q, du))):

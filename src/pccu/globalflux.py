@@ -24,13 +24,15 @@ Two accumulation modes are provided:
 
 import numpy as np
 
+from .grid import sweep_empty
+
 
 def _chain(first, second):
     """Running sums along axis 1 of first[0], second[0], first[1], ...,
-    taken in order in a component-major buffer."""
+    taken in order in a buffer in the sweep's layout (grid.sweep_empty),
+    so each line's sums run along the faces of one block per row."""
     nl, nf, k = first.shape
-    inc = np.empty((k, nl, nf + second.shape[1]),
-                   dtype=first.dtype).transpose(1, 2, 0)
+    inc = sweep_empty((), (nl, nf + second.shape[1], k))
     inc[:, 0::2, :] = first
     inc[:, 1::2, :] = second
     return np.cumsum(inc, axis=1)
@@ -57,7 +59,7 @@ def interleave_jumps_cells(jump, cell):
     cell: (L, n, k) in-cell contribution of interior cells (padded cells
     2..n+1, each sitting between two of the interfaces); k counts the
     model's nonconservative rows.  Returns (w_minus, w_plus), both
-    (L, n+1, k) and component-major like the sweep's arrays: the values
+    (L, n+1, k) and in the sweep's layout (grid.sweep_empty): the values
     immediately left and right of each interface, with w_minus = 0 at
     interface 0.
     """

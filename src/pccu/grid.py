@@ -3,6 +3,7 @@
 Storage convention: 1-D fields are (nx + 2*GHOST, d) arrays; 2-D fields are
 (ny + 2*GHOST, nx + 2*GHOST, d), row-major over (k, j) with the component
 axis innermost.  Interior cell (j, k) lives at data[k + GHOST, j + GHOST].
+A sweep copies its lines out of a field into its own layout (sweep_empty).
 """
 
 import numpy as np
@@ -15,6 +16,18 @@ GHOST = 2
 
 BC_KINDS = ("free", "solid_wall", "periodic")
 _SIDES = ("left", "right", "bottom", "top")    # x-sides, then y-sides
+
+
+def sweep_empty(lead, tail):
+    """An empty array of shape lead + tail whose tail axes lie in memory in
+    reverse order: the layout a sweep keeps its (..., L, n, d) and
+    (..., L, n) arrays in.  Each component is then one block of faces with
+    the lines innermost, so a slice along the faces is one contiguous run
+    per component; ufunc outputs keep their inputs' memory order, so
+    every array derived from such an array keeps the layout."""
+    out = np.empty(tuple(lead) + tuple(tail)[::-1])
+    k = len(lead)
+    return out.transpose(*range(k), *range(out.ndim - 1, k - 1, -1))
 
 
 class Grid:

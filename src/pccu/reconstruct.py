@@ -9,7 +9,7 @@ faces covered.
 import numpy as np
 
 from .errors import ReconstructionError
-from .grid import GHOST
+from .grid import GHOST, sweep_empty
 
 
 def _minmod3(a, b, c):
@@ -61,16 +61,16 @@ def interface_values(lines, theta):
 
 def edge_values(lines, half, out=None):
     """(U_minus, U_plus) at interfaces 0..n from averages and half slopes,
-    as one (2, L, n+1, d) array, component-major like the lines; out, if
-    given, is that array.
+    as one (2, L, n+1, d) array in the sweep's layout (grid.sweep_empty:
+    each side (component, face, line) in memory); out, if given, is that
+    array.
 
     half covers the padded cells 1..n+2.  U_minus at interface f is the
     right edge of padded cell f+1 (half index f) and U_plus the left edge
     of padded cell f+2 (half index f+1).
     """
     nl, cells, d = half.shape
-    pair = (np.empty((2, d, nl, cells - 1)).transpose(0, 2, 3, 1)
-            if out is None else out)
+    pair = sweep_empty((2,), (nl, cells - 1, d)) if out is None else out
     np.add(lines[:, GHOST - 1:-GHOST, :], half[:, :-1, :], out=pair[0])
     np.subtract(lines[:, GHOST:-GHOST + 1, :], half[:, 1:, :], out=pair[1])
     return pair
@@ -113,7 +113,7 @@ def reconstruct_equilibrium(lines, model, direction, theta, r_center, r_face):
     e_cells = model.equilibrium_values(lines, r_center, direction)
     half = limited_half_slopes(e_cells, theta)
     nl, faces = half.shape[0], half.shape[1] - 1
-    targets = np.empty((4, e_cells.shape[-1], nl, faces)).transpose(0, 2, 3, 1)
+    targets = sweep_empty((4,), (nl, faces, e_cells.shape[-1]))
     edge_values(e_cells, half, out=targets[:2])
     del e_cells, half
     targets[2:] = targets[:2]
@@ -122,7 +122,7 @@ def reconstruct_equilibrium(lines, model, direction, theta, r_center, r_face):
     buoyancy *= 0.5
     targets[3, ..., 2] = buoyancy
 
-    guesses = np.empty((4, nl, faces))
+    guesses = sweep_empty((4,), (nl, faces))
     guesses[0] = lines[:, GHOST - 1:-GHOST, 0]
     guesses[1] = lines[:, GHOST:-GHOST + 1, 0]
     shared = np.add(guesses[0], guesses[1], out=guesses[2])

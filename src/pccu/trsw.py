@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import AdmissibilityError, ReconstructionError, check_admissible
 from .fluxes import face_mean, ordered_speeds
+from .grid import sweep_empty
 
 H_MIN = 1e-10
 RESIDUAL_TOL = 1e-12
@@ -80,16 +81,19 @@ def invert_momentum_flux(m, phi, b, guess):
         h[lower] = 4.0 * m2[lower] / b[lower] / (
             hu * (hu + np.sqrt(4.0 * a[lower] - 3.0 * hu * hu)))
     del lower, a
-    res = np.divide(m2, h, out=m2)                      # psi(h) - phi
-    term = np.multiply(0.5, b)
-    term *= h
-    term *= h
-    res += term
-    res -= phi
-    np.abs(res, out=res)
-    res /= phi
+    # a negative guess at m == 0 (an inadmissible average) takes the lower
+    # root h = 0, whose residual is 0/0: a NaN fails the check as well
+    with np.errstate(divide="ignore", invalid="ignore"):
+        res = np.divide(m2, h, out=m2)                  # psi(h) - phi
+        term = np.multiply(0.5, b)
+        term *= h
+        term *= h
+        res += term
+        res -= phi
+        np.abs(res, out=res)
+        res /= phi
     worst = np.max(res, initial=0.0)
-    if worst > RESIDUAL_TOL:
+    if not worst <= RESIDUAL_TOL:
         raise ReconstructionError(
             "thickness root inaccurate (relative residual %.3e)" % worst)
     return h
@@ -265,6 +269,9 @@ class ThermalShallowWater:
                 z_c = self.topography(t[:, None], c[None, :])
             dz = 0.5 * np.diff(z_c, axis=-1)
             dz = np.concatenate([dz[..., :1], dz, dz[..., -1:]], axis=-1)
+            # the lines innermost, as the sweep lays out the averages it
+            # multiplies (grid.sweep_empty)
+            dz = np.asfortranarray(dz)
         if self.f0 != 0.0 or self.beta != 0.0:
             if geom.direction == "x":
                 # +f h v: subtracting -f adds f exactly
@@ -286,11 +293,14 @@ class ThermalShallowWater:
         rest is exact.  Coriolis: along x the momentum source is +f(y) h v
         with f constant on the line; along y it is -f(y) h u integrated exactly
         for affine f (midpoint rule per half cell).  Returns (half_left,
-        half_right) on the momentum row along the sweep: (L, n + 2g, 1).
+        half_right) on the momentum row along the sweep: (L, n + 2g, 1),
+        in the sweep's layout (grid.sweep_empty).
         """
         it = self._indices(geom.direction)[1]
         dz, f_lo, f_hi = geom.sources
-        half_l, half_r = np.zeros((2,) + lines.shape[:-1] + (1,))
+        half = sweep_empty((2,), lines.shape[:-1] + (1,))
+        half[...] = 0.0
+        half_l, half_r = half
         if dz is not None:
             hb = lines[..., 3]
             half_l[..., 0] -= hb * dz[..., :-1]

@@ -150,13 +150,14 @@ class SweepHelper:
 class _Shared:
     """A run's memory file, mapped: the ghost-filled field data
     (ny + 2g, nx + 2g, d) and the y-differences, in grid order (ny, nx, d)
-    as a view of (d, nx, ny) memory, the sweep's own component-major
-    layout, so the caller's sums see the same memory order as without the
-    helper."""
+    as a view of (d, ny, nx) memory, the memory order of the y-sweep's own
+    result (component, face, line), so the copy into it is one block per
+    component and the caller's sums see the same memory order as without
+    the helper."""
 
     def __init__(self, fd, grid, d, create=False):
         shapes = ((grid.ny + 2 * GHOST, grid.nx + 2 * GHOST, d),
-                  (d, grid.nx, grid.ny))
+                  (d, grid.ny, grid.nx))
         sizes = [8 * math.prod(shape) for shape in shapes]
         if create:
             os.ftruncate(fd, sum(sizes))
@@ -165,7 +166,7 @@ class _Shared:
             np.frombuffer(buf, np.float64, math.prod(shape), offset)
             .reshape(shape)
             for shape, offset in zip(shapes, (0, sizes[0])))
-        self.diff = diff.transpose(2, 1, 0)
+        self.diff = diff.transpose(1, 2, 0)
 
 
 def _serve(conn, caller_end):

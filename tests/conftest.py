@@ -286,12 +286,12 @@ def expand_fields(speeds, d):
                           + [speeds[..., 2:]], axis=-1)
 
 
-def catalog_lines(name, direction):
+def catalog_lines(name, direction, nx=20, ny=20):
     """(model, lines, geom) of one sweep of a catalog example's initial
-    data on a small grid, the lines viewed as spatial_rhs hands them on
-    and geom as a run builds it."""
-    grid_size = {} if EXAMPLES[name]["dimension"] == 1 else dict(nx=20,
-                                                                 ny=20)
+    data, in 2-D on an nx by ny grid, the lines viewed as spatial_rhs
+    hands them on and geom as a run builds it."""
+    grid_size = {} if EXAMPLES[name]["dimension"] == 1 else dict(nx=nx,
+                                                                 ny=ny)
     config = make_config(name, **grid_size)
     model, grid = config.model, config.grid
     fld = init_from_function(grid, model.d, config.ic)

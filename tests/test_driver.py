@@ -87,7 +87,7 @@ def test_scalar_variants_coincide(scalar_model):
 @pytest.mark.parametrize("name, direction", [
     ("ex1", "x"), ("ex4", "x"), ("ex4", "y"), ("ex8", "x"), ("ex8", "y")])
 def test_sweep_is_bitwise_blind_to_memory_layout(name, direction, scheme):
-    # _sweep copies its lines component-major, so C-order lines, a
+    # _sweep copies its lines into its own layout, so C-order lines, a
     # swapped view of them and a Fortran-order copy give the same bytes
     model, lines, geom = catalog_lines(name, direction)
     c_order = np.ascontiguousarray(lines)
@@ -155,8 +155,8 @@ def test_inadmissible_average_names_its_sweep():
 
 @pytest.mark.parametrize("scheme", ["pccu", "lcd"])
 def test_trsw_inadmissible_average_names_its_cell(scheme):
-    # h = -1 with b = hb / h = 1 passes the equilibrium inversion and fails
-    # the wave speeds; the abort names the average, not only the speeds
+    # h = -1 with b = hb / h = 1 fails the thickness inversion (the lower
+    # root h = 0 at rest); the abort names the average, not the root
     config = make_config("ex8", scheme=scheme, nx=10, ny=10, snapshots=())
     fld = init_from_function(config.grid, config.model.d, config.ic)
     fld.interior[3, 4] = [-1.0, 0.0, 0.0, -1.0]

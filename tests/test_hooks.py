@@ -1,7 +1,7 @@
 """The face hooks act elementwise over any leading axes.
 
 The sweep evaluates model.eigenvalues and model.flux once on the stacked
-(U-, U+) pair, (2, L, n+1, d) and component-major, instead of once per
+(U-, U+) pair, (2, L, n+1, d) in the sweep's layout, instead of once per
 side; that is bitwise equal only while every hook treats each state on
 its own.
 """
@@ -9,6 +9,7 @@ its own.
 import numpy as np
 import pytest
 
+from pccu.grid import sweep_empty
 from pccu.multifluid import Multifluid
 from pccu.trsw import ThermalShallowWater
 from conftest import random_multifluid_states, random_trsw_states
@@ -26,11 +27,12 @@ def _model_and_states(rng, name, n):
     return ThermalShallowWater(dimension), random_trsw_states(rng, n)
 
 
-def _component_major(states):
-    """states (..., d) copied with the last axis outermost in memory."""
-    axes = (states.ndim - 1,) + tuple(range(states.ndim - 1))
-    back = tuple(range(1, states.ndim)) + (0,)
-    return np.ascontiguousarray(states.transpose(axes)).transpose(back)
+def _component_major(pair):
+    """A (2, L, n, d) pair copied into the sweep's layout: each side
+    (component, face, line) in memory."""
+    out = sweep_empty(pair.shape[:1], pair.shape[1:])
+    out[...] = pair
+    return out
 
 
 @pytest.mark.parametrize("layout", ["component-major", "C"])

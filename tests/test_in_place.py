@@ -1,10 +1,12 @@
 """The sweep's layers compute in place only in arrays they form themselves.
 
 Every kernel runs here on read-only inputs, so a write into an input
-raises; and the arrays the sweep hands from layer to layer stay
-component-major (the last axis outermost in memory), which the in-place
-steps must not lose: a C-order result is bitwise equal but makes every
-later pass stride across the components.
+raises; and the arrays the sweep hands from layer to layer stay in the
+sweep's layout, (component, face, line) in memory (grid.sweep_empty),
+which the in-place steps must not lose: a C-order result is bitwise
+equal but makes every later pass stride across the components, and a
+(component, line, face) one runs a slice along the faces as one short
+row per line.
 """
 
 import numpy as np
@@ -15,7 +17,7 @@ from pccu.driver import _face_states, _sweep, spatial_rhs
 from pccu.fluxes import central_upwind_flux, characteristic_flux, \
     local_speeds, split_weights
 from pccu.globalflux import interleave_cell_halves, interleave_jumps_cells
-from pccu.grid import GHOST, Field, init_from_function
+from pccu.grid import GHOST, Field, init_from_function, sweep_empty
 from pccu.reconstruct import interface_values, limited_half_slopes, \
     reconstruct_equilibrium
 from pccu.timestepping import finite_stage_check, ssprk3_step
@@ -50,12 +52,13 @@ def _call(fn, *args):
     return fn(*_frozen(args))
 
 
-def _sweep_lines(name, direction):
-    """(model, lines, geom) as _sweep sees them: the lines copied
-    component-major.  The trsw lines get a uniform discharge along the
+def _sweep_lines(name, direction, nx=20, ny=20):
+    """(model, lines, geom) as _sweep sees them: the lines copied into the
+    sweep's layout.  The trsw lines get a uniform discharge along the
     sweep, so the moving-water root runs."""
-    model, lines, geom = catalog_lines(name, direction)
-    lines = np.ascontiguousarray(lines.transpose(2, 0, 1)).transpose(1, 2, 0)
+    model, source, geom = catalog_lines(name, direction, nx, ny)
+    lines = sweep_empty((), source.shape)
+    lines[...] = source
     if model.reconstruction == "equilibrium":
         lines[..., model.momentum_index(direction)] += 0.05 * lines[..., 0]
     return model, lines, geom
@@ -133,22 +136,26 @@ def test_stage_update_leaves_its_inputs_untouched(name, nx, ny, scheme):
     assert np.any(got != u)
 
 
-def _component_major(a):
-    """Whether a (..., d) array has its last axis outermost in memory."""
-    return np.moveaxis(a, -1, 0).flags.c_contiguous
+def _lines_innermost(a):
+    """Whether a (..., L, n, d) array lies in memory as (..., d, n, L):
+    component-major, each component one block of faces, lines innermost."""
+    return a.swapaxes(-1, -3).flags.c_contiguous
 
 
-@pytest.mark.parametrize("name, direction", [
-    ("ex1", "x"), ("ex4", "x"), ("ex4", "y"), ("ex7", "x"), ("ex8", "x"),
-    ("ex8", "y")])
+@pytest.mark.parametrize("name, direction, nx, ny", [
+    ("ex1", "x", None, None), ("ex4", "x", 20, 20), ("ex4", "y", 20, 20),
+    ("ex7", "x", None, None), ("ex8", "x", 20, 20), ("ex8", "y", 20, 20),
+    ("ex10", "y", 150, 38)],
+    ids=["ex1-x", "ex4-x", "ex4-y", "ex7-x", "ex8-x", "ex8-y",
+         "ex10-y-150-short-lines"])
 @pytest.mark.parametrize("scheme", ["pccu", "lcd"])
-def test_sweep_layers_stay_component_major(name, direction, scheme):
-    model, lines, geom = _sweep_lines(name, direction)
-    assert _component_major(limited_half_slopes(lines, THETA))
+def test_sweep_layers_stay_component_major(name, direction, nx, ny, scheme):
+    model, lines, geom = _sweep_lines(name, direction, nx, ny)
+    assert _lines_innermost(limited_half_slopes(lines, THETA))
     k, du, lam = _face_states(model, lines, geom, THETA, None)
-    # each side's K is component-major; the speeds of both sides share
-    # one buffer whose speed axis is outermost
-    for a in (k[0], k[1], du, lam):
-        assert _component_major(a)
+    # each side's K and speeds lie as (component, face, line), the
+    # distinct speeds taking the place of the components
+    for a in (k[0], k[1], du, lam[0], lam[1]):
+        assert _lines_innermost(a)
     diff, _ = _sweep(model, lines, geom, scheme, THETA, EPS0)
-    assert _component_major(diff)
+    assert _lines_innermost(diff)

@@ -139,6 +139,19 @@ def test_invert_momentum_flux_no_root_at_rest_names_its_value():
     assert info.value.where == (1, 2, 3)
 
 
+def test_invert_momentum_flux_rejects_a_negative_guess_at_rest():
+    # at m = 0 a negative guess (an inadmissible average) picks the lower
+    # root h = 0, whose residual is 0/0: the NaN must not pass the check
+    with pytest.raises(ReconstructionError, match="residual nan"):
+        invert_momentum_flux(np.zeros(3), np.full(3, 2.0), np.ones(3),
+                             np.array([1.0, -1.0, 1.0]))
+    with pytest.raises(ReconstructionError, match="residual nan"):
+        invert_momentum_flux(0.0, 2.0, 1.0, -1e-3)
+    # a zero guess takes the upper root, the at-rest thickness
+    assert invert_momentum_flux(0.0, 2.0, 1.0, 0.0) == pytest.approx(
+        2.0, abs=1e-14)
+
+
 def test_invert_momentum_flux_near_critical_and_extreme_froude(rng):
     # phi from just above psi_min to 1e12 times it, guesses on either
     # branch up to 1e6 times off h_crit, |m| from 1e-30 to 1e3, and |m|

@@ -179,8 +179,8 @@ def test_x_error_wins_when_both_sweeps_fail():
 
 @pytest.mark.parametrize("scheme", ["pccu", "lcd"])
 def test_trsw_inadmissible_average_through_the_helper(scheme):
-    # h = -1 with b = hb / h = 1 fails both sweeps' wave speeds; the
-    # helper's error names the same cell as the serial one, and the x
+    # h = -1 with b = hb / h = 1 fails both sweeps' thickness inversion;
+    # the helper's error names the same cell as the serial one, and the x
     # one wins
     config = make_config("ex8", scheme=scheme, nx=10, ny=10, snapshots=())
     fld = Field(config.grid, config.model.d)
@@ -199,6 +199,27 @@ def test_trsw_inadmissible_average_through_the_helper(scheme):
     assert errors[0] == errors[1]
     assert errors[0][1:] == ((3, 4), "x")
     assert str(fld.interior[3, 4].tolist()) in errors[0][0]
+
+
+@pytest.mark.parametrize("scheme", ["pccu", "lcd"])
+def test_trsw_negative_buoyancy_average_is_named(scheme):
+    # h = -1 with hb > 0, so b = hb / h < 0, fails the thickness inversion
+    # before any wave speed is formed; serial and through the helper the
+    # abort names the average
+    config = make_config("ex8", scheme=scheme, nx=10, ny=10, snapshots=())
+    fld = Field(config.grid, config.model.d)
+    fld.interior[...] = driver.init_from_function(
+        config.grid, config.model.d, config.ic).interior
+    fld.interior[3, 4, 0] = -1.0
+    with ysweep.claim(config, _geom_y(config)) as helper:
+        assert helper is not None
+        for used in (None, helper):
+            with pytest.raises(AdmissibilityError) as info:
+                _rhs(config, fld, None, used)
+            assert info.value.where == (3, 4)
+            assert info.value.direction == "x"
+            assert str(fld.interior[3, 4].tolist()) in str(info.value)
+        assert helper.usable()
 
 
 def test_located_errors_pickle_with_their_location():
