@@ -19,15 +19,14 @@ _SIDES = ("left", "right", "bottom", "top")    # x-sides, then y-sides
 
 
 def sweep_empty(lead, tail):
-    """An empty array of shape lead + tail whose tail axes lie in memory in
-    reverse order: the layout a sweep keeps its (..., L, n, d) and
-    (..., L, n) arrays in.  Each component is then one block of faces with
-    the lines innermost, so a slice along the faces is one contiguous run
-    per component; ufunc outputs keep their inputs' memory order, so
-    every array derived from such an array keeps the layout."""
-    out = np.empty(tuple(lead) + tuple(tail)[::-1])
-    k = len(lead)
-    return out.transpose(*range(k), *range(out.ndim - 1, k - 1, -1))
+    """An empty array of shape lead + tail, two tuples, whose tail axes
+    (at most three) lie in memory in reverse order: the layout a sweep
+    keeps its (..., L, n, d) and (..., L, n) arrays in.  Each component
+    is then one block of faces with the lines innermost, so a slice along
+    the faces is one contiguous run per component; ufunc outputs keep
+    their inputs' memory order, so every array derived from such an
+    array keeps the layout."""
+    return np.empty(lead + tail[::-1]).swapaxes(-1, -len(tail))
 
 
 class Grid:
