@@ -347,15 +347,13 @@ def run(config):
     cellvol = grid.dx * (grid.dy if grid.dimension == 2 else 1.0)
     sums0 = fld.interior.reshape(-1, model.d).sum(axis=0) * cellvol
 
-    events = sorted(set(float(s) for s in config.snapshots) | {config.t_final})
+    # + 0.0 turns -0.0 into 0.0, the time a snapshot at -0.0 is recorded at
+    events = sorted({float(s) + 0.0
+                     for s in (*config.snapshots, config.t_final)})
     # ssprk3_step returns a new array and never writes into its input,
     # so every snapshot is the state array itself
     cur = fld.interior.copy()
     times, states = [], []
-    if events[0] == 0.0:
-        times.append(0.0)
-        states.append(cur)
-        events = events[1:]
 
     speeds = []
     stats = {"slope_drops": 0, "stage_recomputes": 0}

@@ -71,10 +71,6 @@ class SweepHelper:
                 and not self._pending and self.process.is_alive())
 
     def setup(self, static, grid, d):
-        # the kernel tends to wake the helper on the caller's CPU, where
-        # the two take turns: keep it off the CPU the caller runs on now
-        self._talk(os.sched_setaffinity, self.process.pid,
-                   os.sched_getaffinity(0) - {_current_cpu()})
         fd = os.memfd_create("pccu-y-sweep")
         try:
             self._shared = _Shared(fd, grid, d, create=True)
@@ -207,12 +203,6 @@ def _serve(conn, caller_end):
                 conn.send(reply)
         except (EOFError, OSError):     # the caller is gone
             return
-
-
-def _current_cpu():
-    """The CPU this process runs on (field 39 of /proc/self/stat)."""
-    with open("/proc/self/stat", encoding="ascii") as fh:
-        return int(fh.read().rsplit(")", 1)[1].split()[36])
 
 
 def _usable_cpus():

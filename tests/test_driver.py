@@ -3,6 +3,7 @@
 import ctypes
 import dataclasses
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -363,6 +364,12 @@ def test_run_lands_snapshots_exactly():
     report = run(config)
     assert report.times == [0.0, 0.01, 0.02]
     assert len(report.states) == 3
+
+
+def test_snapshot_at_negative_zero_is_recorded_at_zero():
+    report = run(make_config("ex6", t_final=0.02, snapshots=(-0.0,)))
+    assert report.times == [0.0, 0.02]
+    assert math.copysign(1.0, report.times[0]) == 1.0
 
 
 def test_snapshots_share_no_memory_and_match_runs_that_stop_there():

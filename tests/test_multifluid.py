@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from pccu.driver import RunConfig, run
 from pccu.errors import AdmissibilityError
+from pccu.grid import BoundaryCondition, Grid
 from pccu.multifluid import Multifluid, conservative_state, material_coeffs
 from conftest import random_multifluid_states, acoustic_pair, \
     acoustic_pair_checks, dense_eigensystem, expand_fields, quasilinear_matrix
@@ -171,3 +173,26 @@ def test_1d_eigensystem_is_the_2d_one_without_shear(rng, mf1, mf2):
     a1 = quasilinear_matrix(mf1, left, "x")
     a2 = quasilinear_matrix(mf2, embed(left), "x")
     assert np.array_equal(a1, drop(a2))
+
+
+# Abgrall's criterion: uniform velocity and pressure stay uniform across a
+# material interface.  theta = 1.3 amplifies round-off there to about 1e-2
+# by t = 0.5 and is left out.
+@pytest.mark.parametrize("scheme", ["pccu", "lcd"])
+@pytest.mark.parametrize("theta", [1.0, 2.0])
+@pytest.mark.parametrize("rho_slab, gamma_slab", [(10.0, 1.4), (3.1538, 1.249)],
+                         ids=["contact", "r22"])
+def test_material_interface_keeps_u_and_p_uniform(rho_slab, gamma_slab,
+                                                  theta, scheme, mf1):
+    def ic(x):
+        slab = (x > 0.3) & (x < 0.6)
+        return conservative_state(np.where(slab, rho_slab, 1.0), 1.0, 0.0,
+                                  1.0, np.where(slab, gamma_slab, 1.4), 0.0,
+                                  1)
+
+    report = run(RunConfig(model=mf1, grid=Grid(0.0, 1.0, 200),
+                           bc=BoundaryCondition("periodic", "periodic"),
+                           ic=ic, scheme=scheme, theta=theta, t_final=0.5))
+    _, u, _, p, _, _ = mf1.primitives(report.states[-1])
+    assert np.abs(u - 1.0).max() <= 1e-10
+    assert np.abs(p - 1.0).max() <= 1e-10

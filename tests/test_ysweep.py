@@ -303,6 +303,13 @@ def test_one_cpu_runs_serially(monkeypatch):
     assert _fingerprint(driver.run(config())) == expected
 
 
+def test_helper_runs_on_the_callers_cpus():
+    driver.run(make_config("ex8", nx=20, ny=20, t_final=0.01, snapshots=()))
+    assert ysweep._helper.usable()
+    assert (os.sched_getaffinity(ysweep._helper.process.pid)
+            == os.sched_getaffinity(0))
+
+
 def _ex8_fingerprint():
     return _fingerprint(driver.run(make_config(
         "ex8", nx=40, ny=40, t_final=0.01, snapshots=())))
