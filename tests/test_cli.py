@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pccu.cli as cli
+import pccu.driver as driver
 from pccu.catalog import EXAMPLES, config_from_dict, make_config, \
     piecewise_multifluid_ic, piecewise_trsw_ic
 from pccu.errors import ConfigError, NumericalError
@@ -58,6 +59,20 @@ def test_numerical_failure_exits_3(monkeypatch, capsys, tmp_path):
     err = capsys.readouterr().err
     assert "numerical failure" in err
     assert "t=0.125" in err and "stage 2" in err and "cell (3, 4)" in err
+
+
+def test_collapsed_time_step_exits_3(monkeypatch, capsys, tmp_path):
+    monkeypatch.setattr(driver, "cfl_dt", lambda *args: 1e-300)
+    code = cli.main(["run", "ex6", "--nx", "40", "--tfinal", "0.01",
+                     "--out", str(tmp_path / "o")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "numerical failure: time step collapsed" in err and "t=0" in err
+
+
+def test_unknown_example_is_a_config_error():
+    with pytest.raises(ConfigError, match="unknown example 'ex99'"):
+        make_config("ex99")
 
 
 def test_run_example_writes_outputs(tmp_path, capsys):
@@ -226,6 +241,18 @@ def _gas_v_in_1d(config):
         region["state"] = {"rho": 1.0, "v": 5.0, "p": 1.0, "gamma": 1.4}
 
 
+def _state_not_an_object(config):
+    config["ic"]["regions"][1]["state"] = 2.0
+
+
+def _two_d(**keys):
+    """The same dam break on a 2-D grid, spoiled by keys."""
+    def spoil(config):
+        config.update(dimension=2, domain=[-1.0, 1.0, -1.0, 1.0], ny=40)
+        config.update(keys)
+    return spoil
+
+
 def _gas_with(**keys):
     """A valid 1-D multifluid config but for keys, which only trsw takes."""
     def spoil(config):
@@ -274,6 +301,12 @@ def _gas_with(**keys):
     lambda config: config.update(snapshots=[0.02]),
     lambda config: config.update(f0=1.0),
     lambda config: config.update(beta=0.5),
+    lambda config: config["ic"].update(regions=[]),
+    _state_not_an_object,
+    lambda config: config.update(topography="bumps"),
+    lambda config: config.update(model="euler"),
+    _two_d(ny=3),
+    _two_d(domain=[-1.0, 1.0, 1.0, -1.0]),
 ], ids=["region_without_b", "schlieren_in_1d", "dimension_x",
         "unknown_output", "text_b", "ny_x", "snapshots_abc", "bc_5",
         "halfplane_axis_z", "outputs_5", "outputs_nested_list",
@@ -285,7 +318,9 @@ def _gas_with(**keys):
         "topography_null", "refine_0",
         "multifluid_topography", "multifluid_f0", "domain_reversed",
         "bc_periodic_one_side", "snapshot_after_t_final", "trsw_f0_in_1d",
-        "trsw_beta_in_1d"])
+        "trsw_beta_in_1d", "regions_empty", "state_not_an_object",
+        "topography_unknown", "model_unknown", "ny_3_in_2d",
+        "y_domain_reversed"])
 def test_malformed_config_exits_2_before_running(spoil, monkeypatch,
                                                  tmp_path, capsys):
     config = json.loads(json.dumps(_TINY_DAM))

@@ -34,6 +34,14 @@ def test_grid_rejects_bad_extents():
         Grid(0.0, 1.0, 10, 0.0, 1.0)   # 2-D without ny
 
 
+def test_grid_names_each_bad_y_axis():
+    with pytest.raises(ConfigError, match=r"^ny must be >= 4, got 3$"):
+        Grid(0.0, 1.0, 10, 0.0, 1.0, 3)
+    with pytest.raises(ConfigError,
+                       match=r"^empty y-extent \[1.0, -1.0\]$"):
+        Grid(0.0, 1.0, 10, 1.0, -1.0, 10)
+
+
 def test_init_midpoint_rule_linear_exact():
     # midpoint rule integrates linear functions exactly, so the cell
     # averages of f(x) = a + b x are just f at the centers
@@ -117,6 +125,13 @@ def test_fill_ghosts_idempotent(kind, mf1):
     once = f.data.copy()
     fill_ghosts(f, bc, mf1)
     assert np.array_equal(f.data, once)
+
+
+def test_fill_ghosts_rejects_a_field_of_another_model(mf1):
+    f = Field(Grid(0.0, 1.0, 6), mf1.d + 1)
+    with pytest.raises(ConfigError,
+                       match=r"^field has 6 components, model expects 5$"):
+        fill_ghosts(f, BoundaryCondition(), mf1)
 
 
 def test_fill_ghosts_2d_both_axes():

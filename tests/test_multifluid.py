@@ -123,6 +123,15 @@ def test_eigenvalues_raise_on_inadmissible_input(mf1):
         mf1.eigenvalues(state[None, None], "x")
 
 
+def test_lcd_matrices_raise_on_inadmissible_face_mean(mf1):
+    # the mean of the two cells' primitives has p + pi_inf = -0.5
+    cells = np.stack([conservative_state(1.0, 0.0, 0.0, -2.0, 1.4, 0.0, 1),
+                      conservative_state(1.0, 0.0, 0.0, 1.0, 1.4, 0.0, 1)])
+    with pytest.raises(AdmissibilityError,
+                       match="characteristic decomposition"):
+        mf1.lcd_matrices(cells[None], "x")
+
+
 @pytest.mark.parametrize("dimension,direction",
                          [(1, "x"), (2, "x"), (2, "y")])
 def test_eigen_identities_against_quasilinear_matrix(rng, dimension,

@@ -54,6 +54,17 @@ def test_eigenvalues_raise_on_negative_buoyancy():
         model.eigenvalues(state, "x")
 
 
+def test_lcd_matrices_raise_on_nonpositive_face_means():
+    model = ThermalShallowWater(1)
+    good = [1.0, 0.0, 0.0, 1.0]
+    # face means b = 0 and h = -0.5 (with b = 1)
+    for bad in ([1.0, 0.0, 0.0, -1.0], [-2.0, 0.0, 0.0, -2.0]):
+        cells = np.array([[good, bad]])
+        with pytest.raises(AdmissibilityError,
+                           match="characteristic decomposition"):
+            model.lcd_matrices(cells, "x")
+
+
 def test_validate_rejects_bad_states():
     model = ThermalShallowWater(2)
     good = [1.0, 0.1, 0.0, 2.0]
