@@ -26,8 +26,8 @@ import numpy as np
 
 from .errors import ConfigError, AdmissibilityError, NumericalError, \
     ReconstructionError, check_admissible
-from .grid import GHOST, Grid, Field, BoundaryCondition, fill_ghosts, \
-    init_from_function, sweep_empty
+from .grid import GHOST, Grid, Field, BoundaryCondition, centers, \
+    fill_ghosts, init_from_function, sweep_empty
 from .reconstruct import interface_values, reconstruct_equilibrium, \
     drop_inadmissible_slopes
 from .fluxes import local_speeds, split_weights, characteristic_flux, \
@@ -59,12 +59,12 @@ def line_geometry(model, grid, bc, direction):
     direction's once."""
     if direction == "x":
         geom = LineGeometry("x", grid.dx,
-                            _padded_centers(grid.x_min, grid.nx, grid.dx),
+                            centers(grid.x_min, grid.nx, grid.dx, pad=GHOST),
                             grid.y_centers() if grid.dimension == 2 else None,
                             bc.left == "periodic")
     else:
         geom = LineGeometry("y", grid.dy,
-                            _padded_centers(grid.y_min, grid.ny, grid.dy),
+                            centers(grid.y_min, grid.ny, grid.dy, pad=GHOST),
                             grid.x_centers(), bc.bottom == "periodic")
     if model.reconstruction == "equilibrium":
         geom.sources = model.source_geometry(geom)
@@ -172,10 +172,6 @@ def _face_flags(cells, periodic):
     padded = np.pad(cells, ((0, 0), (1, 1)),
                     mode="wrap" if periodic else "edge")
     return padded[:, :-1] | padded[:, 1:]
-
-
-def _padded_centers(lo, n, step):
-    return lo + (np.arange(-GHOST, n + GHOST) + 0.5) * step
 
 
 def _field_sweep(data, model, geom, scheme, theta, eps0, robust, stats):
@@ -344,8 +340,7 @@ def run(config):
     except AdmissibilityError as exc:
         raise ConfigError(str(exc)) from exc
 
-    cellvol = grid.dx * (grid.dy if grid.dimension == 2 else 1.0)
-    sums0 = fld.interior.reshape(-1, model.d).sum(axis=0) * cellvol
+    sums0 = fld.interior.reshape(-1, model.d).sum(axis=0) * grid.cell_volume
 
     # + 0.0 turns -0.0 into 0.0, the time a snapshot at -0.0 is recorded at
     events = sorted({float(s) + 0.0
@@ -410,7 +405,7 @@ def run(config):
             states.append(cur)
     wall = time.perf_counter() - t_start
 
-    sums1 = cur.reshape(-1, model.d).sum(axis=0) * cellvol
+    sums1 = cur.reshape(-1, model.d).sum(axis=0) * grid.cell_volume
     return RunReport(
         config=config, times=times, states=states, steps=steps,
         wall_time=wall, dt_min=min(dts) if dts else 0.0,

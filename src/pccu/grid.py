@@ -6,6 +6,8 @@ axis innermost.  Interior cell (j, k) lives at data[k + GHOST, j + GHOST].
 A sweep copies its lines out of a field into its own layout (sweep_empty).
 """
 
+import math
+
 import numpy as np
 
 from .errors import ConfigError
@@ -13,6 +15,7 @@ from .errors import ConfigError
 # Ghost layers per side: piecewise-linear reconstruction needs one neighbor
 # plus one spare so the first interior cell gets a limited slope.
 GHOST = 2
+_INNER = slice(GHOST, -GHOST)                  # interior cells of one axis
 
 BC_KINDS = ("free", "solid_wall", "periodic")
 _SIDES = ("left", "right", "bottom", "top")    # x-sides, then y-sides
@@ -29,43 +32,58 @@ def sweep_empty(lead, tail):
     return np.empty(lead + tail[::-1]).swapaxes(-1, -len(tail))
 
 
+def centers(lo, n, step, pad=0):
+    """Centres of the n cells of width step from lo, and of pad more cells
+    on each side."""
+    return lo + (np.arange(-pad, n + pad) + 0.5) * step
+
+
+def _axis(name, lo, hi, n):
+    """(lo, hi, n, step) of a checked grid axis."""
+    if n < 4:
+        raise ConfigError(f"n{name} must be >= 4, got {n}")
+    if not hi > lo:
+        raise ConfigError(f"empty {name}-extent [{lo}, {hi}]")
+    lo, hi, n = float(lo), float(hi), int(n)
+    return lo, hi, n, (hi - lo) / n
+
+
 class Grid:
-    """Uniform Cartesian grid.  dx is computed once and reused everywhere."""
+    """Uniform Cartesian grid.  dx is computed once and reused everywhere.
+
+    shape is (nx,) in 1-D and (ny, nx) in 2-D, the grid order of a field's
+    cells; cell_volume is dx, or dx dy."""
 
     def __init__(self, x_min, x_max, nx, y_min=None, y_max=None, ny=None):
-        if nx < 4:
-            raise ConfigError(f"nx must be >= 4, got {nx}")
-        if not x_max > x_min:
-            raise ConfigError(f"empty x-extent [{x_min}, {x_max}]")
-        self.x_min = float(x_min)
-        self.x_max = float(x_max)
-        self.nx = int(nx)
-        self.dx = (self.x_max - self.x_min) / self.nx
+        self.x_min, self.x_max, self.nx, self.dx = _axis("x", x_min, x_max,
+                                                         nx)
         if y_min is None:
             if y_max is not None or ny is not None:
                 raise ConfigError("a 1-D grid takes no y_max or ny")
+            self.y_min = self.y_max = self.ny = self.dy = None
             self.dimension = 1
-            self.y_min = self.y_max = None
-            self.ny = None
-            self.dy = None
+            self.shape = (self.nx,)
+            self.cell_volume = self.dx
         else:
             if ny is None or y_max is None:
                 raise ConfigError("2-D grid needs y_min, y_max and ny")
-            if ny < 4:
-                raise ConfigError(f"ny must be >= 4, got {ny}")
-            if not y_max > y_min:
-                raise ConfigError(f"empty y-extent [{y_min}, {y_max}]")
+            self.y_min, self.y_max, self.ny, self.dy = _axis("y", y_min,
+                                                             y_max, ny)
             self.dimension = 2
-            self.y_min = float(y_min)
-            self.y_max = float(y_max)
-            self.ny = int(ny)
-            self.dy = (self.y_max - self.y_min) / self.ny
+            self.shape = (self.ny, self.nx)
+            self.cell_volume = self.dx * self.dy
 
     def x_centers(self):
-        return self.x_min + (np.arange(self.nx) + 0.5) * self.dx
+        return centers(self.x_min, self.nx, self.dx)
 
     def y_centers(self):
-        return self.y_min + (np.arange(self.ny) + 0.5) * self.dy
+        return centers(self.y_min, self.ny, self.dy)
+
+    def mesh(self):
+        """Cell centres in grid order: [x], or np.meshgrid's [X, Y]."""
+        if self.dimension == 1:
+            return [self.x_centers()]
+        return np.meshgrid(self.x_centers(), self.y_centers())
 
     def __repr__(self):
         if self.dimension == 1:
@@ -86,23 +104,17 @@ class Field:
         if data is not None:
             self.data = data
             return
-        if grid.dimension == 1:
-            shape = (grid.nx + 2 * GHOST, d)
-        else:
-            shape = (grid.ny + 2 * GHOST, grid.nx + 2 * GHOST, d)
         try:
-            self.data = np.zeros(shape)
+            self.data = np.zeros(tuple(n + 2 * GHOST for n in grid.shape)
+                                 + (d,))
         except (MemoryError, ValueError) as exc:  # ValueError: too big
-            cells = grid.nx * (grid.ny if grid.dimension == 2 else 1)
-            raise ConfigError(f"cannot allocate a field of {cells} "
-                              f"cells: {exc}") from exc
+            raise ConfigError(f"cannot allocate a field of "
+                              f"{math.prod(grid.shape)} cells: {exc}") from exc
 
     @property
     def interior(self):
         """Writable view of the interior cells."""
-        if self.grid.dimension == 1:
-            return self.data[GHOST:-GHOST]
-        return self.data[GHOST:-GHOST, GHOST:-GHOST]
+        return self.data[(_INNER,) * len(self.grid.shape)]
 
 
 class BoundaryCondition:
@@ -123,8 +135,6 @@ class BoundaryCondition:
 
     @classmethod
     def from_spec(cls, spec, dimension):
-        if isinstance(spec, BoundaryCondition):
-            return spec
         sides = _SIDES[:2 * dimension]
         if isinstance(spec, str):
             spec = dict.fromkeys(sides, spec)
@@ -175,29 +185,24 @@ def fill_ghosts(field, bc, model):
     grid = field.grid
     if field.d != model.d:
         raise ConfigError(f"field has {field.d} components, model expects {model.d}")
-    if grid.dimension == 1:
-        _fill_axis(field.data, grid.nx, bc.left, bc.right,
-                   model.momentum_index("x"))
-        return field
-    # x-sides act along axis 1: operate on the transposed view
-    xview = np.swapaxes(field.data, 0, 1)
-    _fill_axis(xview, grid.nx, bc.left, bc.right, model.momentum_index("x"))
-    _fill_axis(field.data, grid.ny, bc.bottom, bc.top, model.momentum_index("y"))
+    # the x-sides act along the last grid axis: fill them on a view that
+    # puts it first
+    _fill_axis(field.data.swapaxes(0, grid.dimension - 1), grid.nx,
+               bc.left, bc.right, model.momentum_index("x"))
+    if grid.dimension == 2:
+        _fill_axis(field.data, grid.ny, bc.bottom, bc.top,
+                   model.momentum_index("y"))
     return field
 
 
 def init_from_function(grid, d, f):
     """Field with interior cells set to f at cell centers (midpoint rule).
 
-    f receives center-coordinate arrays (x in 1-D, meshgrid X, Y in 2-D) and
-    must return an (..., d) array of states.
+    f receives the center coordinates grid.mesh() (x in 1-D, meshgrid X, Y
+    in 2-D) and must return an (..., d) array of states.
     """
     field = Field(grid, d)
-    if grid.dimension == 1:
-        vals = np.asarray(f(grid.x_centers()), dtype=np.float64)
-    else:
-        X, Y = np.meshgrid(grid.x_centers(), grid.y_centers())
-        vals = np.asarray(f(X, Y), dtype=np.float64)
+    vals = np.asarray(f(*grid.mesh()), dtype=np.float64)
     if vals.shape != field.interior.shape:
         raise ConfigError(f"initial data shape {vals.shape} != {field.interior.shape}")
     if not np.all(np.isfinite(vals)):

@@ -99,10 +99,7 @@ def _write_table(path, coords, values):
 def write_field_csv(path, grid, interior):
     """Cell-center coordinates and all state components, one row per cell;
     in 2-D row-major over (k, j), so x varies fastest."""
-    if grid.dimension == 1:
-        return _write_table(path, [grid.x_centers()], interior)
-    x, y = np.meshgrid(grid.x_centers(), grid.y_centers())
-    _write_table(path, [x.ravel(), y.ravel()],
+    _write_table(path, [c.ravel() for c in grid.mesh()],
                  interior.reshape(-1, interior.shape[-1]))
 
 
@@ -210,8 +207,7 @@ def write_outputs(report, out_dir):
 
 def difference_norms(report_a, report_b):
     """Per-snapshot, per-component L1 and Linf distances of two runs."""
-    grid = report_a.config.grid
-    vol = grid.dx * (grid.dy if grid.dimension == 2 else 1.0)
+    vol = report_a.config.grid.cell_volume
     out = []
     for t, sa, sb in zip(report_a.times, report_a.states, report_b.states):
         diff = np.abs(sa - sb)
