@@ -168,9 +168,10 @@ class ThermalShallowWater:
         last axis; both material fields move with w."""
         ia, _ = self._indices(direction)
         hb = state[..., 3]
-        if np.any(state[..., 0] <= 0.0) or np.any(hb < 0.0):
+        # the bounds of admissible; NaN fails both
+        if not (np.all(state[..., 0] > H_MIN) and np.all(hb > 0.0)):
             raise AdmissibilityError(
-                "wave-speed evaluation needs h > 0 and h b >= 0")
+                "wave-speed evaluation needs h > H_MIN and h b > 0")
         w = state[..., ia] / state[..., 0]
         s = np.sqrt(hb)                     # sqrt(h b) from the hb slot
         return ordered_speeds(w, s)

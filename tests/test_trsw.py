@@ -10,7 +10,7 @@ from pccu.catalog import TOPOGRAPHIES, make_config
 from pccu.globalflux import interleave_cell_halves
 from pccu.grid import GHOST, Grid, BoundaryCondition, Field, fill_ghosts, \
     init_from_function
-from pccu.trsw import ThermalShallowWater, invert_momentum_flux
+from pccu.trsw import H_MIN, ThermalShallowWater, invert_momentum_flux
 from pccu.driver import RunConfig, line_geometry, run, spatial_rhs
 from conftest import random_trsw_states, acoustic_pair_checks, \
     dense_eigensystem, expand_fields, quasilinear_matrix
@@ -51,6 +51,18 @@ def test_eigenvalues_raise_on_negative_buoyancy():
     model = ThermalShallowWater(1)
     state = np.array([[1.0, 0.0, 0.0, -1.0]])
     with pytest.raises(AdmissibilityError):
+        model.eigenvalues(state, "x")
+
+
+@pytest.mark.parametrize("state", [[0.5 * H_MIN, 0.0, 0.0, 1.0],
+                                   [1.0, 0.0, 0.0, 0.0],
+                                   [np.nan, 0.0, 0.0, 1.0]],
+                         ids=["h_below_h_min", "hb_zero", "h_nan"])
+def test_eigenvalues_reject_what_admissible_rejects(state):
+    model = ThermalShallowWater(1)
+    state = np.array([state])
+    assert not model.admissible(state).any()
+    with pytest.raises(AdmissibilityError, match="wave-speed evaluation"):
         model.eigenvalues(state, "x")
 
 
