@@ -1,9 +1,12 @@
 """Shared fixtures: a scalar-advection toy model, random state factories,
-catalog sweep lines, the eigensystem and quasilinear-matrix oracles and
-the y-sweep helper's CSV replies."""
+catalog sweep lines, the eigensystem, quasilinear-matrix and exact
+Riemann-solver oracles and the y-sweep helper's CSV replies."""
+
+import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from pccu import driver, ysweep
 from pccu.catalog import EXAMPLES, make_config
@@ -284,6 +287,73 @@ def expand_fields(speeds, d):
     return np.concatenate([speeds[..., :1]]
                           + [speeds[..., 1:2]] * (d - 2)
                           + [speeds[..., 2:]], axis=-1)
+
+
+def _wave_curve(p, side):
+    """f_K(p) of Toro's exact solver (ch. 4) for one side
+    (rho, u, p, gamma, pi_inf) of a stiffened gas: every pressure is
+    shifted by pi_inf (Ivings, Causon & Toro 1998)."""
+    rho, _, p_k, gamma, pi_inf = side
+    big, big_k = p + pi_inf, p_k + pi_inf
+    if p > p_k:                                 # shock
+        a = 2.0 / ((gamma + 1.0) * rho)
+        b = (gamma - 1.0) / (gamma + 1.0) * big_k
+        return (p - p_k) * math.sqrt(a / (big + b))
+    c = math.sqrt(gamma * big_k / rho)          # rarefaction
+    return (2.0 * c / (gamma - 1.0)
+            * ((big / big_k) ** ((gamma - 1.0) / (2.0 * gamma)) - 1.0))
+
+
+def riemann_star(left, right):
+    """(p*, u*) of the exact Riemann problem between two stiffened-gas
+    states (rho, u, p, gamma, pi_inf): the root of
+    f_L(p) + f_R(p) + u_R - u_L, bracketed from the pressure at which one
+    side's p + pi_inf vanishes and found by brentq."""
+    def f(p):
+        return _wave_curve(p, left) + _wave_curve(p, right) \
+            + right[1] - left[1]
+
+    lo = -min(left[4], right[4])
+    if f(lo) >= 0.0:
+        raise ValueError("the rarefactions open a vacuum")
+    hi = max(left[2], right[2]) + 1.0
+    while f(hi) <= 0.0:
+        hi = 2.0 * hi + 1.0
+    p_star = brentq(f, lo, hi, xtol=1e-15, rtol=4 * np.finfo(float).eps)
+    u_star = 0.5 * (left[1] + right[1] + _wave_curve(p_star, right)
+                    - _wave_curve(p_star, left))
+    return p_star, u_star
+
+
+def riemann_sample(left, right, s):
+    """(rho, u, p) of the exact Riemann solution at x/t = s, the states as
+    in riemann_star."""
+    p_star, u_star = riemann_star(left, right)
+    # sample the left side; the right one is its mirror image
+    sign, side = (1.0, left) if s <= u_star else (-1.0, right)
+    rho, u, p, gamma, pi_inf = side
+    s, u, u_star = sign * s, sign * u, sign * u_star
+    big, big_star = p + pi_inf, p_star + pi_inf
+    c = math.sqrt(gamma * big / rho)
+    gm = (gamma - 1.0) / (gamma + 1.0)
+    if p_star > p:                              # shock
+        speed = u - c * math.sqrt((gamma + 1.0) / (2.0 * gamma) * big_star
+                                  / big + (gamma - 1.0) / (2.0 * gamma))
+        if s <= speed:
+            return rho, sign * u, p
+        ratio = big_star / big
+        return rho * (ratio + gm) / (gm * ratio + 1.0), sign * u_star, p_star
+    c_star = c * (big_star / big) ** ((gamma - 1.0) / (2.0 * gamma))
+    if s <= u - c:                              # ahead of the head
+        return rho, sign * u, p
+    if s >= u_star - c_star:                    # behind the tail
+        return (rho * (big_star / big) ** (1.0 / gamma), sign * u_star,
+                p_star)
+    c_fan = 2.0 / (gamma + 1.0) * (c + 0.5 * (gamma - 1.0) * (u - s))
+    u_fan = 2.0 / (gamma + 1.0) * (c + 0.5 * (gamma - 1.0) * u + s)
+    ratio = c_fan / c
+    return (rho * ratio ** (2.0 / (gamma - 1.0)), sign * u_fan,
+            big * ratio ** (2.0 * gamma / (gamma - 1.0)) - pi_inf)
 
 
 def catalog_lines(name, direction, nx=20, ny=20):

@@ -1,4 +1,7 @@
-"""Stiffened-gas multifluid model: EOS, fluxes, eigensystem."""
+"""Stiffened-gas multifluid model: EOS, fluxes, eigensystem, and the exact
+Riemann oracle."""
+
+import math
 
 import numpy as np
 import pytest
@@ -8,7 +11,8 @@ from pccu.errors import AdmissibilityError
 from pccu.grid import BoundaryCondition, Grid
 from pccu.multifluid import Multifluid, conservative_state, material_coeffs
 from conftest import random_multifluid_states, acoustic_pair, \
-    acoustic_pair_checks, dense_eigensystem, expand_fields, quasilinear_matrix
+    acoustic_pair_checks, dense_eigensystem, expand_fields, \
+    quasilinear_matrix, riemann_sample, riemann_star
 
 
 # ---- EOS and primitive recovery ---------------------------------------------
@@ -205,3 +209,46 @@ def test_material_interface_keeps_u_and_p_uniform(rho_slab, gamma_slab,
     _, u, _, p, _, _ = mf1.primitives(report.states[-1])
     assert np.abs(u - 1.0).max() <= 1e-10
     assert np.abs(p - 1.0).max() <= 1e-10
+
+
+# ---- exact Riemann oracle (tests/conftest.py) ---------------------------------
+
+def test_riemann_oracle_star_state_of_toro_test_1():
+    # Toro, Riemann Solvers and Numerical Methods, table 4.3, test 1
+    p_star, u_star = riemann_star((1.0, 0.0, 1.0, 1.4, 0.0),
+                                  (0.125, 0.0, 0.1, 1.4, 0.0))
+    assert (round(p_star, 5), round(u_star, 5)) == (0.30313, 0.92745)
+
+
+def _outer_wave_speed(side, p_star, sign):
+    """Speed of the outer edge of one side's wave: its shock, or the head
+    of its rarefaction; sign -1 on the left, +1 on the right."""
+    rho, u, p, gamma, pi_inf = side
+    c = math.sqrt(gamma * (p + pi_inf) / rho)
+    jump = max((p_star + pi_inf) / (p + pi_inf) - 1.0, 0.0)
+    return u + sign * c * math.sqrt(1.0 + (gamma + 1.0) / (2.0 * gamma)
+                                    * jump)
+
+
+@pytest.mark.parametrize("left, right", [
+    ((2.0, 0.3, 5.0, 3.0, 10.0), (0.5, -0.4, 1.0, 1.4, 0.0)),
+    ((1.0, 0.0, 1.0, 1.4, 0.0), (5.0, -1.0, 20.0, 4.4, 6.0)),
+    ((1.0, 2.0, 1.0, 1.4, 0.0), (5.0, -1.0, 2.0, 4.4, 6.0)),
+], ids=["rarefaction_shock", "shock_rarefaction", "shock_shock"])
+def test_riemann_oracle_keeps_each_state_outside_the_fan(left, right):
+    # two stiffened gases, gamma and pi_inf differing across the tube
+    p_star, u_star = riemann_star(left, right)
+    lo = _outer_wave_speed(left, p_star, -1.0)
+    hi = _outer_wave_speed(right, p_star, 1.0)
+    for s in np.linspace(lo - 5.0, hi + 5.0, 201):
+        state = riemann_sample(left, right, s)
+        if s < lo:
+            assert state == left[:3]
+        elif s > hi:
+            assert state == right[:3]
+        else:
+            assert state not in (left[:3], right[:3])
+    # across the contact only the density jumps
+    for s in (u_star - 1e-9, u_star + 1e-9):
+        _, u, p = riemann_sample(left, right, s)
+        assert (u, p) == pytest.approx((u_star, p_star), rel=1e-12)
