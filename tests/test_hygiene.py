@@ -24,7 +24,7 @@ def _references(node):
 def _private_definitions(tree):
     """The module-level functions and classes and the methods of tree whose
     name starts with one underscore."""
-    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    defs = (ast.FunctionDef, ast.ClassDef)
     for node in tree.body:
         members = node.body if isinstance(node, ast.ClassDef) else []
         for item in [node, *members]:
