@@ -29,7 +29,7 @@ def _parse_snapshots(text):
         raise ConfigError(f"bad --snapshots value {text!r}") from exc
 
 
-def _load_config(target, args):
+def _load_config(target, args, scheme):
     if target in EXAMPLES:
         raw = {**EXAMPLES[target], "label": target}
     elif os.path.exists(target):
@@ -44,7 +44,7 @@ def _load_config(target, args):
                           f"config file (examples: "
                           f"{', '.join(example_names())})")
     return config_from_dict(
-        raw, scheme=args.scheme, nx=args.nx, ny=args.ny, theta=args.theta,
+        raw, scheme=scheme, nx=args.nx, ny=args.ny, theta=args.theta,
         cfl=args.cfl, t_final=args.tfinal,
         snapshots=_parse_snapshots(args.snapshots), refine=args.refine)
 
@@ -62,30 +62,26 @@ def _make_dirs(*paths):
 
 def _cmd_run(args):
     out_dir = args.out or args.target.removesuffix(".json") + "_out"
+    schemes = ("pccu", "lcd") if args.compare else (args.scheme,)
+    configs = [_load_config(args.target, args, scheme) for scheme in schemes]
+    dirs = ([os.path.join(out_dir, scheme) for scheme in schemes]
+            if args.compare else [out_dir])
+    _make_dirs(*dirs)
+    reports = []
+    for config, path in zip(configs, dirs):
+        report = run(config)
+        write_outputs(report, path)
+        reports.append(report)
     if args.compare:
-        configs = []
-        for scheme in ("pccu", "lcd"):
-            args.scheme = scheme
-            configs.append(_load_config(args.target, args))
-        _make_dirs(*(os.path.join(out_dir, c.scheme) for c in configs))
-        reports = []
-        for config in configs:
-            report = run(config)
-            write_outputs(report, os.path.join(out_dir, config.scheme))
-            reports.append(report)
-        norms = difference_norms(reports[0], reports[1])
+        norms = difference_norms(*reports)
         with open(os.path.join(out_dir, "compare.json"), "w",
                   encoding="ascii") as fh:
             json.dump({"snapshots": norms}, fh, indent=2, sort_keys=True)
             fh.write("\n")
         print(f"wrote {out_dir}/pccu, {out_dir}/lcd and compare.json")
-        return 0
-    config = _load_config(args.target, args)
-    _make_dirs(out_dir)
-    report = run(config)
-    write_outputs(report, out_dir)
-    print(f"{config.label}: {report.steps} steps to t={config.t_final:g} "
-          f"in {report.wall_time:.2f}s -> {out_dir}")
+    else:
+        print(f"{config.label}: {report.steps} steps to t={config.t_final:g} "
+              f"in {report.wall_time:.2f}s -> {out_dir}")
     return 0
 
 

@@ -41,31 +41,32 @@ SCHEMES = ("pccu", "lcd")
 
 @dataclass
 class LineGeometry:
-    """Per-sweep geometry: padded center coordinates along the sweep axis,
-    the (fixed) transverse coordinate of each line, whether the sweep's
-    boundaries are periodic and, for an equilibrium model, the source data
-    its source_half_increments reads (see
-    ThermalShallowWater.source_geometry)."""
+    """Per-sweep geometry: the coordinates of the lines' cells, whether
+    the sweep's boundaries are periodic and, for an equilibrium model, the
+    source data its source_half_increments reads (see
+    ThermalShallowWater.source_geometry).  points is (x,) in 1-D and
+    (x, y) in 2-D, arrays that broadcast to the (L, n + 2g) padded cells
+    of the sweep's lines."""
     direction: str
     dx: float
-    coords: np.ndarray
-    transverse: np.ndarray | None = None
+    points: tuple
     periodic: bool = False
     sources: tuple | None = None
 
 
 def line_geometry(model, grid, bc, direction):
     """The LineGeometry of one sweep direction of a run; a run builds each
-    direction's once."""
+    direction's once.  Along the sweep the points run over the padded
+    cells, across it over the interior lines."""
     if direction == "x":
-        geom = LineGeometry("x", grid.dx,
-                            centers(grid.x_min, grid.nx, grid.dx, pad=GHOST),
-                            grid.y_centers() if grid.dimension == 2 else None,
-                            bc.left == "periodic")
+        x = centers(grid.x_min, grid.nx, grid.dx, pad=GHOST)[None, :]
+        points = ((x,) if grid.dimension == 1
+                  else (x, grid.y_centers()[:, None]))
+        geom = LineGeometry("x", grid.dx, points, bc.left == "periodic")
     else:
-        geom = LineGeometry("y", grid.dy,
-                            centers(grid.y_min, grid.ny, grid.dy, pad=GHOST),
-                            grid.x_centers(), bc.bottom == "periodic")
+        y = centers(grid.y_min, grid.ny, grid.dy, pad=GHOST)[None, :]
+        geom = LineGeometry("y", grid.dy, (grid.x_centers()[:, None], y),
+                            bc.bottom == "periodic")
     if model.reconstruction == "equilibrium":
         geom.sources = model.source_geometry(geom)
     return geom

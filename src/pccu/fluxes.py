@@ -111,17 +111,14 @@ def characteristic_flux(vectors, p, m, q, k_minus, k_plus, du):
     their columns of R from vectors = ((left, right, shared), columns), as
     model.lcd_matrices returns them.  Each projection l_k V sums the row's
     own entries, then the shared ones, in the maps' order; every shared
-    product is formed once per vector V and serves both rows.  With a
-    single speed, (L, nf, 1), there is nothing to correct.
+    product is formed once per vector V and serves both rows.
     """
-    mid = p.shape[-1] // 2
+    mid = 1                             # the middle speed, w
     flux = p[..., mid:mid + 1] * k_minus
     term = m[..., mid:mid + 1] * k_plus
     flux += term
     flux += np.multiply(q[..., mid:mid + 1], du, out=term)
     del term
-    if mid == 0:
-        return flux
     (left, right, shared), columns = vectors
     work = sweep_empty((4 + len(shared),), flux.shape[:-1])
     amps, (proj, scratch), shared_terms = work[:2], work[2:4], work[4:]

@@ -155,29 +155,20 @@ def _fill_axis(data, n, lo_kind, hi_kind, wall_comp):
     """Fill the two ghost layers on both ends of axis 0 of `data`.
 
     data has shape (n + 2*GHOST, ..., d); `wall_comp` is the component index
-    to negate under solid-wall mirroring.
+    to negate under solid-wall mirroring.  The high end is the low end of
+    data[::-1].
     """
     g = GHOST
     if lo_kind == "periodic":
         data[0:g] = data[n:n + g]
         data[n + g:n + 2 * g] = data[g:2 * g]
         return
-    # left
-    if lo_kind == "free":
-        data[0] = data[g]
-        data[1] = data[g]
-    elif lo_kind == "solid_wall":
-        data[1] = data[g]
-        data[0] = data[g + 1]
-        data[0:g, ..., wall_comp] *= -1.0
-    # right
-    if hi_kind == "free":
-        data[n + g] = data[n + g - 1]
-        data[n + g + 1] = data[n + g - 1]
-    elif hi_kind == "solid_wall":
-        data[n + g] = data[n + g - 1]
-        data[n + g + 1] = data[n + g - 2]
-        data[n + g:n + 2 * g, ..., wall_comp] *= -1.0
+    for side, kind in ((data, lo_kind), (data[::-1], hi_kind)):
+        if kind == "free":              # copies of the edge cell
+            side[:g] = side[g]
+        elif kind == "solid_wall":      # mirror cells, normal momentum negated
+            side[:g] = side[g:2 * g][::-1]
+            side[:g, ..., wall_comp] *= -1.0
 
 
 def fill_ghosts(field, bc, model):

@@ -256,30 +256,26 @@ class ThermalShallowWater:
         """(dz, f_lo, f_hi) of the lines of geom, None for a term this
         model lacks, formed once per run and direction (driver.line_geometry)
         for source_half_increments.  dz: half of each center-to-center jump
-        of Z per padded face, the end faces repeating their neighbours.
-        f_lo, f_hi: along x, -f(y) of each line, (L, 1), on both halves;
-        along y, f at the midpoints of the two halves of each padded cell."""
+        of Z per padded face, the end faces repeating their neighbours,
+        (L, n + 2g) or (1, n + 2g).  f_lo, f_hi: along x, -f(y) of each
+        line, (L, 1), on both halves; along y, f at the midpoints of the
+        two halves of each padded cell, (1, n + 2g)."""
         dz = f_lo = f_hi = None
-        c, t = geom.coords, geom.transverse
         if self.topography is not None:
-            if self.dimension == 1:
-                z_c = self.topography(c)
-            elif geom.direction == "x":
-                z_c = self.topography(c[None, :], t[:, None])
-            else:
-                z_c = self.topography(t[:, None], c[None, :])
+            z_c = self.topography(*geom.points)
             dz = 0.5 * np.diff(z_c, axis=-1)
             dz = np.concatenate([dz[..., :1], dz, dz[..., -1:]], axis=-1)
             # the lines innermost, as the sweep lays out the averages it
             # multiplies (grid.sweep_empty)
             dz = np.asfortranarray(dz)
         if self.f0 != 0.0 or self.beta != 0.0:
+            y = geom.points[1]
             if geom.direction == "x":
                 # +f h v: subtracting -f adds f exactly
-                f_lo = f_hi = -self.coriolis(t)[:, None]
+                f_lo = f_hi = -self.coriolis(y)
             else:
-                f_lo = self.coriolis(c - 0.25 * geom.dx)
-                f_hi = self.coriolis(c + 0.25 * geom.dx)
+                f_lo = self.coriolis(y - 0.25 * geom.dx)
+                f_hi = self.coriolis(y + 0.25 * geom.dx)
         return dz, f_lo, f_hi
 
     def source_half_increments(self, lines, geom):

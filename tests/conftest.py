@@ -43,7 +43,8 @@ class ScalarAdvection:
         return state.copy()
 
     def eigenvalues(self, state, direction):
-        return np.ones(state.shape[:-1] + (1,))
+        # the (w - s, w, w + s) of every model, all three at unit speed
+        return np.ones(state.shape[:-1] + (3,))
 
     def noncons_increment(self, state_a, state_b, direction):
         return np.zeros_like(state_a)

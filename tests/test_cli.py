@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -15,12 +19,41 @@ from pccu.catalog import EXAMPLES, config_from_dict, make_config, \
     piecewise_multifluid_ic, piecewise_trsw_ic
 from pccu.errors import ConfigError, NumericalError
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def _python(*args):
+    """A new interpreter run with args, importing pccu from this checkout."""
+    return subprocess.run([sys.executable, *args],
+                          env={**os.environ, "PYTHONPATH": SRC},
+                          capture_output=True, text=True, timeout=120)
+
 
 def test_list_names_all_examples(capsys):
     assert cli.main(["list"]) == 0
     out = capsys.readouterr().out
     for name in ("ex1", "ex2", "ex6", "ex7", "ex9", "ex10"):
         assert name in out
+
+
+def test_module_entry_point_lists_the_examples():
+    # python -m pccu.cli runs main and exits with its code
+    done = _python("-m", "pccu.cli", "list")
+    assert (done.returncode, done.stderr) == (0, "")
+    assert [line.split()[0] for line in done.stdout.splitlines()] \
+        == sorted(EXAMPLES)
+
+
+def test_compare_run_leaves_nothing_open_in_dev_mode(tmp_path):
+    # the run forks the helper and hands it two-block CSV tables; under
+    # -X dev -W error any warning fails the run, a ResourceWarning for a
+    # file object left open among them
+    done = _python("-X", "dev", "-W", "error", "-m", "pccu.cli", "run", "ex4",
+                   "--nx", "64", "--ny", "32", "--tfinal", "0.01",
+                   "--snapshots", "0.005", "--compare", "--out", str(tmp_path))
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == (f"wrote {tmp_path}/pccu, {tmp_path}/lcd and "
+                           f"compare.json\n")
 
 
 def test_unknown_target_exits_2(capsys):
@@ -307,6 +340,12 @@ def _gas_with(**keys):
     lambda config: config.update(model="euler"),
     _two_d(ny=3),
     _two_d(domain=[-1.0, 1.0, 1.0, -1.0]),
+    lambda config: config.update(nx=40.5),
+    lambda config: config.update(refine=1.5),
+    lambda config: config.update(ic=5),
+    lambda config: config.update(ic="ex99"),
+    lambda config: config.update(dimension=3),
+    lambda config: config.update(domain=[-1.0, 1.0, -1.0, 1.0]),
 ], ids=["region_without_b", "schlieren_in_1d", "dimension_x",
         "unknown_output", "text_b", "ny_x", "snapshots_abc", "bc_5",
         "halfplane_axis_z", "outputs_5", "outputs_nested_list",
@@ -320,7 +359,8 @@ def _gas_with(**keys):
         "bc_periodic_one_side", "snapshot_after_t_final", "trsw_f0_in_1d",
         "trsw_beta_in_1d", "regions_empty", "state_not_an_object",
         "topography_unknown", "model_unknown", "ny_3_in_2d",
-        "y_domain_reversed"])
+        "y_domain_reversed", "nx_fraction", "refine_fraction", "ic_number",
+        "ic_unknown_id", "dimension_3", "four_bounds_in_1d"])
 def test_malformed_config_exits_2_before_running(spoil, monkeypatch,
                                                  tmp_path, capsys):
     config = json.loads(json.dumps(_TINY_DAM))
@@ -390,7 +430,7 @@ def config_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("configs")
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, print_blob=True)
 @given(slot=st.sampled_from(_SLOTS), value=_JSON)
 def test_any_json_value_exits_2_or_passes_validation(slot, value,
                                                      config_dir):

@@ -194,6 +194,44 @@ def test_field_sweep_returns_grid_order(name, nx, ny, scheme):
         assert diff.tobytes() == want.tobytes() and speed == want_speed
 
 
+class _Cut(Exception):
+    """Raised by a stubbed _sweep with the shape of the lines it got."""
+
+
+@pytest.mark.parametrize("name, direction", [
+    ("ex1", "x"), ("ex7", "x"), ("ex8", "x"), ("ex8", "y"), ("ex10", "x"),
+    ("ex10", "y")])
+def test_sweep_points_are_the_cells_of_the_lines_it_cuts(name, direction,
+                                                         monkeypatch):
+    # the points broadcast to the (L, n + 2g) lines _field_sweep hands on,
+    # and on the interior cells they are the grid's centres; ex8 writes
+    # only csv here, which takes a grid that is not square
+    grid_size = {} if EXAMPLES[name]["dimension"] == 1 else dict(nx=12,
+                                                                 ny=8)
+    config = make_config(name, snapshots=(), outputs=("csv",), **grid_size)
+    model, grid = config.model, config.grid
+    fld = init_from_function(grid, model.d, config.ic)
+    fill_ghosts(fld, config.bc, model)
+    geom = line_geometry(model, grid, config.bc, direction)
+
+    def cut(model, lines, *rest):
+        raise _Cut(lines.shape[:2])
+
+    monkeypatch.setattr(driver, "_sweep", cut)
+    with pytest.raises(_Cut) as cut_lines:
+        driver._field_sweep(fld.data, model, geom, "pccu", config.theta,
+                            config.eps0, None, None)
+    shape = np.broadcast_shapes(*(p.shape for p in geom.points))
+    assert shape == cut_lines.value.args[0]
+    mesh = grid.mesh()
+    if direction == "y":
+        mesh = [m.T for m in mesh]
+    assert len(geom.points) == grid.dimension
+    for points, centres in zip(geom.points, mesh):
+        inner = np.broadcast_to(points, shape)[:, GHOST:-GHOST]
+        assert np.array_equal(inner, np.reshape(centres, inner.shape))
+
+
 def _counted(calls, key, fn):
     def wrapper(*args, **kwargs):
         calls[key] += 1

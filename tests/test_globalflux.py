@@ -131,7 +131,8 @@ def _const_trsw_lines(n, h, b):
 def test_source_increments_vanish_on_flat_bottom_no_rotation():
     model = ThermalShallowWater(1, topography=None)
     lines = _const_trsw_lines(6, 2.0, 1.0)
-    geom = LineGeometry("x", 0.1, (np.arange(-GHOST, 6 + GHOST) + 0.5) * 0.1)
+    geom = LineGeometry("x", 0.1,
+                        ((np.arange(-GHOST, 6 + GHOST) + 0.5) * 0.1,))
     geom.sources = model.source_geometry(geom)
     half_l, half_r = model.source_half_increments(lines, geom)
     assert np.all(half_l == 0.0)
@@ -144,7 +145,7 @@ def test_topography_cell_increment_oracle():
     model = ThermalShallowWater(1, topography=lambda x: 0.1 * x)
     n, dx = 5, 1.0
     lines = _const_trsw_lines(n, 1.0, 1.0)
-    geom = LineGeometry("x", dx, (np.arange(-GHOST, n + GHOST) + 0.5) * dx)
+    geom = LineGeometry("x", dx, ((np.arange(-GHOST, n + GHOST) + 0.5) * dx,))
     geom.sources = model.source_geometry(geom)
     half_l, half_r = model.source_half_increments(lines, geom)
     assert half_l.shape == half_r.shape == (1, n + 2 * GHOST, 1)
@@ -160,7 +161,7 @@ def test_coriolis_y_sweep_increment_oracle():
     state = np.array([1.0, 0.5, 0.0, 1.0])    # (h, hu, hv, hb)
     lines = np.tile(state, (3, n + 2 * GHOST, 1))
     coords = (np.arange(-GHOST, n + GHOST) + 0.5) * dy
-    geom = LineGeometry("y", dy, coords, transverse=np.zeros(3))
+    geom = LineGeometry("y", dy, (np.zeros((3, 1)), coords[None, :]))
     geom.sources = model.source_geometry(geom)
     half_l, half_r = model.source_half_increments(lines, geom)
     # one row: the hv momentum of the y-sweep

@@ -117,6 +117,37 @@ def test_solid_wall_mirrors_and_negates_normal_momentum(mf1):
     assert np.array_equal(f.data[1] * flip, vals[0])
 
 
+def _check_side(ghosts, cells, kind, flip):
+    """ghosts and cells run outward and inward from one boundary face: a
+    free ghost copies the edge cell, a solid_wall ghost mirrors its cell
+    with the normal momentum negated."""
+    for k in range(GHOST):
+        expect = cells[0] if kind == "free" else cells[k] * flip
+        assert np.array_equal(ghosts[k], expect)
+
+
+@pytest.mark.parametrize("lo, hi", [("free", "solid_wall"),
+                                    ("solid_wall", "free")])
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_mixed_sides_fill_each_ghost_by_its_own_rule(lo, hi, dimension):
+    # in 2-D the mixed pair sits on the y-sides, which fill axis 0
+    model = Multifluid(dimension)
+    if dimension == 1:
+        grid, bc = Grid(0.0, 1.0, 6), BoundaryCondition(lo, hi)
+    else:
+        grid = Grid(0.0, 1.0, 5, 0.0, 1.0, 6)
+        bc = BoundaryCondition("free", "free", lo, hi)
+    f = Field(grid, model.d)
+    f.interior[...] = np.random.default_rng(5).uniform(
+        1.0, 2.0, size=f.interior.shape)
+    fill_ghosts(f, bc, model)
+    flip = np.ones(model.d)
+    flip[model.momentum_index("xy"[dimension - 1])] = -1.0
+    g = GHOST
+    _check_side(f.data[g - 1::-1], f.data[g:], lo, flip)
+    _check_side(f.data[-g:], f.data[-g - 1::-1], hi, flip)
+
+
 @pytest.mark.parametrize("kind", ["free", "solid_wall", "periodic"])
 def test_fill_ghosts_idempotent(kind, mf1):
     vals = np.random.default_rng(11).uniform(1.0, 2.0, size=(8, 5))

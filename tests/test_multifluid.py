@@ -15,6 +15,11 @@ from conftest import random_multifluid_states, acoustic_pair, \
     quasilinear_matrix, riemann_sample, riemann_star
 
 
+def test_a_third_dimension_is_refused():
+    with pytest.raises(ValueError, match="^dimension must be 1 or 2$"):
+        Multifluid(3)
+
+
 # ---- EOS and primitive recovery ---------------------------------------------
 
 def test_material_coeffs_ideal_gas():

@@ -103,6 +103,11 @@ def test_rotation_in_1d_is_refused_when_built_in_code(rotation):
             1, topography=TOPOGRAPHIES["two_bumps_1d"], **rotation))
 
 
+def test_a_third_dimension_is_refused():
+    with pytest.raises(ValueError, match="^dimension must be 1 or 2$"):
+        ThermalShallowWater(3)
+
+
 def test_coriolis_affine():
     model = ThermalShallowWater(2, f0=2.0, beta=0.5)
     y = np.array([-1.0, 0.0, 4.0])
